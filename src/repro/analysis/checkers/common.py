@@ -10,22 +10,13 @@ sites working.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, List, Optional
 
 from ..source import (  # noqa: F401  (re-exported shared infrastructure)
     build_import_map,
     dotted_name,
     resolve_call_target,
 )
-
-FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
-
-
-def iter_functions(tree: ast.Module) -> Iterator[FunctionNode]:
-    """Every function and method in the module, outermost first."""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
 
 
 def self_attribute_root(node: ast.AST) -> Optional[str]:
@@ -49,48 +40,3 @@ def is_lock_factory(value: ast.AST, imports: Dict[str, str]) -> bool:
         return False
     target = resolve_call_target(value, imports)
     return target in ("threading.Lock", "threading.RLock", "Lock", "RLock")
-
-
-def statements_after(
-    func: FunctionNode, stmt: ast.stmt
-) -> List[ast.stmt]:
-    """Statements of ``func`` that execute after ``stmt`` finishes.
-
-    Approximated lexically: every statement node in the function whose
-    first line is beyond ``stmt``'s last.  Good enough to decide "is
-    there any code left that could raise".
-    """
-    boundary = getattr(stmt, "end_lineno", stmt.lineno)
-    following: List[ast.stmt] = []
-    for node in ast.walk(func):
-        if isinstance(node, ast.stmt) and node is not stmt:
-            if node.lineno > boundary:
-                following.append(node)
-    return following
-
-
-def is_trivial_tail(stmt: ast.stmt) -> bool:
-    """A statement that cannot raise between a reserve and its use."""
-    if isinstance(stmt, ast.Pass):
-        return True
-    if isinstance(stmt, ast.Return):
-        return stmt.value is None or isinstance(
-            stmt.value, (ast.Name, ast.Constant)
-        )
-    return False
-
-
-def find_enclosing_statement(
-    func: FunctionNode, target: ast.AST
-) -> Optional[ast.stmt]:
-    """The outermost statement of ``func``'s body containing ``target``."""
-
-    def contains(node: ast.AST) -> bool:
-        return any(child is target for child in ast.walk(node))
-
-    stack: List[Tuple[ast.stmt, ...]] = [tuple(func.body)]
-    while stack:
-        for stmt in stack.pop():
-            if contains(stmt):
-                return stmt
-    return None

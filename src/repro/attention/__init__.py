@@ -1,4 +1,5 @@
-"""Attention substrate: positional priors and synthetic attention traces.
+"""Attention substrate: positional priors and synthetic per-source
+attention totals.
 
 Substitutes for the paper's Hugging Face attention tensors (see
 DESIGN.md section 3.2): the aggregate per-source attention preserves the
@@ -11,7 +12,7 @@ from .aggregate import (
     normalize_scores,
     rank_sources,
 )
-from .model import AttentionModel, AttentionTrace, TokenAttention, source_attention_scores
+from .model import AttentionModel, AttentionTrace
 from .positional import (
     PositionPrior,
     inverted_v_weights,
@@ -29,8 +30,6 @@ __all__ = [
     "rank_sources",
     "AttentionModel",
     "AttentionTrace",
-    "TokenAttention",
-    "source_attention_scores",
     "PositionPrior",
     "inverted_v_weights",
     "position_weights",

@@ -1,9 +1,10 @@
-"""Synthetic multi-layer, multi-head attention traces.
+"""Synthetic per-source attention totals.
 
 The real RAGE sums Llama-2 attention values "over all internal layers,
 attention heads, and tokens corresponding to a combination's constituent
-sources".  Without the real model we synthesize attention tensors whose
-structure preserves the two signals that drive that aggregate:
+sources".  That sum is all RAGE reads, so a trace here is one total per
+source.  Without the real model each total is synthesized from the two
+signals that drive the aggregate:
 
 * **position** — each source's share of attention follows the simulated
   LLM's positional prior (V-shaped by default), and
@@ -11,18 +12,25 @@ structure preserves the two signals that drive that aggregate:
   content terms receive proportionally more attention.
 
 On top of that deterministic backbone, per-(layer, head, token) values
-are modulated by a hash-seeded pseudo-random factor, so traces look like
-real head-to-head variation while remaining exactly reproducible.
+are modulated by a hash-seeded pseudo-random factor, so totals vary the
+way real heads do while remaining exactly reproducible.
+
+A total is a pure function of the model shape, seed, position weight,
+query and source text, and perturbation searches ask for the same ones
+over and over, so every stage is memoized in bounded module-level
+caches.  The float operations and their order are fixed: totals are
+bit-identical to summing a full per-token, per-layer, per-head trace.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from functools import lru_cache
+from typing import FrozenSet, List, Sequence, Tuple
 
 from ..errors import ConfigError
-from ..textproc import Tokenizer, word_spans
+from ..textproc import DEFAULT_TOKENIZER, word_spans
 from .positional import PositionPrior, position_weights
 
 
@@ -33,60 +41,69 @@ def _hash_unit(*parts: object) -> float:
     return (int.from_bytes(digest, "big") + 1) / (2**64 + 2)
 
 
-@dataclass(frozen=True)
-class TokenAttention:
-    """Attention assigned to one source token, per layer and head.
-
-    ``values[layer][head]`` is the attention weight this token received
-    from the (simulated) answer position.
-    """
-
-    token: str
-    source_index: int
-    values: Tuple[Tuple[float, ...], ...]
-
-    def total(self) -> float:
-        """Sum over all layers and heads (the paper's aggregation unit)."""
-        return sum(sum(head_values) for head_values in self.values)
-
-
 @dataclass
 class AttentionTrace:
-    """The full synthetic attention record for one generation.
+    """The attention record for one generation.
 
     Attributes
     ----------
     num_layers, num_heads:
-        Tensor dimensions.
-    tokens:
-        Flat list of per-token attention entries across all sources.
+        Tensor dimensions the totals were summed over.
     source_totals:
-        Convenience: summed attention per source index, aligned with the
-        context order the prompt presented.
+        Attention per source, summed over every layer, head and token,
+        aligned with the context order the prompt presented; 0.0 for a
+        source with no word tokens.
     """
 
     num_layers: int
     num_heads: int
-    tokens: List[TokenAttention] = field(default_factory=list)
+    source_totals: List[float] = field(default_factory=list)
 
-    @property
-    def source_totals(self) -> List[float]:
-        """Summed attention per source position."""
-        if not self.tokens:
-            return []
-        k = max(entry.source_index for entry in self.tokens) + 1
-        totals = [0.0] * k
-        for entry in self.tokens:
-            totals[entry.source_index] += entry.total()
-        return totals
 
-    def source_share(self) -> List[float]:
-        """Per-source attention normalized to sum to 1."""
-        totals = self.source_totals
-        mass = sum(totals)
-        if mass <= 0:
-            return totals
-        return [value / mass for value in totals]
+@lru_cache(maxsize=4096)
+def _terms(text: str) -> FrozenSet[str]:
+    """Analyzed terms of a query or of one word."""
+    return frozenset(DEFAULT_TOKENIZER.tokenize(text))
+
+
+@lru_cache(maxsize=4096)
+def _noise(
+    seed: int, source_index: int, token_index: int, num_layers: int, num_heads: int
+) -> Tuple[Tuple[float, ...], ...]:
+    """Per-layer, per-head attention multipliers in (0.5, 1.5)."""
+    return tuple(
+        tuple(
+            0.5 + _hash_unit(seed, source_index, token_index, layer, head)
+            for head in range(num_heads)
+        )
+        for layer in range(num_layers)
+    )
+
+
+@lru_cache(maxsize=8192)
+def _source_total(
+    num_layers: int,
+    num_heads: int,
+    seed: int,
+    source_index: int,
+    weight: float,
+    query: str,
+    text: str,
+) -> float:
+    """Attention one source receives; ``weight`` is its position's
+    share under the prior (so the key covers prior, depth, k and
+    position)."""
+    query_terms = _terms(query)
+    saliences = [
+        2.0 if _terms(span.text) & query_terms else 1.0 for span in word_spans(text)
+    ]
+    salience_mass = sum(saliences)
+    total = 0.0
+    for token_index, salience in enumerate(saliences):
+        base = weight * salience / salience_mass
+        noise = _noise(seed, source_index, token_index, num_layers, num_heads)
+        total += sum(sum(base * m for m in layer) for layer in noise)
+    return total
 
 
 class AttentionModel:
@@ -120,44 +137,17 @@ class AttentionModel:
         self.prior = PositionPrior(prior)
         self.seed = seed
         self.depth = depth
-        self._tokenizer = Tokenizer(remove_stopwords=True, stem=True)
 
     def trace(self, query: str, source_texts: Sequence[str]) -> AttentionTrace:
-        """Build the attention trace for one prompt evaluation."""
+        """Per-source attention totals for one prompt evaluation."""
         trace = AttentionTrace(num_layers=self.num_layers, num_heads=self.num_heads)
-        k = len(source_texts)
-        if k == 0:
+        if not source_texts:
             return trace
-        pos_weights = position_weights(self.prior, k, depth=self.depth)
-        query_terms = set(self._tokenizer.tokenize(query))
-        for source_index, text in enumerate(source_texts):
-            spans = word_spans(text)
-            if not spans:
-                continue
-            saliences = [
-                2.0 if self._analyzed(span.text) & query_terms else 1.0
-                for span in spans
-            ]
-            salience_mass = sum(saliences)
-            for token_index, (span, salience) in enumerate(zip(spans, saliences)):
-                base = pos_weights[source_index] * salience / salience_mass
-                values = tuple(
-                    tuple(
-                        base
-                        * (0.5 + _hash_unit(self.seed, source_index, token_index, layer, head))
-                        for head in range(self.num_heads)
-                    )
-                    for layer in range(self.num_layers)
-                )
-                trace.tokens.append(
-                    TokenAttention(token=span.text, source_index=source_index, values=values)
-                )
+        weights = position_weights(self.prior, len(source_texts), depth=self.depth)
+        trace.source_totals = [
+            _source_total(
+                self.num_layers, self.num_heads, self.seed, index, weight, query, text
+            )
+            for index, (weight, text) in enumerate(zip(weights, source_texts))
+        ]
         return trace
-
-    def _analyzed(self, token: str) -> set:
-        return set(self._tokenizer.tokenize(token))
-
-
-def source_attention_scores(trace: AttentionTrace) -> Dict[int, float]:
-    """Aggregate a trace into per-source totals keyed by source index."""
-    return dict(enumerate(trace.source_totals))

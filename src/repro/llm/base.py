@@ -23,9 +23,10 @@ with these guarantees, which all callers rely on:
 * **Equivalence** — ``generate_batch(ps)[i].answer`` equals
   ``generate(ps[i]).answer`` for deterministic models, and the async
   entry points answer exactly as their sync counterparts.  Auxiliary
-  fields are best-effort: a backend may omit per-token attention in
-  batch mode when materializing it per prompt would negate the batching
-  win (answers, usage and diagnostics must still be populated).
+  fields are best-effort: a backend may omit the attention trace (one
+  total per source) in batch mode when capturing it per prompt would
+  negate the batching win (answers, usage and diagnostics must still be
+  populated).
 * **No partial failure** — a backend either answers every prompt or
   raises; callers never receive a short list.
 
@@ -99,8 +100,9 @@ class GenerationResult:
     prompt:
         The exact prompt that produced it.
     attention:
-        Synthetic (or real) attention trace over the prompt's sources;
-        ``None`` when the model does not expose attention.
+        Synthetic (or real) attention over the prompt's sources, one
+        total per source; ``None`` when the model does not expose
+        attention.
     usage:
         Token accounting.
     diagnostics:

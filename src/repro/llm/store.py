@@ -40,13 +40,17 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Mapping, Optional
 
-from ..attention.model import AttentionTrace, TokenAttention
+from ..attention.model import AttentionTrace
 from ..errors import ConfigError, StoreDecodeError
 from .base import GenerationResult, TokenUsage
 
-#: Serialization schema version; bump on incompatible layout changes so
-#: old entries read as misses instead of mis-parsing.
-SCHEMA_VERSION = 1
+#: Serialization schema version written by :func:`encode_result`; bump
+#: on incompatible layout changes.  Entries of a version
+#: :func:`decode_result` does not know read as misses instead of
+#: mis-parsing.  Version 1 stored per-token attention; version 2 stores
+#: one total per source, and version 1 entries still decode.
+SCHEMA_VERSION = 2
+_READABLE_VERSIONS = (1, SCHEMA_VERSION)
 
 _META_NAME = "_meta.json"
 _META_LOCK_NAME = "_meta.lock"
@@ -96,34 +100,31 @@ def _encode_attention(trace: Optional[AttentionTrace]) -> Optional[Dict[str, obj
     return {
         "num_layers": trace.num_layers,
         "num_heads": trace.num_heads,
-        "tokens": [
-            {
-                "token": entry.token,
-                "source_index": entry.source_index,
-                "values": [list(layer) for layer in entry.values],
-            }
-            for entry in trace.tokens
-        ],
+        "source_totals": list(trace.source_totals),
     }
 
 
-def _decode_attention(payload: Optional[Dict]) -> Optional[AttentionTrace]:
+def _decode_attention(payload: Optional[Dict], version: int) -> Optional[AttentionTrace]:
     if payload is None:
         return None
     trace = AttentionTrace(
         num_layers=int(payload["num_layers"]),
         num_heads=int(payload["num_heads"]),
     )
+    if version == SCHEMA_VERSION:
+        trace.source_totals = [float(total) for total in payload["source_totals"]]
+        return trace
+    # Version 1 stored every token's per-layer, per-head values.  Summed
+    # in the order that version's reader summed them, a warm v1 store
+    # yields the totals it always did.  The list ends at the last source
+    # that had a token; readers take missing sources as 0.0.
+    totals = trace.source_totals
     for entry in payload["tokens"]:
-        trace.tokens.append(
-            TokenAttention(
-                token=str(entry["token"]),
-                source_index=int(entry["source_index"]),
-                values=tuple(
-                    tuple(float(v) for v in layer) for layer in entry["values"]
-                ),
-            )
-        )
+        index = int(entry["source_index"])
+        if index < 0:
+            raise StoreDecodeError(f"negative source index {index}")
+        totals.extend([0.0] * (index + 1 - len(totals)))
+        totals[index] += sum(sum(float(v) for v in layer) for layer in entry["values"])
     return trace
 
 
@@ -148,15 +149,14 @@ def encode_result(result: GenerationResult) -> Dict[str, object]:
 def decode_result(payload: Dict) -> GenerationResult:
     """Inverse of :func:`encode_result`; raises on any schema mismatch
     (the store turns that into a miss)."""
-    if payload.get("version") != SCHEMA_VERSION:
-        raise StoreDecodeError(
-            f"unsupported store schema: {payload.get('version')!r}"
-        )
+    version = payload.get("version")
+    if version not in _READABLE_VERSIONS:
+        raise StoreDecodeError(f"unsupported store schema: {version!r}")
     usage = payload["usage"]
     return GenerationResult(
         answer=str(payload["answer"]),
         prompt=str(payload["prompt"]),
-        attention=_decode_attention(payload.get("attention")),
+        attention=_decode_attention(payload.get("attention"), version),
         usage=TokenUsage(
             prompt_tokens=int(usage["prompt_tokens"]),
             completion_tokens=int(usage["completion_tokens"]),

@@ -20,7 +20,7 @@ from __future__ import annotations
 import asyncio
 from typing import List, Optional, Sequence
 
-from ..attention.model import AttentionTrace, TokenAttention
+from ..attention.model import AttentionTrace
 from ..errors import GenerationError
 from .base import GenerationResult, TokenUsage
 from .prompts import parse_prompt
@@ -164,9 +164,9 @@ class TransformersLLM:
         only models generate from the rightmost position, so padding
         must sit on the left) and decoded row by row.  Per the batching
         contract in :mod:`repro.llm.base`, attention traces are omitted
-        in batch mode — materializing full per-token attention for every
-        row would negate the batching win; use :meth:`generate` where a
-        trace is required.
+        in batch mode — capturing every row's attention tensors would
+        negate the batching win; use :meth:`generate` where a trace is
+        required.
         """
         if not prompts:
             return []
@@ -241,11 +241,13 @@ class TransformersLLM:
         return await asyncio.to_thread(self.generate_batch, list(prompts))
 
     def _attention_trace(self, parsed, prompt: str, output) -> Optional[AttentionTrace]:
-        """Fold HF attention tensors into the library's trace structure.
+        """Fold HF attention tensors into per-source totals.
 
         Maps each prompt token to its source by character offsets, then
-        stores the last-position attention row per layer/head — exactly
-        the values the paper sums over layers, heads and tokens.
+        adds the token's last-position attention over every layer and
+        head to its source's total — exactly the sum the paper takes
+        over layers, heads and tokens.  Template and question tokens
+        belong to no source.
         """
         attentions = getattr(output, "attentions", None)
         if not attentions:
@@ -264,7 +266,7 @@ class TransformersLLM:
             start = prompt.find(text, cursor)
             source_spans.append((start, start + len(text)))
             cursor = start + len(text)
-        trace = AttentionTrace(num_layers=num_layers, num_heads=num_heads)
+        totals = [0.0] * len(source_spans)
         for token_index, (start, end) in enumerate(offsets):
             source_index = next(
                 (
@@ -276,18 +278,13 @@ class TransformersLLM:
             )
             if source_index is None:
                 continue
-            values = tuple(
-                tuple(
+            totals[source_index] += sum(
+                sum(
                     float(first_step[layer][0, head, -1, token_index])
                     for head in range(num_heads)
                 )
                 for layer in range(num_layers)
             )
-            trace.tokens.append(
-                TokenAttention(
-                    token=prompt[start:end],
-                    source_index=source_index,
-                    values=values,
-                )
-            )
-        return trace
+        return AttentionTrace(
+            num_layers=num_layers, num_heads=num_heads, source_totals=totals
+        )

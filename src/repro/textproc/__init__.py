@@ -11,7 +11,7 @@ from .normalize import (
     strip_accents,
 )
 from .stemmer import PorterStemmer, stem
-from .stopwords import STOPWORDS, is_stopword
+from .stopwords import STOPWORDS
 from .tokenizer import DEFAULT_TOKENIZER, Span, Tokenizer, ngrams, word_spans
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "PorterStemmer",
     "stem",
     "STOPWORDS",
-    "is_stopword",
     "DEFAULT_TOKENIZER",
     "Span",
     "Tokenizer",

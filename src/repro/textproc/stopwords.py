@@ -34,8 +34,3 @@ STOPWORDS: FrozenSet[str] = frozenset(
         "who", "whom", "whose", "which", "what",
     }
 )
-
-
-def is_stopword(term: str) -> bool:
-    """Return ``True`` when ``term`` (already lowercased) is a stopword."""
-    return term in STOPWORDS

@@ -10,10 +10,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.attention.model import AttentionTrace, TokenAttention
+from repro import Rage, RageConfig
+from repro.app.server import encode_json, report_payload
+from repro.attention.model import AttentionTrace
 from repro.errors import ConfigError
-from repro.llm import GenerationResult, PromptStore, SimulatedLLM, TokenUsage, store_key
-from repro.llm.store import decode_result, encode_result
+from repro.llm import (
+    GenerationResult,
+    PromptBuilder,
+    PromptStore,
+    SimulatedLLM,
+    TokenUsage,
+    store_key,
+)
+from repro.llm.store import SCHEMA_VERSION, decode_result, encode_result
 
 
 def _result(answer="Roger Federer", prompt="Question: q\n1. s\nAnswer:") -> GenerationResult:
@@ -60,10 +69,7 @@ def test_round_trip_preserves_result(tmp_path):
 
 
 def test_round_trip_preserves_attention_trace(tmp_path):
-    trace = AttentionTrace(num_layers=2, num_heads=2)
-    trace.tokens.append(
-        TokenAttention(token="federer", source_index=1, values=((0.5, 0.25), (0.125, 1.0)))
-    )
+    trace = AttentionTrace(num_layers=2, num_heads=2, source_totals=[0.0, 1.875, 0.1])
     result = _result()
     result.attention = trace
     store = PromptStore(tmp_path)
@@ -71,8 +77,10 @@ def test_round_trip_preserves_attention_trace(tmp_path):
     loaded = store.get("model", result.prompt)
     assert loaded.attention is not None
     assert loaded.attention.num_layers == 2
-    assert loaded.attention.tokens == trace.tokens
-    assert loaded.attention.source_totals == trace.source_totals
+    assert loaded.attention.num_heads == 2
+    assert [t.hex() for t in loaded.attention.source_totals] == [
+        t.hex() for t in trace.source_totals
+    ]
 
 
 def test_round_trip_simulated_generation_is_faithful(tmp_path):
@@ -88,9 +96,101 @@ def test_round_trip_simulated_generation_is_faithful(tmp_path):
     loaded = store.get(llm.name, prompt)
     assert loaded.answer == real.answer
     assert loaded.usage == real.usage
-    assert [t.token for t in loaded.attention.tokens] == [
-        t.token for t in real.attention.tokens
+    assert [t.hex() for t in loaded.attention.source_totals] == [
+        t.hex() for t in real.attention.source_totals
     ]
+
+
+def test_entries_are_written_at_the_current_schema(tmp_path):
+    store = PromptStore(tmp_path)
+    llm = SimulatedLLM()
+    prompt = PromptBuilder().build("Who won?", ["Alpha won.", "Beta won."])
+    store.put(llm.name, prompt, llm.generate(prompt))
+    payload = json.loads(store.path_for(llm.name, prompt).read_text("utf-8"))
+    assert payload["version"] == SCHEMA_VERSION == 2
+    assert set(payload["attention"]) == {"num_layers", "num_heads", "source_totals"}
+    assert len(payload["attention"]["source_totals"]) == 2
+
+
+def _write_v1(store, prompt, attention):
+    """Hand-write an entry in the version-1 layout."""
+    path = store.path_for("model", prompt)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps({
+        "version": 1,
+        "answer": "Roger Federer",
+        "prompt": prompt,
+        "usage": {"prompt_tokens": 7, "completion_tokens": 2},
+        "diagnostics": {"intent": "superlative"},
+        "attention": attention,
+    }), "utf-8")
+
+
+def test_v1_entry_without_attention_is_a_hit(tmp_path):
+    """Version-1 entries from models with no attention (each one a paid
+    remote call) survive the schema bump."""
+    store = PromptStore(tmp_path)
+    _write_v1(store, "p", None)
+    loaded = store.get("model", "p")
+    assert loaded is not None and loaded.attention is None
+    assert loaded.answer == "Roger Federer"
+    assert store.stats.hits == 1 and store.stats.corrupt == 0
+    assert store.path_for("model", "p").exists()
+
+
+def test_v1_entry_with_per_token_attention_decodes_to_totals(tmp_path):
+    """Per-token values sum, per source and in token order, to exactly
+    the totals version 1 readers computed."""
+    tokens = [
+        (0, "roger", [[0.1, 0.2], [0.3, 0.7]]),
+        (0, "federer", [[1e-17, 0.25], [0.125, 1.0]]),
+        (2, "best", [[0.3, 0.1], [0.2, 1e-16]]),
+    ]
+    store = PromptStore(tmp_path)
+    _write_v1(store, "p", {
+        "num_layers": 2,
+        "num_heads": 2,
+        "tokens": [
+            {"token": token, "source_index": index, "values": values}
+            for index, token, values in tokens
+        ],
+    })
+    expected = [0.0, 0.0, 0.0]
+    for index, _, values in tokens:
+        expected[index] += sum(sum(layer) for layer in values)
+    loaded = store.get("model", "p")
+    assert loaded is not None
+    assert store.stats.hits == 1 and store.stats.corrupt == 0
+    assert loaded.attention.num_layers == 2 and loaded.attention.num_heads == 2
+    assert [t.hex() for t in loaded.attention.source_totals] == [t.hex() for t in expected]
+
+
+def test_attention_explain_over_warm_store_matches_cold(big_three, tmp_path):
+    """ATTENTION relevance reads its totals from store hits alike."""
+    config = RageConfig(
+        k=big_three.k, cache_dir=str(tmp_path / "store"), relevance_method="attention"
+    )
+
+    def explain(llm):
+        rage = Rage.from_corpus(big_three.corpus, llm, config=config)
+        context = rage.retrieve(big_three.query)
+        scores = {doc: value.hex() for doc, value in rage.relevance_scores(context).items()}
+        return rage, scores, encode_json(report_payload(rage.explain(big_three.query)))
+
+    cold, cold_scores, cold_body = explain(SimulatedLLM(knowledge=big_three.knowledge))
+    assert cold.store.stats.writes > 0
+
+    class Exploding(SimulatedLLM):
+        def generate(self, prompt):  # pragma: no cover - must not be reached
+            raise AssertionError("warm run must not touch the model")
+
+        def generate_batch(self, prompts):  # pragma: no cover
+            raise AssertionError("warm run must not touch the model")
+
+    warm, warm_scores, warm_body = explain(Exploding(knowledge=big_three.knowledge))
+    assert warm.store.stats.hits > 0 and warm.store.stats.corrupt == 0
+    assert warm_scores == cold_scores
+    assert warm_body == cold_body
 
 
 @settings(max_examples=25, deadline=None)
@@ -152,7 +252,10 @@ def test_truncated_entry_falls_back_to_miss_and_heals(tmp_path):
 @pytest.mark.parametrize(
     "garbage",
     [b"", b"not json at all", b"\xff\xfe\x00", b'{"version": 1}', b'[1, 2, 3]',
-     b'{"version": 1, "answer": "a", "prompt": "p", "usage": {}}'],
+     b'{"version": 1, "answer": "a", "prompt": "p", "usage": {}}',
+     b'{"version": 1, "answer": "a", "prompt": "p", "usage": {"prompt_tokens": 1,'
+     b' "completion_tokens": 1}, "attention": {"num_layers": 1, "num_heads": 1,'
+     b' "tokens": [{"token": "t", "source_index": -1, "values": [[0.5]]}]}}'],
 )
 def test_garbled_entries_never_raise(tmp_path, garbage):
     store = PromptStore(tmp_path)

@@ -143,16 +143,31 @@ def test_generation_is_greedy_and_attention_enabled():
 
 def test_attention_trace_maps_tokens_to_sources():
     adapter, _ = _adapter()
-    prompt = BUILDER.build("q?", ["alpha beta", "gamma delta epsilon"])
-    result = adapter.generate(prompt)
-    trace = result.attention
+    sources = ["alpha beta", "gamma delta epsilon"]
+    prompt = BUILDER.build("q?", sources)
+    trace = adapter.generate(prompt).attention
     assert trace is not None
-    by_source = {}
-    for entry in trace.tokens:
-        by_source.setdefault(entry.source_index, []).append(entry.token)
-    assert by_source[0] == ["alpha", "beta"]
-    assert by_source[1] == ["gamma", "delta", "epsilon"]
     assert trace.num_layers == 2 and trace.num_heads == 3
+    words = prompt.split()
+    fake = _FakeLayerAttention(num_heads=3, num_tokens=len(words))
+
+    def attention_over(token_indices):
+        """The fake's last-position attention summed over tokens,
+        layers and heads."""
+        return sum(
+            fake[0, head, -1, token]
+            for token in token_indices
+            for _ in range(trace.num_layers)
+            for head in range(trace.num_heads)
+        )
+
+    source_tokens = [[words.index(word) for word in text.split()] for text in sources]
+    assert trace.source_totals == [
+        pytest.approx(attention_over(indices)) for indices in source_tokens
+    ]
+    # Template and question tokens ("Sources:", "1.", "q?", ...) count
+    # toward no source.
+    assert sum(trace.source_totals) < attention_over(range(len(words)))
 
 
 def test_adapter_drives_explanations():
