@@ -51,27 +51,24 @@ class BM25Scorer:
 
     def idf(self, index: InvertedIndex, term: str) -> float:
         """Robertson IDF of an analyzed term (0 for absent terms)."""
-        df = index.document_frequency(term)
-        if df == 0:
-            return 0.0
-        n = len(index)
-        return math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+        return _robertson_idf(len(index), index.document_frequency(term))
 
     def score_query(self, index: InvertedIndex, query_terms: Sequence[str]) -> Dict[str, float]:
         scores: Dict[str, float] = {}
-        if len(index) == 0:
+        n = len(index)
+        if n == 0:
             return scores
         avgdl = index.stats.average_doc_length or 1.0
+        doc_length = index.doc_length
         for term in query_terms:
-            idf = self.idf(index, term)
+            postings = index.term_frequencies(term)
+            idf = _robertson_idf(n, len(postings))
             if idf == 0.0:
                 continue
-            for posting in index.postings(term):
-                tf = posting.term_frequency
-                dl = index.doc_length(posting.doc_id)
-                denom = tf + self.k1 * (1.0 - self.b + self.b * dl / avgdl)
+            for doc_id, tf in postings:
+                denom = tf + self.k1 * (1.0 - self.b + self.b * doc_length(doc_id) / avgdl)
                 contribution = idf * tf * (self.k1 + 1.0) / denom
-                scores[posting.doc_id] = scores.get(posting.doc_id, 0.0) + contribution
+                scores[doc_id] = scores.get(doc_id, 0.0) + contribution
         return scores
 
 
@@ -83,24 +80,31 @@ class TfIdfScorer:
     """
 
     def idf(self, index: InvertedIndex, term: str) -> float:
-        df = index.document_frequency(term)
-        if df == 0:
-            return 0.0
-        return math.log(1.0 + len(index) / df)
+        return _log_idf(len(index), index.document_frequency(term))
 
     def score_query(self, index: InvertedIndex, query_terms: Sequence[str]) -> Dict[str, float]:
         scores: Dict[str, float] = {}
+        n = len(index)
         for term in query_terms:
-            idf = self.idf(index, term)
+            postings = index.term_frequencies(term)
+            idf = _log_idf(n, len(postings))
             if idf == 0.0:
                 continue
-            for posting in index.postings(term):
-                weight = (1.0 + math.log(posting.term_frequency)) * idf
-                scores[posting.doc_id] = scores.get(posting.doc_id, 0.0) + weight
+            for doc_id, tf in postings:
+                weight = (1.0 + math.log(tf)) * idf
+                scores[doc_id] = scores.get(doc_id, 0.0) + weight
         for doc_id in list(scores):
             length = index.doc_length(doc_id)
             scores[doc_id] /= math.sqrt(length) if length > 0 else 1.0
         return scores
+
+
+def _robertson_idf(n: int, df: int) -> float:
+    return math.log(1.0 + (n - df + 0.5) / (df + 0.5)) if df else 0.0
+
+
+def _log_idf(n: int, df: int) -> float:
+    return math.log(1.0 + n / df) if df else 0.0
 
 
 def top_k(scores: Dict[str, float], k: int) -> List[tuple]:

@@ -140,7 +140,7 @@ class DenseScorer:
         return {
             doc_id: score
             for doc_id, score in scores.items()
-            if doc_id in index and score > 0.0
+            if score > 0.0 and doc_id in index
         }
 
 

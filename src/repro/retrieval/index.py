@@ -141,6 +141,11 @@ class InvertedIndex:
         """Postings list for an *analyzed* term (empty when absent)."""
         return self._postings.get(term, [])
 
+    def term_frequencies(self, term: str) -> List[Tuple[str, int]]:
+        """``(doc_id, tf)`` of every posting of an analyzed term — all
+        the ranking functions read of a postings list."""
+        return [(p.doc_id, p.term_frequency) for p in self._postings.get(term, ())]
+
     def document_frequency(self, term: str) -> int:
         """Number of documents containing the analyzed term."""
         return len(self._postings.get(term, ()))

@@ -1,16 +1,17 @@
 """Persistent incremental hybrid retrieval index, SQLite-backed.
 
 The in-memory :class:`~repro.retrieval.index.InvertedIndex` rebuilds
-from raw text on every process start and persists only as one whole-file
-JSON blob.  :class:`SqliteIndex` is the production-shaped replacement —
-the project's stand-in for a Lucene index directory:
+from raw text on every process start.  :class:`SqliteIndex` is the
+production-shaped replacement — the project's stand-in for a Lucene
+index directory:
 
 * **One WAL-mode database** holds documents, postings, per-document
   lengths and (optionally) dense embedding vectors, stamped with a
   schema version and the analyzer configuration, so a reopened index
   tokenizes queries identically and never re-analyzes a stored document.
-* **Lazy open** — opening is O(1); collection statistics and document
-  lengths load on first search, postings stream per query term.  A warm
+* **Lazy open** — opening is O(1); postings stream per query term, and
+  the first search loads the *read view*: document lengths, collection
+  statistics and, for a dense index, the vector matrix.  A warm
   restart therefore serves byte-identical results with *zero*
   re-tokenization of unchanged documents (``counters["doc_tokenizations"]``
   proves it).
@@ -19,6 +20,11 @@ the project's stand-in for a Lucene index directory:
   atomically re-indexed (stale postings can never linger), and
   :meth:`remove` withdraws every contribution.  :meth:`sync` folds a
   whole corpus in with per-document change detection.
+* **One view per generation** — every write transaction bumps a
+  ``generation`` stamp in ``meta``; a read uses the view at the stamp
+  its snapshot sees.  This handle's own writes record deltas that the
+  next read folds into the view; a gap in that chain (another
+  connection wrote) or a bulk :meth:`add_many` means a cold load.
 * **Concurrent readers, single writer** — WAL mode lets any number of
   reader connections (one per thread, or other processes such as a
   second ``rage serve`` worker) query a consistent snapshot while one
@@ -33,7 +39,7 @@ the project's stand-in for a Lucene index directory:
   ties by doc_id.
 
 The class exposes the same read protocol the scorers consume
-(``postings`` / ``document_frequency`` / ``doc_length`` / ``stats`` /
+(``term_frequencies`` / ``doc_length`` / ``stats`` / ``len`` / ``in`` /
 ``tokenizer``), so :class:`~repro.retrieval.bm25.BM25Scorer` and friends
 run against it unchanged; :class:`SqliteSearcher` wraps
 :class:`~repro.retrieval.searcher.Searcher` with the snapshot
@@ -42,11 +48,13 @@ transaction.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import sqlite3
 import threading
 from contextlib import contextmanager
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -62,7 +70,10 @@ from .searcher import RetrievalResult, Searcher
 
 #: Bumped whenever the on-disk layout changes; an index written by a
 #: different version refuses to open instead of misreading rows.
-SCHEMA_VERSION = 1
+#: Version 2 added the ``generation`` stamp every write bumps (a build
+#: that did not bump it would leave other handles' views stale); a
+#: version-1 file is upgraded in place on open.
+SCHEMA_VERSION = 2
 
 #: Database filename inside an index directory.
 DB_NAME = "index.db"
@@ -102,6 +113,47 @@ CREATE TABLE vectors (
     vector     BLOB NOT NULL
 );
 """
+
+#: How many of a document's terms no other document contains: run
+#: before deleting a document (terms that vanish) and after inserting
+#: one (terms that appear), inside the write transaction.
+_SOLE_TERMS = """
+SELECT COUNT(*) FROM postings AS p WHERE p.doc_id = ? AND NOT EXISTS (
+    SELECT 1 FROM postings AS q WHERE q.term = p.term AND q.doc_id <> p.doc_id
+)
+"""
+
+
+@dataclass(frozen=True)
+class _View:
+    """What reads take from memory, as of one database generation.  Never
+    mutated: a reader pinned to it may outlive its installation."""
+
+    generation: int
+    lengths: Dict[str, int]
+    total_terms: int
+    vocabulary_size: int
+    #: Dense indexes only: every vector in one contiguous float64 block,
+    #: rows in doc_id order (``dense_ids``).
+    dense_ids: List[str]
+    dense_matrix: Optional[np.ndarray]
+
+
+@dataclass
+class _Delta:
+    """What one single-document write transaction changed."""
+
+    #: doc_id -> (length, vector bytes or None when sparse); None: removed.
+    docs: Dict[str, Optional[Tuple[int, Optional[bytes]]]] = field(default_factory=dict)
+    vocabulary: int = 0  # terms that appeared minus terms that vanished
+
+
+class _ThreadState(threading.local):
+    """One thread's connection and the snapshot it has open, if any."""
+
+    conn: Optional[sqlite3.Connection] = None
+    generation: Optional[int] = None  # pinned by the open snapshot
+    view: Optional[_View] = None  # the view at ``generation``, once read
 
 
 def content_hash(doc: Document) -> str:
@@ -171,15 +223,13 @@ class SqliteIndex:
     ) -> None:
         self.path = Path(path).expanduser()
         self._lock = threading.RLock()
-        self._local = threading.local()
+        self._local = _ThreadState()
         self._connections: List[sqlite3.Connection] = []
         self._closed = False
-        # Shared lazy caches; dropped on every write and whenever a
-        # reader connection observes another process's commit.
-        self._doc_lengths: Optional[Dict[str, int]] = None
-        self._dense_ids: Optional[List[str]] = None
-        self._dense_matrix: Optional[np.ndarray] = None
-        self._stats: Optional[IndexStats] = None
+        # The newest read view, and this handle's write deltas since,
+        # keyed by the generation each write started from.
+        self._view: Optional[_View] = None
+        self._deltas: Dict[int, _Delta] = {}
         self.counters: Dict[str, int] = {
             "added": 0,
             "updated": 0,
@@ -187,6 +237,8 @@ class SqliteIndex:
             "removed": 0,
             "doc_tokenizations": 0,
             "searches": 0,
+            "view_loads": 0,
+            "view_folds": 0,
         }
         self.tokenizer = tokenizer
         self.embedder = embedder
@@ -201,7 +253,7 @@ class SqliteIndex:
         """This thread's connection (each thread reads independently)."""
         if self._closed:
             raise RetrievalError(f"index {self.path} is closed")
-        conn = getattr(self._local, "conn", None)
+        conn = self._local.conn
         if conn is None:
             try:
                 conn = sqlite3.connect(
@@ -217,7 +269,6 @@ class SqliteIndex:
                     f"cannot open index database {self.path}: {error}"
                 ) from error
             self._local.conn = conn
-            self._local.data_version = None
             with self._lock:
                 self._connections.append(conn)
         return conn
@@ -242,7 +293,7 @@ class SqliteIndex:
     # -- schema ------------------------------------------------------------
 
     def _initialize(self, conn: sqlite3.Connection) -> None:
-        try:
+        with self._guard():
             existing = conn.execute(
                 "SELECT name FROM sqlite_master WHERE type='table' AND name='meta'"
             ).fetchone()
@@ -250,10 +301,6 @@ class SqliteIndex:
                 self._create_schema(conn)
             else:
                 self._validate_schema(conn)
-        except sqlite3.DatabaseError as error:
-            raise RetrievalError(
-                f"corrupt index database {self.path}: {error}"
-            ) from error
 
     def _create_schema(self, conn: sqlite3.Connection) -> None:
         if self.tokenizer is None:
@@ -265,22 +312,31 @@ class SqliteIndex:
             "embedder_dimensions": (
                 str(self.embedder.dimensions) if self.embedder is not None else ""
             ),
+            "generation": "0",
         }
-        conn.execute("BEGIN IMMEDIATE")
-        try:
+        with _transaction(conn):
             for statement in _SCHEMA.split(";"):
                 if statement.strip():
                     conn.execute(statement)
             conn.executemany(
                 "INSERT INTO meta (key, value) VALUES (?, ?)", meta.items()
             )
-            conn.execute("COMMIT")
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
 
     def _validate_schema(self, conn: sqlite3.Connection) -> None:
         meta = dict(conn.execute("SELECT key, value FROM meta"))
+        if meta.get("schema_version") == "1":
+            # Version 1 lacks only the generation stamp.  Re-checked
+            # under the write lock, so concurrent openers upgrade once.
+            with _transaction(conn):
+                conn.execute(
+                    "INSERT OR IGNORE INTO meta (key, value) VALUES ('generation', '0')"
+                )
+                conn.execute(
+                    "UPDATE meta SET value = ? "
+                    "WHERE key = 'schema_version' AND value = '1'",
+                    (str(SCHEMA_VERSION),),
+                )
+                meta = dict(conn.execute("SELECT key, value FROM meta"))
         version = meta.get("schema_version")
         if version != str(SCHEMA_VERSION):
             raise RetrievalError(
@@ -313,68 +369,138 @@ class SqliteIndex:
                     f"embedder has {self.embedder.dimensions}"
                 )
 
-    # -- cache discipline --------------------------------------------------
-
-    def _drop_caches(self) -> None:
-        with self._lock:
-            self._doc_lengths = None
-            self._dense_ids = None
-            self._dense_matrix = None
-            self._stats = None
-
-    def _check_external_commits(self, conn: sqlite3.Connection) -> None:
-        """Drop shared caches when another connection committed.
-
-        ``PRAGMA data_version`` changes (for this connection) exactly
-        when a different connection modified the database — the hook a
-        long-lived reader needs to notice an external indexer's work.
-        """
-        version = conn.execute("PRAGMA data_version").fetchone()[0]
-        if getattr(self._local, "data_version", None) != version:
-            self._local.data_version = version
-            self._drop_caches()
-
-    def _lengths(self, conn: Optional[sqlite3.Connection] = None) -> Dict[str, int]:
-        conn = conn or self._conn()
-        with self._lock:
-            cached = self._doc_lengths
-        if cached is not None:
-            return cached
+    @contextmanager
+    def _guard(self) -> Iterator[None]:
+        """Surface a database error as RetrievalError, never raw sqlite3."""
         try:
-            loaded = {
-                doc_id: length
-                for doc_id, length in conn.execute(
-                    "SELECT doc_id, doc_length FROM documents"
-                )
-            }
+            yield
         except sqlite3.DatabaseError as error:
             raise RetrievalError(
                 f"corrupt index database {self.path}: {error}"
             ) from error
-        with self._lock:
-            self._doc_lengths = loaded
-        return loaded
+
+    # -- the read view ------------------------------------------------------
 
     @contextmanager
     def snapshot(self) -> Iterator[sqlite3.Connection]:
         """One read transaction: every read inside sees one DB version.
 
-        WAL readers are never blocked by the writer; a search wrapped in
-        a snapshot can therefore run concurrently with an indexer commit
-        and still return internally consistent rankings.
+        Its first read, of the generation stamp, pins the snapshot; every
+        in-memory read inside uses the view at that generation, and a
+        nested call joins the open snapshot.  WAL readers are never
+        blocked by the writer; a search wrapped in a snapshot can
+        therefore run concurrently with an indexer commit and still
+        return internally consistent rankings.
         """
         conn = self._conn()
-        self._check_external_commits(conn)
-        try:
+        local = self._local
+        if local.generation is not None:
+            yield conn
+            return
+        with self._guard():
             conn.execute("BEGIN")
-        except sqlite3.DatabaseError as error:
-            raise RetrievalError(
-                f"corrupt index database {self.path}: {error}"
-            ) from error
+            try:
+                local.generation = _read_generation(conn)
+            except BaseException:
+                conn.execute("ROLLBACK")
+                raise
         try:
             yield conn
         finally:
+            local.generation = None
+            local.view = None
             conn.execute("COMMIT")
+
+    def _pinned(self) -> _View:
+        """The view at this thread's snapshot generation; a read outside
+        a snapshot opens one for itself."""
+        view = self._local.view
+        if view is None:
+            with self.snapshot() as conn:
+                view = self._local.view = self._view_at(conn, self._local.generation)
+        return view
+
+    def _view_at(self, conn: sqlite3.Connection, generation: int) -> _View:
+        """The view at ``generation`` (``conn``'s snapshot): the installed
+        view with this handle's deltas folded in, else a cold load.  Only
+        a newer view replaces the installed one, so a reader pinned to an
+        old snapshot builds its view for itself alone."""
+        with self._lock:
+            installed = self._view
+            if installed is not None and installed.generation == generation:
+                return installed
+            view = self._fold(installed, generation)
+            if view is not None:
+                self.counters["view_folds"] += 1
+            else:
+                if installed is not None and installed.generation < generation:
+                    self._view = None  # it can never fold this far; free it first
+                view = self._load(conn, generation)
+                self.counters["view_loads"] += 1
+            if self._view is None or self._view.generation < generation:
+                self._view = view
+                for start in [g for g in self._deltas if g < generation]:
+                    del self._deltas[start]
+            return view
+
+    def _fold(self, view: Optional[_View], generation: int) -> Optional[_View]:
+        """``view`` patched forward to ``generation``, or None when a
+        write in between left no delta (another connection's, or a bulk
+        :meth:`add_many`)."""
+        if view is None or view.generation > generation:
+            return None
+        chain = [self._deltas.get(g) for g in range(view.generation, generation)]
+        if any(delta is None for delta in chain):
+            return None
+        changed: Dict[str, Optional[Tuple[int, Optional[bytes]]]] = {}
+        vocabulary_size = view.vocabulary_size
+        for delta in chain:
+            changed.update(delta.docs)
+            vocabulary_size += delta.vocabulary
+        lengths = dict(view.lengths)
+        total_terms = view.total_terms
+        for doc_id, entry in changed.items():
+            total_terms -= lengths.pop(doc_id, 0)
+            if entry is not None:
+                lengths[doc_id] = entry[0]
+                total_terms += entry[0]
+        ids, matrix = view.dense_ids, view.dense_matrix
+        if matrix is not None and changed:
+            ids, matrix = _patch_rows(ids, matrix, changed)
+        return _View(generation, lengths, total_terms, vocabulary_size, ids, matrix)
+
+    def _load(self, conn: sqlite3.Connection, generation: int) -> _View:
+        """Build the view from ``conn``'s snapshot (pinned at ``generation``),
+        filling the matrix row by row from the cursor: one copy of the
+        vectors in memory, not a list of blobs plus a stacked copy."""
+        ids: List[str] = []
+        matrix: Optional[np.ndarray] = None
+        with self._guard():
+            lengths = dict(conn.execute("SELECT doc_id, doc_length FROM documents"))
+            vocabulary_size = conn.execute(
+                "SELECT COUNT(DISTINCT term) FROM postings"
+            ).fetchone()[0]
+            if self.embedder is not None:
+                count = conn.execute("SELECT COUNT(*) FROM vectors").fetchone()[0]
+                matrix = np.empty((count, self.embedder.dimensions), dtype=np.float64)
+                rows = conn.execute("SELECT doc_id, vector FROM vectors ORDER BY doc_id")
+                for row, (doc_id, blob) in enumerate(rows):
+                    ids.append(doc_id)
+                    matrix[row] = np.frombuffer(blob, dtype=np.float64)
+        return _View(generation, lengths, sum(lengths.values()), vocabulary_size, ids, matrix)
+
+    def _record(self, before: int, delta: _Delta) -> None:
+        """Keep one own write's delta for the next read to fold in."""
+        with self._lock:
+            if self._view is None:
+                return  # nothing to patch: the next read loads cold
+            if len(self._deltas) >= len(self._view.lengths):
+                # One delta per document already: a load costs no more
+                # than the fold would, and unread deltas must not pile up.
+                self._view = None
+                self._deltas.clear()
+                return
+            self._deltas[before] = delta
 
     # -- writes ------------------------------------------------------------
 
@@ -386,61 +512,61 @@ class SqliteIndex:
         (byte-identical content: a no-op — nothing is re-tokenized and
         nothing is written).
         """
+        return self._put(doc, must_exist=False)
+
+    def update(self, doc: Document) -> str:
+        """Re-index an *existing* document (content-hash no-op aware)."""
+        return self._put(doc, must_exist=True)
+
+    def _put(self, doc: Document, must_exist: bool) -> str:
         with self._lock:
             conn = self._conn()
             digest = content_hash(doc)
-            try:
-                row = conn.execute(
-                    "SELECT content_hash FROM documents WHERE doc_id = ?",
-                    (doc.doc_id,),
-                ).fetchone()
-                if row is not None and row[0] == digest:
+            delta = _Delta()
+            with self._guard():
+                stored = _stored_digest(conn, doc.doc_id)
+                if stored is None and must_exist:
+                    raise UnknownDocumentError(f"no document with id {doc.doc_id!r}")
+                if stored == digest:
                     self.counters["unchanged"] += 1
                     return "unchanged"
-                conn.execute("BEGIN IMMEDIATE")
-                try:
-                    if row is not None:
-                        self._delete_rows(conn, doc.doc_id)
-                    self._insert_document(conn, doc, digest)
-                    conn.execute("COMMIT")
-                except BaseException:
-                    conn.execute("ROLLBACK")
-                    raise
-            except sqlite3.DatabaseError as error:
-                raise RetrievalError(
-                    f"corrupt index database {self.path}: {error}"
-                ) from error
-            outcome = "updated" if row is not None else "added"
+                with _transaction(conn):
+                    before = _bump_generation(conn)
+                    if stored is not None:
+                        self._delete_rows(conn, doc.doc_id, delta)
+                    self._insert_document(conn, doc, digest, delta)
+            outcome = "updated" if stored is not None else "added"
             self.counters[outcome] += 1
-            self._drop_caches()
+            self._record(before, delta)
             return outcome
 
     def add_many(self, documents: Iterable[Document]) -> Dict[str, int]:
         """Bulk :meth:`add` in one transaction; returns outcome counts.
 
         Unchanged documents are detected *before* the write transaction
-        opens, so a fully warm corpus sync takes zero write locks.
+        opens, so a fully warm corpus sync takes zero write locks.  A
+        bulk write records no delta: the next read loads its view cold.
         """
         outcome = {"added": 0, "updated": 0, "unchanged": 0}
         with self._lock:
             conn = self._conn()
-            try:
+            with self._guard():
                 pending: List[Tuple[Document, str, bool]] = []
+                # What this batch writes: a repeated doc_id acts as a later add().
+                batch: Dict[str, str] = {}
                 for doc in documents:
                     digest = content_hash(doc)
-                    row = conn.execute(
-                        "SELECT content_hash FROM documents WHERE doc_id = ?",
-                        (doc.doc_id,),
-                    ).fetchone()
-                    if row is not None and row[0] == digest:
+                    stored = batch.get(doc.doc_id) or _stored_digest(conn, doc.doc_id)
+                    if stored == digest:
                         outcome["unchanged"] += 1
                         self.counters["unchanged"] += 1
                         continue
-                    pending.append((doc, digest, row is not None))
+                    pending.append((doc, digest, stored is not None))
+                    batch[doc.doc_id] = digest
                 if not pending:
                     return outcome
-                conn.execute("BEGIN IMMEDIATE")
-                try:
+                with _transaction(conn):
+                    _bump_generation(conn)
                     for doc, digest, existed in pending:
                         if existed:
                             self._delete_rows(conn, doc.doc_id)
@@ -448,49 +574,21 @@ class SqliteIndex:
                         key = "updated" if existed else "added"
                         outcome[key] += 1
                         self.counters[key] += 1
-                    conn.execute("COMMIT")
-                except BaseException:
-                    conn.execute("ROLLBACK")
-                    raise
-            except sqlite3.DatabaseError as error:
-                raise RetrievalError(
-                    f"corrupt index database {self.path}: {error}"
-                ) from error
-            self._drop_caches()
         return outcome
-
-    def update(self, doc: Document) -> str:
-        """Re-index an *existing* document (content-hash no-op aware)."""
-        with self._lock:
-            if doc.doc_id not in self:
-                raise UnknownDocumentError(
-                    f"no document with id {doc.doc_id!r}"
-                )
-            return self.add(doc)
 
     def remove(self, doc_id: str) -> None:
         """Withdraw a document and every posting it contributed."""
         with self._lock:
             conn = self._conn()
-            try:
-                row = conn.execute(
-                    "SELECT doc_id FROM documents WHERE doc_id = ?", (doc_id,)
-                ).fetchone()
-                if row is None:
+            delta = _Delta()
+            with self._guard():
+                if _stored_digest(conn, doc_id) is None:
                     raise UnknownDocumentError(f"no document with id {doc_id!r}")
-                conn.execute("BEGIN IMMEDIATE")
-                try:
-                    self._delete_rows(conn, doc_id)
-                    conn.execute("COMMIT")
-                except BaseException:
-                    conn.execute("ROLLBACK")
-                    raise
-            except sqlite3.DatabaseError as error:
-                raise RetrievalError(
-                    f"corrupt index database {self.path}: {error}"
-                ) from error
+                with _transaction(conn):
+                    before = _bump_generation(conn)
+                    self._delete_rows(conn, doc_id, delta)
             self.counters["removed"] += 1
-            self._drop_caches()
+            self._record(before, delta)
 
     def sync(self, documents: Iterable[Document], remove_missing: bool = False) -> Dict[str, int]:
         """Fold a corpus in incrementally; optionally drop absent docs.
@@ -511,13 +609,22 @@ class SqliteIndex:
                         outcome["removed"] += 1
         return outcome
 
-    def _delete_rows(self, conn: sqlite3.Connection, doc_id: str) -> None:
+    def _delete_rows(
+        self, conn: sqlite3.Connection, doc_id: str, delta: Optional[_Delta] = None
+    ) -> None:
+        if delta is not None:
+            delta.vocabulary -= conn.execute(_SOLE_TERMS, (doc_id,)).fetchone()[0]
+            delta.docs[doc_id] = None
         conn.execute("DELETE FROM postings WHERE doc_id = ?", (doc_id,))
         conn.execute("DELETE FROM vectors WHERE doc_id = ?", (doc_id,))
         conn.execute("DELETE FROM documents WHERE doc_id = ?", (doc_id,))
 
     def _insert_document(
-        self, conn: sqlite3.Connection, doc: Document, digest: str
+        self,
+        conn: sqlite3.Connection,
+        doc: Document,
+        digest: str,
+        delta: Optional[_Delta] = None,
     ) -> None:
         terms = self.tokenizer.tokenize(doc.text + " " + doc.title)
         with self._lock:  # re-entrant: every caller already writes under it
@@ -554,29 +661,39 @@ class SqliteIndex:
                 for term, positions in occurrences.items()
             ),
         )
+        blob: Optional[bytes] = None
         if self.embedder is not None:
-            vector = self.embedder.embed(doc.text + " " + doc.title)
+            blob = self.embedder.embed(doc.text + " " + doc.title).tobytes()
             conn.execute(
                 "INSERT INTO vectors (doc_id, dimensions, vector) VALUES (?, ?, ?)",
-                (doc.doc_id, self.embedder.dimensions, vector.tobytes()),
+                (doc.doc_id, self.embedder.dimensions, blob),
             )
+        if delta is not None:
+            delta.vocabulary += conn.execute(_SOLE_TERMS, (doc.doc_id,)).fetchone()[0]
+            delta.docs[doc.doc_id] = (len(terms), blob)
 
     # -- the scorer-facing read protocol -----------------------------------
+
+    def term_frequencies(self, term: str) -> List[Tuple[str, int]]:
+        """``(doc_id, tf)`` of every document containing an analyzed
+        term, ordered by doc_id — postings without decoding positions."""
+        conn = self._conn()
+        with self._guard():
+            return conn.execute(
+                "SELECT doc_id, tf FROM postings WHERE term = ? ORDER BY doc_id",
+                (term,),
+            ).fetchall()
 
     def postings(self, term: str) -> List[Posting]:
         """Postings for an analyzed term, ordered by doc_id (empty when
         absent)."""
         conn = self._conn()
-        try:
+        with self._guard():
             rows = conn.execute(
                 "SELECT doc_id, tf, positions FROM postings "
                 "WHERE term = ? ORDER BY doc_id",
                 (term,),
             ).fetchall()
-        except sqlite3.DatabaseError as error:
-            raise RetrievalError(
-                f"corrupt index database {self.path}: {error}"
-            ) from error
         return [
             Posting(
                 doc_id=doc_id,
@@ -605,7 +722,7 @@ class SqliteIndex:
     def doc_length(self, doc_id: str) -> int:
         """Analyzed token count of a document."""
         try:
-            return self._lengths()[doc_id]
+            return self._pinned().lengths[doc_id]
         except KeyError:
             raise UnknownDocumentError(f"no document with id {doc_id!r}") from None
 
@@ -650,39 +767,15 @@ class SqliteIndex:
 
     @property
     def stats(self) -> IndexStats:
-        """Collection statistics (cached: BM25 reads these per query,
-        and the vocabulary count walks every distinct term)."""
-        conn = self._conn()
-        self._check_external_commits(conn)
-        with self._lock:
-            cached = self._stats
-        if cached is not None:
-            return cached
-        lengths = self._lengths(conn)
-        try:
-            vocabulary = conn.execute(
-                "SELECT COUNT(DISTINCT term) FROM postings"
-            ).fetchone()[0]
-        except sqlite3.DatabaseError as error:
-            raise RetrievalError(
-                f"corrupt index database {self.path}: {error}"
-            ) from error
-        computed = IndexStats(
-            num_documents=len(lengths),
-            total_terms=sum(lengths.values()),
-            vocabulary_size=vocabulary,
-        )
-        with self._lock:
-            self._stats = computed
-        return computed
+        """Collection statistics at the current (or pinned) generation."""
+        view = self._pinned()
+        return IndexStats(len(view.lengths), view.total_terms, view.vocabulary_size)
 
     def __len__(self) -> int:
-        conn = self._conn()
-        self._check_external_commits(conn)
-        return len(self._lengths(conn))
+        return len(self._pinned().lengths)
 
     def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._lengths()
+        return doc_id in self._pinned().lengths
 
     def size_bytes(self) -> int:
         """On-disk footprint (database plus WAL side files)."""
@@ -708,53 +801,23 @@ class SqliteIndex:
             )
         return _DenseView(self)
 
-    def _dense_rows(self) -> Tuple[List[str], np.ndarray]:
-        with self._lock:
-            if self._dense_ids is not None and self._dense_matrix is not None:
-                return self._dense_ids, self._dense_matrix
-        conn = self._conn()
-        try:
-            rows = conn.execute(
-                "SELECT doc_id, vector FROM vectors ORDER BY doc_id"
-            ).fetchall()
-        except sqlite3.DatabaseError as error:
-            raise RetrievalError(
-                f"corrupt index database {self.path}: {error}"
-            ) from error
-        ids = [doc_id for doc_id, _ in rows]
-        dimensions = self.embedder.dimensions if self.embedder else 0
-        if rows:
-            matrix = np.vstack(
-                [np.frombuffer(blob, dtype=np.float64) for _, blob in rows]
-            )
-        else:
-            matrix = np.zeros((0, dimensions), dtype=np.float64)
-        with self._lock:
-            self._dense_ids = ids
-            self._dense_matrix = matrix
-        return ids, matrix
 
 
 class _DenseView:
     """The :class:`~repro.retrieval.dense.DenseIndex` read protocol
-    (``scores``/``search``) over a :class:`SqliteIndex`'s vector table."""
+    (``scores``) over a :class:`SqliteIndex`'s vector table."""
 
     def __init__(self, index: SqliteIndex) -> None:
         self.index = index
         self.embedder = index.embedder
 
-    def __len__(self) -> int:
-        ids, _ = self.index._dense_rows()
-        return len(ids)
-
     def scores(self, query: str) -> Dict[str, float]:
         """Cosine similarity for every stored vector."""
-        ids, matrix = self.index._dense_rows()
-        if not ids:
+        view = self.index._pinned()
+        if not view.dense_ids:
             return {}
-        query_vector = self.embedder.embed(query)
-        similarities = matrix @ query_vector
-        return dict(zip(ids, similarities.tolist()))
+        similarities = view.dense_matrix @ self.embedder.embed(query)
+        return dict(zip(view.dense_ids, similarities.tolist()))
 
 
 def make_retrieval_scorer(
@@ -825,3 +888,68 @@ def _row_to_document(row: Sequence[object]) -> Document:
         title=title,
         metadata=json.loads(metadata),
     )
+
+
+@contextmanager
+def _transaction(conn: sqlite3.Connection) -> Iterator[None]:
+    """One write transaction, rolled back if anything in it raises."""
+    conn.execute("BEGIN IMMEDIATE")
+    try:
+        yield
+        conn.execute("COMMIT")
+    except BaseException:
+        conn.execute("ROLLBACK")
+        raise
+
+
+def _stored_digest(conn: sqlite3.Connection, doc_id: str) -> Optional[str]:
+    row = conn.execute(
+        "SELECT content_hash FROM documents WHERE doc_id = ?", (doc_id,)
+    ).fetchone()
+    return row[0] if row is not None else None
+
+
+def _read_generation(conn: sqlite3.Connection) -> int:
+    row = conn.execute("SELECT value FROM meta WHERE key = 'generation'").fetchone()
+    return int(row[0])
+
+
+def _bump_generation(conn: sqlite3.Connection) -> int:
+    """Advance the stamp inside an open write transaction; returns the
+    generation the write starts from."""
+    before = _read_generation(conn)
+    conn.execute(
+        "UPDATE meta SET value = ? WHERE key = 'generation'", (str(before + 1),)
+    )
+    return before
+
+
+def _patch_rows(
+    ids: List[str],
+    matrix: np.ndarray,
+    changes: Dict[str, Optional[Tuple[int, Optional[bytes]]]],
+) -> Tuple[List[str], np.ndarray]:
+    """Apply ``{doc_id: (length, vector bytes), or None to drop}`` to a
+    matrix whose rows are in ``ids`` (doc_id) order.
+
+    The result is the array a cold load builds: the same rows in doc_id
+    order, in one fresh contiguous block.  Row placement changes how
+    BLAS rounds ``matrix @ q``, so nothing looser would rank identically.
+    """
+    new_ids: List[str] = []
+    blocks: List[np.ndarray] = []
+    start = 0
+    for doc_id in sorted(changes):
+        at = bisect.bisect_left(ids, doc_id, start)
+        new_ids.extend(ids[start:at])
+        blocks.append(matrix[start:at])
+        entry = changes[doc_id]
+        if entry is not None:
+            new_ids.append(doc_id)
+            blocks.append(np.frombuffer(entry[1], dtype=np.float64)[np.newaxis])
+        start = at + 1 if at < len(ids) and ids[at] == doc_id else at
+    new_ids.extend(ids[start:])
+    blocks.append(matrix[start:])
+    patched = np.empty((len(new_ids), matrix.shape[1]), dtype=np.float64)
+    np.concatenate(blocks, out=patched)
+    return new_ids, patched

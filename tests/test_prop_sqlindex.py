@@ -1,0 +1,98 @@
+"""Property: a long-lived SqliteIndex answers like a freshly opened one.
+
+Hypothesis drives one handle through adds, updates, unchanged re-adds,
+removes and bulk adds, searching between some of them, so its read view
+is patched forward by runs of writes of every length.  After every step
+a handle opened cold on the same file must agree with it exactly: the
+same rankings in all four retrieval modes (scores compared by
+``float.hex``), statistics and document lengths, and the same view,
+down to the bytes and row order of the dense matrix.
+"""
+
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.retrieval import Document, SqliteSearcher, make_retrieval_scorer, open_index
+
+# "the" is a stopword: a document of only "the" has no terms at all.
+WORDS = ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "the"]
+QUERIES = ["alpha bravo", "charlie delta echo foxtrot golf"]
+MODES = [("bm25", "minmax"), ("dense", "minmax"), ("hybrid", "minmax"), ("hybrid", "rrf")]
+
+doc_ids = st.sampled_from([f"d{i:02d}" for i in range(10)])
+texts = st.lists(st.sampled_from(WORDS), min_size=1, max_size=8).map(" ".join)
+puts = st.tuples(st.just("put"), doc_ids, texts)
+removes = st.tuples(st.just("remove"), doc_ids)
+ops = st.one_of(
+    puts,
+    puts,
+    removes,
+    removes,
+    st.tuples(st.just("readd"), doc_ids),
+    st.tuples(st.just("add_many"), st.lists(st.tuples(doc_ids, texts), max_size=4)),
+    st.tuples(st.just("search"), st.sampled_from(QUERIES)),
+)
+#: Each step is a run of operations; the comparison runs after each.
+steps = st.lists(st.lists(ops, min_size=1, max_size=6), min_size=1, max_size=8)
+
+
+def _apply(ix, contents, op):
+    kind = op[0]
+    if kind == "put":
+        doc = Document(doc_id=op[1], text=op[2])
+        (ix.update if op[1] in contents else ix.add)(doc)
+        contents[op[1]] = op[2]
+    elif kind == "readd" and op[1] in contents:
+        assert ix.add(Document(doc_id=op[1], text=contents[op[1]])) == "unchanged"
+    elif kind == "remove" and op[1] in contents:
+        ix.remove(op[1])
+        del contents[op[1]]
+    elif kind == "add_many":
+        ix.add_many(Document(doc_id=doc_id, text=text) for doc_id, text in op[1])
+        contents.update(op[1])
+    elif kind == "search" and contents:
+        _rankings(ix, modes=MODES[2:3], queries=[op[1]])
+
+
+def _rankings(ix, modes=MODES, queries=QUERIES):
+    rankings = []
+    for mode, fusion in modes:
+        scorer = make_retrieval_scorer(ix, mode=mode, fusion=fusion)
+        searcher = SqliteSearcher(ix, scorer=scorer)
+        for query in queries:
+            result = searcher.search(query, k=20)
+            rankings.append([(s.document.doc_id, s.score.hex()) for s in result.sources])
+    return rankings
+
+
+def _assert_matches_fresh(ix, root):
+    with open_index(root) as fresh:
+        assert len(ix) == len(fresh)
+        assert ix.stats == fresh.stats
+        for doc_id in fresh.doc_ids():
+            assert ix.doc_length(doc_id) == fresh.doc_length(doc_id)
+        if len(fresh):
+            assert _rankings(ix) == _rankings(fresh)
+        live, cold = ix._pinned(), fresh._pinned()
+    assert live.lengths == cold.lengths
+    assert live.dense_ids == cold.dense_ids
+    assert live.dense_matrix.flags.c_contiguous
+    assert np.array_equal(live.dense_matrix, cold.dense_matrix)
+
+
+@given(steps)
+@settings(max_examples=80, deadline=None)
+def test_long_lived_index_equals_a_fresh_one(runs):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "ix"
+        contents = {}
+        with open_index(root, dense=True) as ix:
+            for run in runs:
+                for op in run:
+                    _apply(ix, contents, op)
+                _assert_matches_fresh(ix, root)
+            assert sorted(ix.doc_ids()) == sorted(contents)

@@ -97,3 +97,59 @@ def test_top_k_tiebreak_by_id():
 def test_top_k_invalid():
     with pytest.raises(ConfigError):
         top_k({"a": 1.0}, 0)
+
+
+# ---------------------------------------------------------------------------
+# Scorers read (doc_id, tf) pairs; the loop over full postings is the oracle
+
+
+def _reference_bm25(index, terms, k1=0.9, b=0.4):
+    scores = {}
+    n = len(index)
+    avgdl = index.stats.average_doc_length or 1.0
+    for term in terms:
+        df = index.document_frequency(term)
+        if df == 0:
+            continue
+        idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+        for posting in index.postings(term):
+            tf = posting.term_frequency
+            dl = index.doc_length(posting.doc_id)
+            denom = tf + k1 * (1.0 - b + b * dl / avgdl)
+            scores[posting.doc_id] = scores.get(posting.doc_id, 0.0) + idf * tf * (k1 + 1.0) / denom
+    return scores
+
+
+def _reference_tfidf(index, terms):
+    scores = {}
+    for term in terms:
+        df = index.document_frequency(term)
+        if df == 0:
+            continue
+        idf = math.log(1.0 + len(index) / df)
+        for posting in index.postings(term):
+            weight = (1.0 + math.log(posting.term_frequency)) * idf
+            scores[posting.doc_id] = scores.get(posting.doc_id, 0.0) + weight
+    for doc_id in list(scores):
+        length = index.doc_length(doc_id)
+        scores[doc_id] /= math.sqrt(length) if length > 0 else 1.0
+    return scores
+
+
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+def test_scorers_equal_the_postings_loop(tiny_corpus, tmp_path, backend):
+    from repro.retrieval import open_index
+
+    if backend == "memory":
+        target = InvertedIndex.build(tiny_corpus)
+    else:
+        target = open_index(tmp_path / "ix")
+        target.add_many(tiny_corpus)
+    try:
+        for query in ("quick fox", "lazy dogs and cats", "quick quick brown", "absent"):
+            terms = target.tokenizer.tokenize(query)
+            assert BM25Scorer().score_query(target, terms) == _reference_bm25(target, terms)
+            assert TfIdfScorer().score_query(target, terms) == _reference_tfidf(target, terms)
+    finally:
+        if backend == "sqlite":
+            target.close()

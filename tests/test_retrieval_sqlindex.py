@@ -2,6 +2,7 @@
 concurrency, corruption, and hybrid scoring over it."""
 
 import sqlite3
+import sys
 import threading
 
 import pytest
@@ -71,6 +72,15 @@ def test_bm25_rankings_match_inverted_index(index, docs):
     ] == [(s.document.doc_id, s.rank, s.score) for s in mem_result.sources]
 
 
+def test_term_frequencies_are_postings_without_positions(index, docs):
+    mem = InvertedIndex.build(docs)
+    for term in mem.vocabulary():
+        expected = [(p.doc_id, p.term_frequency) for p in index.postings(term)]
+        assert index.term_frequencies(term) == expected
+        assert sorted(mem.term_frequencies(term)) == expected
+    assert index.term_frequencies("absent") == mem.term_frequencies("absent") == []
+
+
 def test_documents_in_first_indexed_order(index, docs):
     assert [d.doc_id for d in index.documents()] == [d.doc_id for d in docs]
     assert index.doc_ids() == [d.doc_id for d in docs]
@@ -136,6 +146,16 @@ def test_sync_mirrors_a_corpus(tmp_path, docs):
         outcome = ix.sync(smaller, remove_missing=True)
         assert outcome == {"added": 0, "updated": 1, "unchanged": 2, "removed": 1}
         assert sorted(ix.doc_ids()) == ["d1", "d2", "d3"]
+
+
+def test_add_many_repeating_a_doc_id_acts_as_successive_adds(tmp_path):
+    with open_index(tmp_path / "ix") as ix:
+        first = Document(doc_id="d", text="alpha")
+        second = Document(doc_id="d", text="bravo")
+        outcome = ix.add_many([first, first, second])
+        assert outcome == {"added": 1, "updated": 1, "unchanged": 1}
+        assert ix.document("d").text == "bravo"
+        assert (len(ix), ix.stats.vocabulary_size) == (1, 1)
 
 
 def test_content_hash_covers_title_and_metadata():
@@ -312,6 +332,203 @@ def test_cross_handle_cache_invalidation(tmp_path, docs):
             other.close()
         assert len(ix) == 5
         assert ix.doc_length("d5") == 2  # "a" is a stopword: fifth, document
+
+
+# ---------------------------------------------------------------------------
+# The read view: one generation per view, own writes patch it forward
+
+
+def _ranking(result):
+    return [(s.document.doc_id, s.score) for s in result.sources]
+
+
+def test_old_snapshot_never_serves_its_view_to_newer_reads(tmp_path, docs):
+    """A reader pinned before a write reads that write's absence, and
+    the view it builds never reaches the writer's next search."""
+    with open_index(tmp_path / "ix") as ix:
+        ix.add_many(docs)
+        searcher = SqliteSearcher(ix, scorer=BM25Scorer())
+        searcher.search("quick", k=5)
+        pinned, written = threading.Event(), threading.Event()
+        seen = []
+
+        def reader():
+            with ix.snapshot():
+                ix.document_frequency("quick")  # the read transaction is open
+                pinned.set()
+                written.wait(timeout=10)
+                seen.append((len(ix), "d5" in ix, ix.doc_length("d1")))
+
+        thread = threading.Thread(target=reader)
+        thread.start()
+        assert pinned.wait(timeout=10)
+        ix.add(Document(doc_id="d5", text="quick quick quick fox"))
+        written.set()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        d1_length = InvertedIndex.build(docs).doc_length("d1")
+        assert seen == [(4, False, d1_length)]
+        assert searcher.search("quick", k=5).doc_ids()[0] == "d5"
+        assert len(ix) == 5
+
+
+def test_membership_sees_another_handles_commit(tmp_path, docs):
+    with open_index(tmp_path / "ix") as ix:
+        ix.add_many(docs)
+        assert "d4" in ix and "d5" not in ix  # the view is loaded
+        with open_index(tmp_path / "ix") as other:
+            other.add(Document(doc_id="d5", text="a fifth document"))
+        assert "d5" in ix
+        assert ix.doc_length("d5") == 2
+        revised = Document(doc_id="d5", text="a fifth document, revised")
+        assert ix.update(revised) == "updated"
+
+
+def test_nested_snapshot_joins_the_outer_one(tmp_path, docs):
+    with open_index(tmp_path / "ix") as ix:
+        ix.add_many(docs)
+        searcher = SqliteSearcher(ix, scorer=BM25Scorer())
+        expected = _ranking(searcher.search("quick fox", k=4))
+        with open_index(tmp_path / "ix") as writer:
+            with ix.snapshot():
+                ix.document_frequency("quick")
+                writer.add(Document(doc_id="d9", text="quick quick fox fox"))
+                inner = _ranking(searcher.search("quick fox", k=4))
+        assert inner == expected  # the outer snapshot's version
+        assert "d9" in searcher.search("quick fox", k=5).doc_ids()
+
+
+def test_own_writes_patch_the_view_instead_of_reloading(tmp_path, docs):
+    with open_index(tmp_path / "ix", dense=True) as ix:
+        ix.add_many(docs)
+        searcher = SqliteSearcher(ix, scorer=make_retrieval_scorer(ix, mode="hybrid"))
+        searcher.search("quick fox", k=3)
+        for i in range(6):
+            ix.add(Document(doc_id=f"x{i}", text=f"quick fox filler {i}"))
+            searcher.search("quick fox", k=3)
+            ix.update(Document(doc_id=f"x{i}", text=f"lazy dog filler {i}"))
+            ix.add(Document(doc_id=f"x{i}", text=f"lazy dog filler {i}"))  # unchanged
+            searcher.search("lazy dog", k=3)
+            ix.remove(f"x{i}")
+            searcher.search("quick", k=3)
+        assert ix.counters["view_loads"] == 1
+        assert ix.counters["view_folds"] == 18
+
+
+def test_a_run_of_writes_folds_once(tmp_path):
+    with open_index(tmp_path / "ix", dense=True) as ix:
+        ix.add_many(
+            Document(doc_id=f"d{i:03d}", text=f"shared words number{i}")
+            for i in range(80)
+        )
+        searcher = SqliteSearcher(ix, scorer=make_retrieval_scorer(ix, mode="hybrid"))
+        searcher.search("shared", k=3)
+        for i in range(50):
+            ix.remove(f"d{i:03d}")
+        result = searcher.search("shared words", k=3)
+        assert (ix.counters["view_loads"], ix.counters["view_folds"]) == (1, 1)
+        assert len(ix) == 30
+        with open_index(tmp_path / "ix") as fresh:
+            cold = SqliteSearcher(
+                fresh, scorer=make_retrieval_scorer(fresh, mode="hybrid")
+            ).search("shared words", k=3)
+        assert _ranking(result) == _ranking(cold)
+        # More unread writes than documents: the deltas are dropped and
+        # the next read loads cold instead of folding them all.
+        for i in range(31):
+            ix.add(Document(doc_id=f"n{i:03d}", text=f"shared novel {i}"))
+        searcher.search("shared words", k=3)
+        assert (ix.counters["view_loads"], ix.counters["view_folds"]) == (2, 1)
+        assert len(ix) == 61
+
+
+def test_every_snapshot_reads_the_view_of_its_own_generation(tmp_path, docs):
+    """Stress: six readers against a writer, switching threads often.
+    In-memory reads inside a snapshot must agree with SQL counted in
+    that same snapshot; a view from any other generation would not."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with open_index(tmp_path / "ix", dense=True) as ix:
+            ix.add_many(docs)
+            errors = []
+            stop = threading.Event()
+
+            def reader():
+                try:
+                    while not stop.is_set():
+                        with ix.snapshot() as conn:
+                            count, total = conn.execute(
+                                "SELECT COUNT(*), SUM(doc_length) FROM documents"
+                            ).fetchone()
+                            stats = ix.stats
+                            assert (stats.num_documents, stats.total_terms) == (count, total)
+                            assert len(ix.dense_view().scores("quick")) == count
+                except Exception as error:  # pragma: no cover - failure path
+                    errors.append(error)
+
+            threads = [threading.Thread(target=reader) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            try:
+                for i in range(30):
+                    ix.add(Document(doc_id=f"x{i}", text=f"quick filler number {i}"))
+                    if i % 3 == 2:
+                        ix.remove(f"x{i - 1}")
+            finally:
+                stop.set()
+                for thread in threads:
+                    thread.join(timeout=10)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not errors
+            assert len(ix) == len(docs) + 20
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_pinned_reader_builds_its_own_view(tmp_path, docs):
+    """A reader pinned behind the installed view loads one for itself
+    and leaves the newer one installed."""
+    with open_index(tmp_path / "ix") as ix:
+        ix.add_many(docs)
+        with ix.snapshot():
+            with open_index(tmp_path / "ix") as other:
+                other.add(Document(doc_id="d5", text="quick fox"))
+            done = threading.Event()
+
+            def newer_reader():
+                assert len(ix) == 5  # loads and installs the newer view
+                done.set()
+
+            thread = threading.Thread(target=newer_reader)
+            thread.start()
+            thread.join(timeout=10)
+            assert done.is_set()
+            assert len(ix) == 4
+        assert len(ix) == 5
+        assert ix.counters["view_loads"] == 2
+
+
+def test_v1_file_upgrades_on_open_and_ranks_as_before(tmp_path, docs):
+    with open_index(tmp_path / "ix", dense=True) as ix:
+        ix.add_many(docs)
+        scorer = make_retrieval_scorer(ix, mode="hybrid", fusion="rrf")
+        before = _ranking(SqliteSearcher(ix, scorer=scorer).search("quick fox", k=4))
+        path = ix.path
+    conn = sqlite3.connect(str(path))
+    conn.execute("DELETE FROM meta WHERE key = 'generation'")
+    conn.execute("UPDATE meta SET value = '1' WHERE key = 'schema_version'")
+    conn.commit()
+    conn.close()
+    with open_index(tmp_path / "ix") as ix:
+        scorer = make_retrieval_scorer(ix, mode="hybrid", fusion="rrf")
+        after = _ranking(SqliteSearcher(ix, scorer=scorer).search("quick fox", k=4))
+        ix.remove("d3")
+    conn = sqlite3.connect(str(path))
+    meta = dict(conn.execute("SELECT key, value FROM meta"))
+    conn.close()
+    assert after == before
+    assert (meta["schema_version"], meta["generation"]) == (str(SCHEMA_VERSION), "1")
 
 
 # ---------------------------------------------------------------------------
