@@ -44,6 +44,14 @@ class UnknownDocumentError(RetrievalError):
     """A document identifier does not exist in the corpus or index."""
 
 
+class UnscoredDocumentError(RetrievalError, KeyError):
+    """A document has no entry in a ``{doc_id: score}`` mapping of
+    retrieval scores (it matched no query term, or is not indexed).
+
+    Also derives from :class:`KeyError`, the mapping protocol's miss.
+    """
+
+
 class PromptError(RageError):
     """A prompt could not be built or parsed."""
 

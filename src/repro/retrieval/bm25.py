@@ -5,23 +5,99 @@
 provides a classic lnc.ltc-style TF-IDF baseline used by the ablation
 benchmarks.  Both satisfy the :class:`Scorer` protocol consumed by
 :class:`repro.retrieval.searcher.Searcher`.
+
+Scores are computed into float64 arrays over the index's
+:class:`~repro.retrieval.index.RowSpace` (:class:`RowScores`), and
+:func:`top_k` turns only the winners into Python objects.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Protocol, Sequence
+from collections.abc import Mapping
+from typing import Iterator, List, Optional, Protocol, Sequence, Tuple
 
-from ..errors import ConfigError
-from .index import InvertedIndex
+import numpy as np
+
+from ..errors import ConfigError, UnscoredDocumentError
+from .index import InvertedIndex, RowSpace
 
 
 class Scorer(Protocol):
-    """Scoring interface: accumulate per-document scores for a query."""
+    """Scoring interface: per-document scores for a query.
 
-    def score_query(self, index: InvertedIndex, query_terms: Sequence[str]) -> Dict[str, float]:
+    The built-in scorers return :class:`RowScores`, a ``{doc_id: score}``
+    mapping backed by arrays over ``index.row_space()``.  Any other
+    mapping works too: fusion and :func:`top_k` place it on a row space
+    with :func:`on_rows` and rank it the same way.
+    """
+
+    def score_query(
+        self, index: InvertedIndex, query_terms: Sequence[str]
+    ) -> Mapping[str, float]:
         """Return ``{doc_id: score}`` for every document matching any term."""
         ...
+
+
+class RowScores(Mapping):
+    """Scores over a row space: ``array[row]`` wherever ``matched[row]``,
+    0.0 on every other row.
+
+    As a mapping it is ``{doc_id: score}`` of the matched documents, in
+    row (doc_id) order.
+    """
+
+    __slots__ = ("space", "array", "matched")
+
+    def __init__(
+        self,
+        space: RowSpace,
+        array: Optional[np.ndarray] = None,
+        matched: Optional[np.ndarray] = None,
+    ) -> None:
+        self.space = space
+        self.array = np.zeros(len(space)) if array is None else array
+        self.matched = np.zeros(len(space), dtype=bool) if matched is None else matched
+
+    def __getitem__(self, doc_id: str) -> float:
+        row = self.space.rows.get(doc_id)
+        if row is None or not self.matched[row]:
+            raise UnscoredDocumentError(doc_id)
+        return float(self.array[row])
+
+    def __iter__(self) -> Iterator[str]:
+        ids = self.space.ids
+        return (ids[row] for row in np.flatnonzero(self.matched).tolist())
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self.matched))
+
+    def add(self, rows: np.ndarray, contributions: np.ndarray) -> None:
+        """Add ``contributions`` to ``rows`` (each row named at most once)."""
+        self.array[rows] += contributions
+        self.matched[rows] = True
+
+    def ranked(self) -> np.ndarray:
+        """The matched rows, best score first, ties in row (doc_id) order."""
+        rows = np.flatnonzero(self.matched)
+        return rows[np.argsort(-self.array[rows], kind="stable")]
+
+
+def on_rows(scores: Mapping[str, float], space: Optional[RowSpace] = None) -> RowScores:
+    """``scores`` placed on ``space`` (by default a space of its own keys).
+
+    The one adapter between a scorer that returns a plain
+    ``{doc_id: score}`` mapping and the array ranking: scores already on
+    ``space`` pass through untouched.
+    """
+    if isinstance(scores, RowScores) and (space is None or scores.space is space):
+        return scores
+    if space is None:
+        space = RowSpace(sorted(scores), np.zeros(len(scores), dtype=np.int64))
+    placed = RowScores(space)
+    if scores:
+        placed.add(space.rows_of(scores.keys()), np.fromiter(scores.values(), np.float64))
+    return placed
 
 
 class BM25Scorer:
@@ -53,22 +129,23 @@ class BM25Scorer:
         """Robertson IDF of an analyzed term (0 for absent terms)."""
         return _robertson_idf(len(index), index.document_frequency(term))
 
-    def score_query(self, index: InvertedIndex, query_terms: Sequence[str]) -> Dict[str, float]:
-        scores: Dict[str, float] = {}
-        n = len(index)
+    def score_query(self, index: InvertedIndex, query_terms: Sequence[str]) -> RowScores:
+        space = index.row_space()
+        scores = RowScores(space)
+        n = len(space)
         if n == 0:
             return scores
         avgdl = index.stats.average_doc_length or 1.0
-        doc_length = index.doc_length
+        # Query order, one term at a time: the same additions, in the
+        # same order, as summing each document's terms one by one.
         for term in query_terms:
             postings = index.term_frequencies(term)
             idf = _robertson_idf(n, len(postings))
             if idf == 0.0:
                 continue
-            for doc_id, tf in postings:
-                denom = tf + self.k1 * (1.0 - self.b + self.b * doc_length(doc_id) / avgdl)
-                contribution = idf * tf * (self.k1 + 1.0) / denom
-                scores[doc_id] = scores.get(doc_id, 0.0) + contribution
+            rows, tf = _placed(space, postings)
+            denom = tf + self.k1 * (1.0 - self.b + self.b * space.lengths[rows] / avgdl)
+            scores.add(rows, idf * tf * (self.k1 + 1.0) / denom)
         return scores
 
 
@@ -82,21 +159,29 @@ class TfIdfScorer:
     def idf(self, index: InvertedIndex, term: str) -> float:
         return _log_idf(len(index), index.document_frequency(term))
 
-    def score_query(self, index: InvertedIndex, query_terms: Sequence[str]) -> Dict[str, float]:
-        scores: Dict[str, float] = {}
-        n = len(index)
+    def score_query(self, index: InvertedIndex, query_terms: Sequence[str]) -> RowScores:
+        space = index.row_space()
+        scores = RowScores(space)
+        n = len(space)
         for term in query_terms:
             postings = index.term_frequencies(term)
             idf = _log_idf(n, len(postings))
             if idf == 0.0:
                 continue
-            for doc_id, tf in postings:
-                weight = (1.0 + math.log(tf)) * idf
-                scores[doc_id] = scores.get(doc_id, 0.0) + weight
-        for doc_id in list(scores):
-            length = index.doc_length(doc_id)
-            scores[doc_id] /= math.sqrt(length) if length > 0 else 1.0
+            rows, tf = _placed(space, postings)
+            # math.log, not np.log: the two differ in the last bit for
+            # some tf values.
+            logs = np.fromiter(map(math.log, tf.tolist()), np.float64, len(tf))
+            scores.add(rows, (1.0 + logs) * idf)
+        lengths = space.lengths[scores.matched]
+        scores.array[scores.matched] /= np.where(lengths > 0, np.sqrt(lengths), 1.0)
         return scores
+
+
+def _placed(space: RowSpace, postings: List[Tuple[str, int]]) -> Tuple[np.ndarray, np.ndarray]:
+    """A term's ``(doc_id, tf)`` postings as (rows, int64 tf) arrays."""
+    doc_ids, tfs = zip(*postings)
+    return space.rows_of(doc_ids), np.array(tfs, dtype=np.int64)
 
 
 def _robertson_idf(n: int, df: int) -> float:
@@ -107,12 +192,21 @@ def _log_idf(n: int, df: int) -> float:
     return math.log(1.0 + n / df) if df else 0.0
 
 
-def top_k(scores: Dict[str, float], k: int) -> List[tuple]:
-    """Return the k highest-scoring ``(doc_id, score)`` pairs.
-
-    Ties are broken by doc_id so rankings are fully deterministic.
-    """
+def check_k(k: int) -> None:
+    """Reject a result depth that is not positive."""
     if k <= 0:
         raise ConfigError(f"k must be positive, got {k}")
-    ordered = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
-    return ordered[:k]
+
+
+def top_k(scores: Mapping[str, float], k: int) -> List[Tuple[str, float]]:
+    """Return the k highest-scoring ``(doc_id, score)`` pairs.
+
+    One stable argsort over the matched rows; ties are broken by doc_id
+    so rankings are fully deterministic.  Only the k winners become
+    Python objects.
+    """
+    check_k(k)
+    scores = on_rows(scores)
+    rows = scores.ranked()[:k]
+    ids = scores.space.ids
+    return [(ids[row], score) for row, score in zip(rows.tolist(), scores.array[rows].tolist())]

@@ -29,7 +29,7 @@ import numpy as np
 
 from ..errors import ConfigError, EmptyIndexError
 from ..textproc import Tokenizer
-from .bm25 import Scorer
+from .bm25 import RowScores, Scorer, on_rows, top_k
 from .document import Document
 from .index import InvertedIndex
 
@@ -57,8 +57,12 @@ class HashedEmbedder:
 
     def embed(self, text: str) -> np.ndarray:
         """Normalized embedding of ``text`` (zero vector for no terms)."""
+        return self.embed_terms(self.tokenizer.tokenize(text))
+
+    def embed_terms(self, terms: Sequence[str]) -> np.ndarray:
+        """Normalized embedding of already analyzed ``terms``."""
         vector = np.zeros(self.dimensions, dtype=np.float64)
-        for term in self.tokenizer.tokenize(text):
+        for term in terms:
             index, sign = self._slot(term)
             vector[index] += sign
         norm = float(np.linalg.norm(vector))
@@ -101,23 +105,17 @@ class DenseIndex:
         """Top-k ``(doc_id, cosine)`` pairs, best first, ties by doc id."""
         if len(self) == 0:
             raise EmptyIndexError("cannot search an empty dense index")
-        if k <= 0:
-            raise ConfigError(f"k must be positive, got {k}")
-        query_vector = self.embedder.embed(query)
-        similarities = self._matrix @ query_vector
-        scored = sorted(
-            zip(self._doc_ids, similarities.tolist()),
-            key=lambda item: (-item[1], item[0]),
-        )
-        return scored[:k]
+        return top_k(self.scores(query), k)
+
+    def similarities(self, query: str) -> Tuple[List[str], np.ndarray]:
+        """Cosine similarity of every indexed document, aligned with the
+        returned doc ids (rows in corpus order)."""
+        return self._doc_ids, self._matrix @ self.embedder.embed(query)
 
     def scores(self, query: str) -> Dict[str, float]:
         """Cosine similarity for every indexed document."""
-        if len(self) == 0:
-            return {}
-        query_vector = self.embedder.embed(query)
-        similarities = self._matrix @ query_vector
-        return dict(zip(self._doc_ids, similarities.tolist()))
+        ids, similarities = self.similarities(query)
+        return dict(zip(ids, similarities.tolist()))
 
 
 class DenseScorer:
@@ -131,17 +129,19 @@ class DenseScorer:
     def __init__(self, dense_index: DenseIndex) -> None:
         self.dense_index = dense_index
 
-    def score_query(self, index: InvertedIndex, query_terms: Sequence[str]) -> Dict[str, float]:
-        query = " ".join(query_terms)
-        scores = self.dense_index.scores(query)
-        # Keep only docs present in the sparse index (same corpus check)
-        # and with positive affinity, mirroring sparse behaviour where
-        # non-matching docs are unscored.
-        return {
-            doc_id: score
-            for doc_id, score in scores.items()
-            if score > 0.0 and doc_id in index
-        }
+    def score_query(self, index: InvertedIndex, query_terms: Sequence[str]) -> RowScores:
+        space = index.row_space()
+        ids, similarities = self.dense_index.similarities(" ".join(query_terms))
+        if ids is not space.ids:
+            # Rows in another order (an in-memory DenseIndex): a document
+            # missing from the sparse index drops out, one missing from
+            # the dense index scores 0.0.
+            pairs = zip(ids, similarities.tolist())
+            similarities = on_rows({d: s for d, s in pairs if d in space.rows}, space).array
+        # Only docs with positive affinity count as matched, mirroring
+        # sparse behaviour where non-matching docs are unscored.
+        matched = similarities > 0.0
+        return RowScores(space, np.where(matched, similarities, 0.0), matched)
 
 
 class ReciprocalRankFusionScorer:
@@ -186,19 +186,12 @@ class ReciprocalRankFusionScorer:
         self.k0 = k0
         self.weights = list(weights) if weights is not None else [1.0] * len(scorers)
 
-    @staticmethod
-    def _ranks(scores: Dict[str, float]) -> Dict[str, int]:
-        """1-based ranks, best first, ties broken by doc_id."""
-        ordered = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
-        return {doc_id: rank for rank, (doc_id, _) in enumerate(ordered, start=1)}
-
-    def score_query(self, index: InvertedIndex, query_terms: Sequence[str]) -> Dict[str, float]:
-        fused: Dict[str, float] = {}
+    def score_query(self, index: InvertedIndex, query_terms: Sequence[str]) -> RowScores:
+        space = index.row_space()
+        fused = RowScores(space)
         for weight, scorer in zip(self.weights, self.scorers):
-            for doc_id, rank in self._ranks(
-                scorer.score_query(index, query_terms)
-            ).items():
-                fused[doc_id] = fused.get(doc_id, 0.0) + weight / (self.k0 + rank)
+            ranked = on_rows(scorer.score_query(index, query_terms), space).ranked()
+            fused.add(ranked, weight / (self.k0 + np.arange(1, len(ranked) + 1)))
         return fused
 
 
@@ -213,21 +206,22 @@ class HybridScorer:
         self.alpha = alpha
 
     @staticmethod
-    def _normalize(scores: Dict[str, float]) -> Dict[str, float]:
-        if not scores:
-            return {}
-        low = min(scores.values())
-        high = max(scores.values())
+    def _normalize(scores: RowScores) -> RowScores:
+        matched = scores.matched
+        if not matched.any():
+            return scores
+        present = scores.array[matched]
+        low = float(present.min())
+        high = float(present.max())
         if math.isclose(low, high):
-            return {doc_id: 1.0 for doc_id in scores}
-        return {doc_id: (s - low) / (high - low) for doc_id, s in scores.items()}
+            return RowScores(scores.space, matched.astype(np.float64), matched)
+        values = np.where(matched, (scores.array - low) / (high - low), 0.0)
+        return RowScores(scores.space, values, matched)
 
-    def score_query(self, index: InvertedIndex, query_terms: Sequence[str]) -> Dict[str, float]:
-        sparse_scores = self._normalize(self.sparse.score_query(index, query_terms))
-        dense_scores = self._normalize(self.dense.score_query(index, query_terms))
-        fused: Dict[str, float] = {}
-        for doc_id in set(sparse_scores) | set(dense_scores):
-            fused[doc_id] = self.alpha * sparse_scores.get(doc_id, 0.0) + (
-                1.0 - self.alpha
-            ) * dense_scores.get(doc_id, 0.0)
-        return fused
+    def score_query(self, index: InvertedIndex, query_terms: Sequence[str]) -> RowScores:
+        space = index.row_space()
+        sparse = self._normalize(on_rows(self.sparse.score_query(index, query_terms), space))
+        dense = self._normalize(on_rows(self.dense.score_query(index, query_terms), space))
+        # An unmatched side contributes alpha * 0.0 (or (1 - alpha) * 0.0).
+        values = self.alpha * sparse.array + (1.0 - self.alpha) * dense.array
+        return RowScores(space, values, sparse.matched | dense.matched)

@@ -4,12 +4,17 @@ The index stores, per analyzed term, a postings list of
 ``(doc_id, term_frequency, positions)`` plus per-document lengths and
 collection statistics.  This is everything BM25 and TF-IDF need, and the
 positions support phrase-level diagnostics in the claim extractor tests.
+
+Ranking runs over a :class:`RowSpace`: the indexed documents as array
+rows in doc_id order, which both index classes provide.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+
+import numpy as np
 
 from ..errors import UnknownDocumentError
 from ..textproc import Tokenizer
@@ -41,6 +46,35 @@ class IndexStats:
         return self.total_terms / self.num_documents
 
 
+class RowSpace:
+    """The documents of one index state as array rows.
+
+    ``ids`` holds the doc ids in sorted (Python string) order, ``rows``
+    maps each id to its row, and ``lengths`` holds the analyzed lengths
+    as an int64 array aligned with ``ids``.  Scorers compute into
+    float64 arrays over these rows, so a stable sort of rows breaks
+    score ties by doc_id.  Never mutated: an index whose documents
+    change builds a new one.
+    """
+
+    __slots__ = ("ids", "rows", "lengths")
+
+    def __init__(self, ids: List[str], lengths: np.ndarray) -> None:
+        self.ids = ids
+        self.rows: Dict[str, int] = dict(zip(ids, range(len(ids))))
+        self.lengths = lengths
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def rows_of(self, doc_ids: Iterable[str]) -> np.ndarray:
+        """The rows of ``doc_ids``, in their order."""
+        try:
+            return np.fromiter(map(self.rows.__getitem__, doc_ids), dtype=np.intp)
+        except KeyError as error:
+            raise UnknownDocumentError(f"no document with id {error.args[0]!r}") from None
+
+
 class InvertedIndex:
     """Term -> postings map built from a :class:`Corpus`.
 
@@ -63,6 +97,8 @@ class InvertedIndex:
         self._postings: Dict[str, List[Posting]] = {}
         self._doc_lengths: Dict[str, int] = {}
         self._corpus = Corpus()
+        # Built by the first search after a change; see row_space().
+        self._space: Optional[RowSpace] = None
 
     # -- construction --------------------------------------------------
 
@@ -81,6 +117,7 @@ class InvertedIndex:
                 positions=tuple(positions) if self.store_positions else (),
             )
             self._postings.setdefault(term, []).append(posting)
+        self._space = None
 
     def remove_document(self, doc_id: str) -> Document:
         """Un-index a document, restoring pre-add statistics exactly.
@@ -110,6 +147,7 @@ class InvertedIndex:
                     emptied.append(term)
         for term in emptied:
             del self._postings[term]
+        self._space = None
         return document
 
     def update_document(self, doc: Document) -> None:
@@ -156,6 +194,17 @@ class InvertedIndex:
             return self._doc_lengths[doc_id]
         except KeyError:
             raise UnknownDocumentError(f"no document with id {doc_id!r}") from None
+
+    def row_space(self) -> RowSpace:
+        """The indexed documents as rows, built on the first call after a
+        change.  Concurrent searchers may each build one; every build is
+        published whole, by one assignment."""
+        space = self._space
+        if space is None:
+            ids = sorted(self._doc_lengths)
+            lengths = np.fromiter(map(self._doc_lengths.__getitem__, ids), dtype=np.int64)
+            space = self._space = RowSpace(ids, lengths)
+        return space
 
     def document(self, doc_id: str) -> Document:
         """Return the stored document."""

@@ -5,6 +5,10 @@ a query ``q`` and relevance threshold ``k`` it scores and ranks the ``k``
 most relevant sources from the index.  The resulting ordered list of
 :class:`RetrievedSource` — the paper's ``Dq`` — carries the retrieval
 scores that serve as one of the two relevance methods ``S``.
+
+Scoring runs over arrays in the index's doc_id row order; only the
+``k`` winners become :class:`RetrievedSource` objects, and ties still
+break by doc_id.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..errors import EmptyIndexError
-from .bm25 import BM25Scorer, Scorer, top_k
+from .bm25 import BM25Scorer, Scorer, check_k, top_k
 from .document import Document
 from .index import InvertedIndex
 
@@ -56,7 +60,8 @@ class RetrievalResult:
 
 
 class Searcher:
-    """Execute ranked retrieval against an :class:`InvertedIndex`."""
+    """Execute ranked retrieval against an :class:`InvertedIndex` (or
+    any index with the same read protocol and a ``row_space()``)."""
 
     def __init__(self, index: InvertedIndex, scorer: Optional[Scorer] = None) -> None:
         self.index = index
@@ -65,16 +70,22 @@ class Searcher:
     def search(self, query: str, k: int = 10) -> RetrievalResult:
         """Score and rank the ``k`` most relevant sources for ``query``.
 
+        The scorer fills float64 arrays over the index's rows (or returns
+        a plain ``{doc_id: score}`` mapping, placed on rows of its own);
+        one stable argsort picks the ``k`` best, ties by doc_id.
+
         Raises
         ------
+        ConfigError
+            When ``k`` is not positive, whether or not anything matches.
         EmptyIndexError
             When the index holds no documents.
         """
+        check_k(k)
         if len(self.index) == 0:
             raise EmptyIndexError("cannot search an empty index")
         query_terms = self.index.tokenizer.tokenize(query)
-        scores = self.scorer.score_query(self.index, query_terms)
-        ranked = top_k(scores, k) if scores else []
+        ranked = top_k(self.scorer.score_query(self.index, query_terms), k)
         sources = [
             RetrievedSource(document=self.index.document(doc_id), rank=rank, score=score)
             for rank, (doc_id, score) in enumerate(ranked, start=1)

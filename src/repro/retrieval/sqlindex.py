@@ -10,8 +10,10 @@ index directory:
   schema version and the analyzer configuration, so a reopened index
   tokenizes queries identically and never re-analyzes a stored document.
 * **Lazy open** — opening is O(1); postings stream per query term, and
-  the first search loads the *read view*: document lengths, collection
-  statistics and, for a dense index, the vector matrix.  A warm
+  the first search loads the *read view*: the documents as a
+  :class:`~repro.retrieval.index.RowSpace` (doc ids in sorted order,
+  their rows, their lengths), collection statistics and, for a dense
+  index, the vector matrix with rows in the same order.  A warm
   restart therefore serves byte-identical results with *zero*
   re-tokenization of unchanged documents (``counters["doc_tokenizations"]``
   proves it).
@@ -39,7 +41,7 @@ index directory:
   ties by doc_id.
 
 The class exposes the same read protocol the scorers consume
-(``term_frequencies`` / ``doc_length`` / ``stats`` / ``len`` / ``in`` /
+(``row_space`` / ``term_frequencies`` / ``stats`` / ``len`` / ``in`` /
 ``tokenizer``), so :class:`~repro.retrieval.bm25.BM25Scorer` and friends
 run against it unchanged; :class:`SqliteSearcher` wraps
 :class:`~repro.retrieval.searcher.Searcher` with the snapshot
@@ -65,7 +67,7 @@ from ..textproc import Tokenizer
 from .bm25 import BM25Scorer, Scorer
 from .dense import DenseScorer, HashedEmbedder, HybridScorer, ReciprocalRankFusionScorer
 from .document import Document
-from .index import IndexStats, Posting
+from .index import IndexStats, Posting, RowSpace
 from .searcher import RetrievalResult, Searcher
 
 #: Bumped whenever the on-disk layout changes; an index written by a
@@ -130,12 +132,12 @@ class _View:
     mutated: a reader pinned to it may outlive its installation."""
 
     generation: int
-    lengths: Dict[str, int]
+    #: The documents as rows, in doc_id order, with their lengths.
+    space: RowSpace
     total_terms: int
     vocabulary_size: int
     #: Dense indexes only: every vector in one contiguous float64 block,
-    #: rows in doc_id order (``dense_ids``).
-    dense_ids: List[str]
+    #: one row per row of ``space``.
     dense_matrix: Optional[np.ndarray]
 
 
@@ -174,20 +176,20 @@ def open_index(
     The directory is created on demand; the database lives at
     ``index_dir/index.db``.  ``dense=True`` equips a *newly created*
     index with dense vectors using ``embedder`` (default
-    :class:`~repro.retrieval.dense.HashedEmbedder`); an existing index
-    keeps whatever vector configuration it was built with.
+    :class:`~repro.retrieval.dense.HashedEmbedder` over the index's
+    analyzer); an existing index keeps whatever vector configuration it
+    was built with.
     """
     root = Path(index_dir).expanduser()
     if root.exists() and not root.is_dir():
         raise ConfigError(f"index_dir {root} exists and is not a directory")
     root.mkdir(parents=True, exist_ok=True)
-    if dense and embedder is None:
-        embedder = HashedEmbedder(tokenizer=tokenizer)
     return SqliteIndex(
         root / DB_NAME,
         tokenizer=tokenizer,
         embedder=embedder,
         store_positions=store_positions,
+        dense=dense,
     )
 
 
@@ -209,9 +211,12 @@ class SqliteIndex:
         Equip a *new* index with dense vectors.  ``None`` on an existing
         dense index reconstructs the embedder from the stored
         dimensions; passing one to a sparse-only index (or with the
-        wrong dimensions) raises.
+        wrong dimensions, or an analyzer other than the index's) raises.
     store_positions:
         Keep within-document token positions (new indexes only).
+    dense:
+        Equip a *new* index with the default embedder over its analyzer
+        when ``embedder`` is None.
     """
 
     def __init__(
@@ -220,6 +225,7 @@ class SqliteIndex:
         tokenizer: Optional[Tokenizer] = None,
         embedder: Optional[HashedEmbedder] = None,
         store_positions: bool = True,
+        dense: bool = False,
     ) -> None:
         self.path = Path(path).expanduser()
         self._lock = threading.RLock()
@@ -245,7 +251,7 @@ class SqliteIndex:
         self.store_positions = store_positions
         conn = self._conn()
         with self._lock:
-            self._initialize(conn)
+            self._initialize(conn, dense)
 
     # -- connections and lifecycle ----------------------------------------
 
@@ -292,19 +298,23 @@ class SqliteIndex:
 
     # -- schema ------------------------------------------------------------
 
-    def _initialize(self, conn: sqlite3.Connection) -> None:
+    def _initialize(self, conn: sqlite3.Connection, dense: bool) -> None:
         with self._guard():
             existing = conn.execute(
                 "SELECT name FROM sqlite_master WHERE type='table' AND name='meta'"
             ).fetchone()
             if existing is None:
-                self._create_schema(conn)
+                self._create_schema(conn, dense)
             else:
                 self._validate_schema(conn)
 
-    def _create_schema(self, conn: sqlite3.Connection) -> None:
+    def _create_schema(self, conn: sqlite3.Connection, dense: bool) -> None:
         if self.tokenizer is None:
             self.tokenizer = Tokenizer()
+        if self.embedder is None and dense:
+            self.embedder = HashedEmbedder(tokenizer=self.tokenizer)
+        if self.embedder is not None:
+            self._check_embedder_analyzer(self.embedder)
         meta = {
             "schema_version": str(SCHEMA_VERSION),
             "tokenizer": json.dumps(_tokenizer_config(self.tokenizer)),
@@ -368,6 +378,18 @@ class SqliteIndex:
                     f"index {self.path} stores {dims}-dimensional vectors; "
                     f"embedder has {self.embedder.dimensions}"
                 )
+            else:
+                self._check_embedder_analyzer(self.embedder)
+
+    def _check_embedder_analyzer(self, embedder: HashedEmbedder) -> None:
+        """Refuse an embedder that analyzes text unlike the index: its
+        query vectors would hash other terms than the stored vectors."""
+        wanted = _tokenizer_config(self.tokenizer)
+        if _tokenizer_config(embedder.tokenizer) != wanted:
+            raise RetrievalError(
+                f"index {self.path} uses analyzer {wanted}; pass an embedder "
+                "with a matching tokenizer (or None to build one)"
+            )
 
     @contextmanager
     def _guard(self) -> Iterator[None]:
@@ -457,44 +479,58 @@ class SqliteIndex:
         for delta in chain:
             changed.update(delta.docs)
             vocabulary_size += delta.vocabulary
-        lengths = dict(view.lengths)
         total_terms = view.total_terms
         for doc_id, entry in changed.items():
-            total_terms -= lengths.pop(doc_id, 0)
+            row = view.space.rows.get(doc_id)
+            if row is not None:
+                total_terms -= int(view.space.lengths[row])
             if entry is not None:
-                lengths[doc_id] = entry[0]
                 total_terms += entry[0]
-        ids, matrix = view.dense_ids, view.dense_matrix
-        if matrix is not None and changed:
-            ids, matrix = _patch_rows(ids, matrix, changed)
-        return _View(generation, lengths, total_terms, vocabulary_size, ids, matrix)
+        space, matrix = _patch_rows(view.space, view.dense_matrix, changed)
+        return _View(generation, space, total_terms, vocabulary_size, matrix)
 
     def _load(self, conn: sqlite3.Connection, generation: int) -> _View:
         """Build the view from ``conn``'s snapshot (pinned at ``generation``),
         filling the matrix row by row from the cursor: one copy of the
-        vectors in memory, not a list of blobs plus a stacked copy."""
-        ids: List[str] = []
+        vectors in memory, not a list of blobs plus a stacked copy.
+
+        SQLite orders TEXT by its UTF-8 bytes, which is Python's string
+        order, so ``ORDER BY doc_id`` yields the row space's order."""
         matrix: Optional[np.ndarray] = None
         with self._guard():
-            lengths = dict(conn.execute("SELECT doc_id, doc_length FROM documents"))
+            rows = conn.execute(
+                "SELECT doc_id, doc_length FROM documents ORDER BY doc_id"
+            ).fetchall()
+            ids = [doc_id for doc_id, _ in rows]
+            space = RowSpace(ids, np.fromiter((n for _, n in rows), np.int64, len(rows)))
+            del rows
             vocabulary_size = conn.execute(
                 "SELECT COUNT(DISTINCT term) FROM postings"
             ).fetchone()[0]
             if self.embedder is not None:
                 count = conn.execute("SELECT COUNT(*) FROM vectors").fetchone()[0]
+                if count != len(ids):
+                    raise RetrievalError(
+                        f"corrupt index database {self.path}: "
+                        f"{count} vectors for {len(ids)} documents"
+                    )
                 matrix = np.empty((count, self.embedder.dimensions), dtype=np.float64)
-                rows = conn.execute("SELECT doc_id, vector FROM vectors ORDER BY doc_id")
-                for row, (doc_id, blob) in enumerate(rows):
-                    ids.append(doc_id)
+                vectors = conn.execute("SELECT doc_id, vector FROM vectors ORDER BY doc_id")
+                for row, (doc_id, blob) in enumerate(vectors):
+                    if doc_id != ids[row]:
+                        raise RetrievalError(
+                            f"corrupt index database {self.path}: "
+                            f"vector rows stray from document rows at {doc_id!r}"
+                        )
                     matrix[row] = np.frombuffer(blob, dtype=np.float64)
-        return _View(generation, lengths, sum(lengths.values()), vocabulary_size, ids, matrix)
+        return _View(generation, space, int(space.lengths.sum()), vocabulary_size, matrix)
 
     def _record(self, before: int, delta: _Delta) -> None:
         """Keep one own write's delta for the next read to fold in."""
         with self._lock:
             if self._view is None:
                 return  # nothing to patch: the next read loads cold
-            if len(self._deltas) >= len(self._view.lengths):
+            if len(self._deltas) >= len(self._view.space):
                 # One delta per document already: a load costs no more
                 # than the fold would, and unread deltas must not pile up.
                 self._view = None
@@ -663,7 +699,7 @@ class SqliteIndex:
         )
         blob: Optional[bytes] = None
         if self.embedder is not None:
-            blob = self.embedder.embed(doc.text + " " + doc.title).tobytes()
+            blob = self.embedder.embed_terms(terms).tobytes()
             conn.execute(
                 "INSERT INTO vectors (doc_id, dimensions, vector) VALUES (?, ?, ?)",
                 (doc.doc_id, self.embedder.dimensions, blob),
@@ -706,33 +742,41 @@ class SqliteIndex:
     def document_frequency(self, term: str) -> int:
         """Number of documents containing the analyzed term."""
         conn = self._conn()
-        return conn.execute(
-            "SELECT COUNT(*) FROM postings WHERE term = ?", (term,)
-        ).fetchone()[0]
+        with self._guard():
+            return conn.execute(
+                "SELECT COUNT(*) FROM postings WHERE term = ?", (term,)
+            ).fetchone()[0]
 
     def term_frequency(self, term: str, doc_id: str) -> int:
         """Frequency of ``term`` inside ``doc_id`` (0 if absent)."""
         conn = self._conn()
-        row = conn.execute(
-            "SELECT tf FROM postings WHERE term = ? AND doc_id = ?",
-            (term, doc_id),
-        ).fetchone()
+        with self._guard():
+            row = conn.execute(
+                "SELECT tf FROM postings WHERE term = ? AND doc_id = ?",
+                (term, doc_id),
+            ).fetchone()
         return row[0] if row is not None else 0
+
+    def row_space(self) -> RowSpace:
+        """The documents as rows, at the current (or pinned) generation."""
+        return self._pinned().space
 
     def doc_length(self, doc_id: str) -> int:
         """Analyzed token count of a document."""
-        try:
-            return self._pinned().lengths[doc_id]
-        except KeyError:
-            raise UnknownDocumentError(f"no document with id {doc_id!r}") from None
+        space = self._pinned().space
+        row = space.rows.get(doc_id)
+        if row is None:
+            raise UnknownDocumentError(f"no document with id {doc_id!r}")
+        return int(space.lengths[row])
 
     def document(self, doc_id: str) -> Document:
         """Return the stored document."""
         conn = self._conn()
-        row = conn.execute(
-            "SELECT doc_id, title, text, metadata FROM documents WHERE doc_id = ?",
-            (doc_id,),
-        ).fetchone()
+        with self._guard():
+            row = conn.execute(
+                "SELECT doc_id, title, text, metadata FROM documents WHERE doc_id = ?",
+                (doc_id,),
+            ).fetchone()
         if row is None:
             raise UnknownDocumentError(f"no document with id {doc_id!r}")
         return _row_to_document(row)
@@ -740,42 +784,39 @@ class SqliteIndex:
     def documents(self) -> List[Document]:
         """All indexed documents in first-indexed order."""
         conn = self._conn()
-        return [
-            _row_to_document(row)
-            for row in conn.execute(
+        with self._guard():
+            rows = conn.execute(
                 "SELECT doc_id, title, text, metadata FROM documents ORDER BY seq"
-            )
-        ]
+            ).fetchall()
+        return [_row_to_document(row) for row in rows]
 
     def doc_ids(self) -> List[str]:
         """All indexed document ids in first-indexed order."""
         conn = self._conn()
-        return [
-            row[0]
-            for row in conn.execute("SELECT doc_id FROM documents ORDER BY seq")
-        ]
+        with self._guard():
+            rows = conn.execute("SELECT doc_id FROM documents ORDER BY seq").fetchall()
+        return [row[0] for row in rows]
 
     def vocabulary(self) -> List[str]:
         """All analyzed terms, sorted."""
         conn = self._conn()
-        return [
-            row[0]
-            for row in conn.execute(
+        with self._guard():
+            rows = conn.execute(
                 "SELECT DISTINCT term FROM postings ORDER BY term"
-            )
-        ]
+            ).fetchall()
+        return [row[0] for row in rows]
 
     @property
     def stats(self) -> IndexStats:
         """Collection statistics at the current (or pinned) generation."""
         view = self._pinned()
-        return IndexStats(len(view.lengths), view.total_terms, view.vocabulary_size)
+        return IndexStats(len(view.space), view.total_terms, view.vocabulary_size)
 
     def __len__(self) -> int:
-        return len(self._pinned().lengths)
+        return len(self._pinned().space)
 
     def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._pinned().lengths
+        return doc_id in self._pinned().space.rows
 
     def size_bytes(self) -> int:
         """On-disk footprint (database plus WAL side files)."""
@@ -805,19 +846,23 @@ class SqliteIndex:
 
 class _DenseView:
     """The :class:`~repro.retrieval.dense.DenseIndex` read protocol
-    (``scores``) over a :class:`SqliteIndex`'s vector table."""
+    (``similarities``, ``scores``) over a :class:`SqliteIndex`'s vector
+    table."""
 
     def __init__(self, index: SqliteIndex) -> None:
         self.index = index
         self.embedder = index.embedder
 
+    def similarities(self, query: str) -> Tuple[List[str], np.ndarray]:
+        """Cosine similarity of every stored vector, rows in the row
+        space's order (the returned ids are ``row_space().ids``)."""
+        view = self.index._pinned()
+        return view.space.ids, view.dense_matrix @ self.embedder.embed(query)
+
     def scores(self, query: str) -> Dict[str, float]:
         """Cosine similarity for every stored vector."""
-        view = self.index._pinned()
-        if not view.dense_ids:
-            return {}
-        similarities = view.dense_matrix @ self.embedder.embed(query)
-        return dict(zip(view.dense_ids, similarities.tolist()))
+        ids, similarities = self.similarities(query)
+        return dict(zip(ids, similarities.tolist()))
 
 
 def make_retrieval_scorer(
@@ -925,31 +970,46 @@ def _bump_generation(conn: sqlite3.Connection) -> int:
 
 
 def _patch_rows(
-    ids: List[str],
-    matrix: np.ndarray,
+    space: RowSpace,
+    matrix: Optional[np.ndarray],
     changes: Dict[str, Optional[Tuple[int, Optional[bytes]]]],
-) -> Tuple[List[str], np.ndarray]:
-    """Apply ``{doc_id: (length, vector bytes), or None to drop}`` to a
-    matrix whose rows are in ``ids`` (doc_id) order.
+) -> Tuple[RowSpace, Optional[np.ndarray]]:
+    """Apply ``{doc_id: (length, vector bytes or None), or None to drop}``
+    to a row space and the matrix (if dense) whose rows it orders, in
+    one sorted merge.
 
-    The result is the array a cold load builds: the same rows in doc_id
-    order, in one fresh contiguous block.  Row placement changes how
-    BLAS rounds ``matrix @ q``, so nothing looser would rank identically.
+    The result is what a cold load builds: the same rows in doc_id
+    order, the matrix in one fresh contiguous block.  Row placement
+    changes how BLAS rounds ``matrix @ q``, so nothing looser would rank
+    identically.
     """
+    ids = space.ids
     new_ids: List[str] = []
+    lengths: List[np.ndarray] = []
     blocks: List[np.ndarray] = []
     start = 0
     for doc_id in sorted(changes):
         at = bisect.bisect_left(ids, doc_id, start)
         new_ids.extend(ids[start:at])
-        blocks.append(matrix[start:at])
+        lengths.append(space.lengths[start:at])
+        if matrix is not None:
+            blocks.append(matrix[start:at])
         entry = changes[doc_id]
         if entry is not None:
             new_ids.append(doc_id)
-            blocks.append(np.frombuffer(entry[1], dtype=np.float64)[np.newaxis])
+            lengths.append(np.array([entry[0]], dtype=np.int64))
+            if matrix is not None:
+                blocks.append(np.frombuffer(entry[1], dtype=np.float64)[np.newaxis])
         start = at + 1 if at < len(ids) and ids[at] == doc_id else at
     new_ids.extend(ids[start:])
-    blocks.append(matrix[start:])
-    patched = np.empty((len(new_ids), matrix.shape[1]), dtype=np.float64)
-    np.concatenate(blocks, out=patched)
-    return new_ids, patched
+    lengths.append(space.lengths[start:])
+    # The row map before the matrix, as in a cold load: built after it,
+    # the map pinned heap that freed matrices then could not reuse
+    # (about one matrix more of peak RSS over a long run of writes).
+    patched_space = RowSpace(new_ids, np.concatenate(lengths))
+    patched = None
+    if matrix is not None:
+        blocks.append(matrix[start:])
+        patched = np.empty((len(new_ids), matrix.shape[1]), dtype=np.float64)
+        np.concatenate(blocks, out=patched)
+    return patched_space, patched

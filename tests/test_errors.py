@@ -17,6 +17,7 @@ from repro.errors import (
     SearchBudgetError,
     StoreDecodeError,
     UnknownDocumentError,
+    UnscoredDocumentError,
     ValidationError,
 )
 
@@ -25,6 +26,7 @@ ALL_ERRORS = [
     RetrievalError,
     EmptyIndexError,
     UnknownDocumentError,
+    UnscoredDocumentError,
     PromptError,
     GenerationError,
     SearchBudgetError,
@@ -48,6 +50,7 @@ def test_retrieval_specializations():
     assert issubclass(EmptyIndexError, RetrievalError)
     assert issubclass(UnknownDocumentError, RetrievalError)
     assert issubclass(DocumentError, RetrievalError)
+    assert issubclass(UnscoredDocumentError, RetrievalError)
 
 
 def test_taxonomy_migrations_keep_builtin_compatibility():
@@ -59,6 +62,7 @@ def test_taxonomy_migrations_keep_builtin_compatibility():
     assert issubclass(StoreDecodeError, ValueError)
     assert issubclass(BatchContractError, RuntimeError)
     assert issubclass(BatchContractError, GenerationError)
+    assert issubclass(UnscoredDocumentError, KeyError)  # score mappings
 
 
 def test_migrated_raise_sites_use_taxonomy_classes():

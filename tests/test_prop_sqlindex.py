@@ -5,8 +5,9 @@ removes and bulk adds, searching between some of them, so its read view
 is patched forward by runs of writes of every length.  After every step
 a handle opened cold on the same file must agree with it exactly: the
 same rankings in all four retrieval modes (scores compared by
-``float.hex``), statistics and document lengths, and the same view,
-down to the bytes and row order of the dense matrix.
+``float.hex``), statistics and document lengths, and the same view:
+the same row space (ids, rows, lengths) and the same dense matrix,
+down to its bytes and row order.
 """
 
 import tempfile
@@ -78,8 +79,10 @@ def _assert_matches_fresh(ix, root):
         if len(fresh):
             assert _rankings(ix) == _rankings(fresh)
         live, cold = ix._pinned(), fresh._pinned()
-    assert live.lengths == cold.lengths
-    assert live.dense_ids == cold.dense_ids
+    assert live.space.ids == cold.space.ids
+    assert live.space.rows == cold.space.rows
+    assert live.space.lengths.dtype == cold.space.lengths.dtype
+    assert np.array_equal(live.space.lengths, cold.space.lengths)
     assert live.dense_matrix.flags.c_contiguous
     assert np.array_equal(live.dense_matrix, cold.dense_matrix)
 

@@ -120,9 +120,11 @@ def test_hybrid_alpha_validation(dense_index):
 
 
 def test_hybrid_normalization_constant_scores():
-    scores = HybridScorer._normalize({"a": 2.0, "b": 2.0})
+    from repro.retrieval.bm25 import on_rows
+
+    scores = HybridScorer._normalize(on_rows({"a": 2.0, "b": 2.0}))
     assert scores == {"a": 1.0, "b": 1.0}
-    assert HybridScorer._normalize({}) == {}
+    assert HybridScorer._normalize(on_rows({})) == {}
 
 
 def test_dense_engine_integration(dense_index):
@@ -155,6 +157,10 @@ class _FixedScorer:
         return dict(self._scores)
 
 
+#: The documents the canned scores name; fusion ranks on its rows.
+ABC = InvertedIndex.build(Document(doc_id=d, text=f"document {d}") for d in "abc")
+
+
 def test_rrf_is_scale_invariant():
     """RRF fuses ranks, so rescaling one signal changes nothing.
 
@@ -167,13 +173,13 @@ def test_rrf_is_scale_invariant():
     dense = {"a": 0.1, "b": 0.9, "c": 0.5}
     base = ReciprocalRankFusionScorer(
         [_FixedScorer(sparse), _FixedScorer(dense)]
-    ).score_query(None, ["q"])
+    ).score_query(ABC, ["q"])
     scaled = ReciprocalRankFusionScorer(
         [
             _FixedScorer({d: s * 1000.0 for d, s in sparse.items()}),
             _FixedScorer(dense),
         ]
-    ).score_query(None, ["q"])
+    ).score_query(ABC, ["q"])
     assert base == scaled
 
 
@@ -181,8 +187,9 @@ def test_rrf_deterministic_tie_breaks():
     from repro.retrieval import ReciprocalRankFusionScorer
 
     tied = _FixedScorer({"b": 1.0, "a": 1.0, "c": 1.0})
-    ranks = ReciprocalRankFusionScorer._ranks(tied.score_query(None, []))
-    assert ranks == {"a": 1, "b": 2, "c": 3}
+    fused = ReciprocalRankFusionScorer([tied], k0=1.0).score_query(ABC, [])
+    # Ranks 1, 2, 3 in doc_id order.
+    assert fused == {"a": 1.0 / 2.0, "b": 1.0 / 3.0, "c": 1.0 / 4.0}
 
 
 def test_rrf_weights_and_partial_coverage():
@@ -192,7 +199,7 @@ def test_rrf_weights_and_partial_coverage():
         [_FixedScorer({"a": 1.0}), _FixedScorer({"b": 1.0})],
         k0=1.0,
         weights=[2.0, 1.0],
-    ).score_query(None, ["q"])
+    ).score_query(ABC, ["q"])
     # Each doc is rank 1 for its scorer and unscored by the other.
     assert fused == {"a": 2.0 / 2.0, "b": 1.0 / 2.0}
 

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.errors import EmptyIndexError
-from repro.retrieval import InvertedIndex, Searcher, TfIdfScorer
+from repro.errors import ConfigError, EmptyIndexError
+from repro.retrieval import InvertedIndex, Searcher, SqliteSearcher, TfIdfScorer, open_index
 
 
 def test_search_ranks_best_first(tiny_searcher):
@@ -63,3 +63,23 @@ def test_deterministic_tiebreak_order(tiny_searcher):
     result = tiny_searcher.search("harmony cats", k=4)
     # Only d3 matches; sanity that deterministic path executes.
     assert result.doc_ids() == ["d3"]
+
+
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+@pytest.mark.parametrize("query", ["quick fox", "zebra"])
+def test_non_positive_k_is_refused_whether_or_not_anything_matches(
+    tiny_corpus, tmp_path, backend, query
+):
+    if backend == "memory":
+        searcher = Searcher(InvertedIndex.build(tiny_corpus))
+    else:
+        index = open_index(tmp_path / "ix")
+        index.add_many(tiny_corpus)
+        searcher = SqliteSearcher(index)
+    try:
+        for k in (0, -1):
+            with pytest.raises(ConfigError, match="k must be positive"):
+                searcher.search(query, k=k)
+    finally:
+        if backend == "sqlite":
+            index.close()

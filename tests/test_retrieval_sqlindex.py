@@ -246,6 +246,41 @@ def test_truncated_database_raises_retrieval_error(tmp_path, docs):
             ix.postings("quick")
 
 
+def test_every_read_of_a_damaged_file_raises_retrieval_error(tmp_path, docs):
+    """Drop ``documents``, then ``postings``, from a second connection:
+    each read that needs the missing table raises RetrievalError (what
+    the CLI reports as ``error: ...``), never a raw sqlite3 error."""
+    with open_index(tmp_path / "ix") as ix:
+        ix.add_many(docs)
+        path = ix.path
+    document_reads = [
+        lambda ix: ix.document("d1"),
+        lambda ix: ix.documents(),
+        lambda ix: ix.doc_ids(),
+        lambda ix: len(ix),
+        lambda ix: "d1" in ix,
+        lambda ix: ix.doc_length("d1"),
+        lambda ix: ix.stats,
+        lambda ix: SqliteSearcher(ix).search("quick", k=2),
+    ]
+    postings_reads = [
+        lambda ix: ix.vocabulary(),
+        lambda ix: ix.document_frequency("quick"),
+        lambda ix: ix.term_frequency("quick", "d4"),
+        lambda ix: ix.term_frequencies("quick"),
+        lambda ix: ix.postings("quick"),
+    ]
+    for table, reads in (("documents", document_reads), ("postings", postings_reads)):
+        conn = sqlite3.connect(str(path))
+        conn.execute(f"DROP TABLE {table}")
+        conn.commit()
+        conn.close()
+        with open_index(tmp_path / "ix") as ix:
+            for read in reads:
+                with pytest.raises(RetrievalError):
+                    read(ix)
+
+
 def test_index_dir_collision_with_file(tmp_path):
     target = tmp_path / "not-a-dir"
     target.write_text("occupied")
@@ -542,6 +577,45 @@ def test_dense_vectors_persist(tmp_path, docs):
     with open_index(tmp_path / "ix") as warm:
         assert warm.embedder is not None  # reconstructed from stored meta
         assert warm.dense_view().scores("quick brown fox") == cold
+
+
+def test_reopened_dense_index_embeds_with_its_stored_analyzer(tmp_path, docs):
+    """Reopening with ``dense=True`` and no tokenizer adopts the stored
+    analyzer for the embedder too: stored vectors equal re-embeddings,
+    and rankings survive the reopen."""
+    import numpy as np
+
+    from repro.retrieval import HashedEmbedder
+
+    tokenizer = Tokenizer(stem=False)
+    query = "quick jumping foxes everywhere"
+
+    def vectors(ix):
+        with ix.snapshot() as conn:
+            rows = conn.execute("SELECT doc_id, vector FROM vectors").fetchall()
+        return {doc_id: np.frombuffer(blob, dtype=np.float64) for doc_id, blob in rows}
+
+    def dense_ranking(ix):
+        return _ranking(
+            SqliteSearcher(ix, scorer=make_retrieval_scorer(ix, mode="dense")).search(query, k=4)
+        )
+
+    with open_index(tmp_path / "ix", tokenizer=tokenizer, dense=True) as ix:
+        ix.add_many(docs)
+        before = dense_ranking(ix)
+    late = Document(doc_id="d5", text="jumping foxes")
+    with open_index(tmp_path / "ix", dense=True) as ix:
+        ix.add(late)
+        for doc in docs + [late]:
+            expected = HashedEmbedder(tokenizer=tokenizer).embed(doc.text + " " + doc.title)
+            assert np.array_equal(vectors(ix)[doc.doc_id], expected)
+            assert np.array_equal(ix.embedder.embed(doc.text + " " + doc.title), expected)
+        ix.remove("d5")
+        assert dense_ranking(ix) == before
+    with pytest.raises(RetrievalError, match="analyzer"):
+        open_index(tmp_path / "ix", embedder=HashedEmbedder())
+    with pytest.raises(RetrievalError, match="analyzer"):
+        open_index(tmp_path / "new", tokenizer=tokenizer, embedder=HashedEmbedder())
 
 
 def test_dense_view_requires_vectors(index):
