@@ -6,7 +6,9 @@ provides a classic lnc.ltc-style TF-IDF baseline used by the ablation
 benchmarks.  Both satisfy the :class:`Scorer` protocol consumed by
 :class:`repro.retrieval.searcher.Searcher`.
 
-Scores are computed into float64 arrays over the index's
+Both read one :class:`~repro.retrieval.index.ScoringView` per query:
+rows, statistics and each term's postings as ``(rows, tf)`` arrays, all
+from one index state.  Scores are computed into float64 arrays over its
 :class:`~repro.retrieval.index.RowSpace` (:class:`RowScores`), and
 :func:`top_k` turns only the winners into Python objects.
 """
@@ -127,23 +129,24 @@ class BM25Scorer:
 
     def idf(self, index: InvertedIndex, term: str) -> float:
         """Robertson IDF of an analyzed term (0 for absent terms)."""
-        return _robertson_idf(len(index), index.document_frequency(term))
+        view = index.scoring_view([term])
+        return _robertson_idf(len(view.space), len(view.postings[term][0]))
 
     def score_query(self, index: InvertedIndex, query_terms: Sequence[str]) -> RowScores:
-        space = index.row_space()
+        view = index.scoring_view(query_terms)
+        space = view.space
         scores = RowScores(space)
         n = len(space)
         if n == 0:
             return scores
-        avgdl = index.stats.average_doc_length or 1.0
+        avgdl = view.stats.average_doc_length or 1.0
         # Query order, one term at a time: the same additions, in the
         # same order, as summing each document's terms one by one.
         for term in query_terms:
-            postings = index.term_frequencies(term)
-            idf = _robertson_idf(n, len(postings))
+            rows, tf = view.postings[term]
+            idf = _robertson_idf(n, len(rows))
             if idf == 0.0:
                 continue
-            rows, tf = _placed(space, postings)
             denom = tf + self.k1 * (1.0 - self.b + self.b * space.lengths[rows] / avgdl)
             scores.add(rows, idf * tf * (self.k1 + 1.0) / denom)
         return scores
@@ -157,18 +160,19 @@ class TfIdfScorer:
     """
 
     def idf(self, index: InvertedIndex, term: str) -> float:
-        return _log_idf(len(index), index.document_frequency(term))
+        view = index.scoring_view([term])
+        return _log_idf(len(view.space), len(view.postings[term][0]))
 
     def score_query(self, index: InvertedIndex, query_terms: Sequence[str]) -> RowScores:
-        space = index.row_space()
+        view = index.scoring_view(query_terms)
+        space = view.space
         scores = RowScores(space)
         n = len(space)
         for term in query_terms:
-            postings = index.term_frequencies(term)
-            idf = _log_idf(n, len(postings))
+            rows, tf = view.postings[term]
+            idf = _log_idf(n, len(rows))
             if idf == 0.0:
                 continue
-            rows, tf = _placed(space, postings)
             # math.log, not np.log: the two differ in the last bit for
             # some tf values.
             logs = np.fromiter(map(math.log, tf.tolist()), np.float64, len(tf))
@@ -176,12 +180,6 @@ class TfIdfScorer:
         lengths = space.lengths[scores.matched]
         scores.array[scores.matched] /= np.where(lengths > 0, np.sqrt(lengths), 1.0)
         return scores
-
-
-def _placed(space: RowSpace, postings: List[Tuple[str, int]]) -> Tuple[np.ndarray, np.ndarray]:
-    """A term's ``(doc_id, tf)`` postings as (rows, int64 tf) arrays."""
-    doc_ids, tfs = zip(*postings)
-    return space.rows_of(doc_ids), np.array(tfs, dtype=np.int64)
 
 
 def _robertson_idf(n: int, df: int) -> float:

@@ -5,14 +5,16 @@ The index stores, per analyzed term, a postings list of
 collection statistics.  This is everything BM25 and TF-IDF need, and the
 positions support phrase-level diagnostics in the claim extractor tests.
 
-Ranking runs over a :class:`RowSpace`: the indexed documents as array
-rows in doc_id order, which both index classes provide.
+Ranking runs over a :class:`ScoringView`: the indexed documents as
+array rows in doc_id order (a :class:`RowSpace`), the collection
+statistics and each query term's postings as arrays over those rows,
+all from one index state.  Both index classes provide it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -75,6 +77,25 @@ class RowSpace:
             raise UnknownDocumentError(f"no document with id {error.args[0]!r}") from None
 
 
+#: A term's postings as arrays: intp rows of a :class:`RowSpace` and the
+#: int64 term frequencies, aligned (both empty for an absent term).
+TermRows = Tuple[np.ndarray, np.ndarray]
+
+
+@dataclass(frozen=True)
+class ScoringView:
+    """What a ranking function reads of one index state.
+
+    ``postings`` holds the arrays of the analyzed terms it was built
+    for.  Rows, statistics and postings all come from the same state,
+    so no write can land between them.
+    """
+
+    space: RowSpace
+    stats: IndexStats
+    postings: Dict[str, TermRows]
+
+
 class InvertedIndex:
     """Term -> postings map built from a :class:`Corpus`.
 
@@ -97,8 +118,8 @@ class InvertedIndex:
         self._postings: Dict[str, List[Posting]] = {}
         self._doc_lengths: Dict[str, int] = {}
         self._corpus = Corpus()
-        # Built by the first search after a change; see row_space().
-        self._space: Optional[RowSpace] = None
+        # Built by the first search after a change; see _arrays().
+        self._rows: Optional[Tuple[RowSpace, Dict[str, TermRows]]] = None
 
     # -- construction --------------------------------------------------
 
@@ -117,7 +138,7 @@ class InvertedIndex:
                 positions=tuple(positions) if self.store_positions else (),
             )
             self._postings.setdefault(term, []).append(posting)
-        self._space = None
+        self._rows = None
 
     def remove_document(self, doc_id: str) -> Document:
         """Un-index a document, restoring pre-add statistics exactly.
@@ -147,7 +168,7 @@ class InvertedIndex:
                     emptied.append(term)
         for term in emptied:
             del self._postings[term]
-        self._space = None
+        self._rows = None
         return document
 
     def update_document(self, doc: Document) -> None:
@@ -179,11 +200,6 @@ class InvertedIndex:
         """Postings list for an *analyzed* term (empty when absent)."""
         return self._postings.get(term, [])
 
-    def term_frequencies(self, term: str) -> List[Tuple[str, int]]:
-        """``(doc_id, tf)`` of every posting of an analyzed term — all
-        the ranking functions read of a postings list."""
-        return [(p.doc_id, p.term_frequency) for p in self._postings.get(term, ())]
-
     def document_frequency(self, term: str) -> int:
         """Number of documents containing the analyzed term."""
         return len(self._postings.get(term, ()))
@@ -196,15 +212,35 @@ class InvertedIndex:
             raise UnknownDocumentError(f"no document with id {doc_id!r}") from None
 
     def row_space(self) -> RowSpace:
-        """The indexed documents as rows, built on the first call after a
-        change.  Concurrent searchers may each build one; every build is
-        published whole, by one assignment."""
-        space = self._space
-        if space is None:
+        """The indexed documents as rows."""
+        return self._arrays()[0]
+
+    def scoring_view(self, terms: Iterable[str]) -> ScoringView:
+        """Rows, statistics and the postings of ``terms`` as arrays; a
+        term's arrays are built once per row space."""
+        space, built = self._arrays()
+        postings: Dict[str, TermRows] = {}
+        for term in terms:
+            arrays = built.get(term)
+            if arrays is None:
+                found = self._postings.get(term, ())
+                arrays = built[term] = (
+                    space.rows_of(p.doc_id for p in found),
+                    np.fromiter((p.term_frequency for p in found), np.int64, len(found)),
+                )
+            postings[term] = arrays
+        return ScoringView(space, self.stats, postings)
+
+    def _arrays(self) -> Tuple[RowSpace, Dict[str, TermRows]]:
+        """The row space and the term arrays built over it so far, made
+        by the first call after a change.  Concurrent searchers may each
+        build one; every build is published whole, by one assignment."""
+        arrays = self._rows
+        if arrays is None:
             ids = sorted(self._doc_lengths)
             lengths = np.fromiter(map(self._doc_lengths.__getitem__, ids), dtype=np.int64)
-            space = self._space = RowSpace(ids, lengths)
-        return space
+            arrays = self._rows = (RowSpace(ids, lengths), {})
+        return arrays
 
     def document(self, doc_id: str) -> Document:
         """Return the stored document."""

@@ -9,14 +9,14 @@ index directory:
   lengths and (optionally) dense embedding vectors, stamped with a
   schema version and the analyzer configuration, so a reopened index
   tokenizes queries identically and never re-analyzes a stored document.
-* **Lazy open** — opening is O(1); postings stream per query term, and
-  the first search loads the *read view*: the documents as a
-  :class:`~repro.retrieval.index.RowSpace` (doc ids in sorted order,
-  their rows, their lengths), collection statistics and, for a dense
-  index, the vector matrix with rows in the same order.  A warm
-  restart therefore serves byte-identical results with *zero*
-  re-tokenization of unchanged documents (``counters["doc_tokenizations"]``
-  proves it).
+* **Lazy open** — opening is O(1); the first search loads the *read
+  view*: the documents as a :class:`~repro.retrieval.index.RowSpace`
+  (doc ids in sorted order, their rows, their lengths), collection
+  statistics and, for a dense index, the vector matrix with rows in the
+  same order.  A term's postings join the view as arrays the first time
+  a search reads the term (``counters["term_loads"]``).  A warm restart
+  therefore serves byte-identical results with *zero* re-tokenization
+  of unchanged documents (``counters["doc_tokenizations"]`` proves it).
 * **Incremental re-indexing** — :meth:`SqliteIndex.add` hashes document
   content; re-adding an unchanged document is a no-op, a changed one is
   atomically re-indexed (stale postings can never linger), and
@@ -24,9 +24,10 @@ index directory:
   whole corpus in with per-document change detection.
 * **One view per generation** — every write transaction bumps a
   ``generation`` stamp in ``meta``; a read uses the view at the stamp
-  its snapshot sees.  This handle's own writes record deltas that the
-  next read folds into the view; a gap in that chain (another
-  connection wrote) or a bulk :meth:`add_many` means a cold load.
+  its snapshot sees.  This handle's own writes record deltas (lengths,
+  vectors, postings) that the next read folds into the view, loaded
+  terms included; a gap in that chain (another connection wrote) or a
+  bulk :meth:`add_many` means a cold load, with no terms loaded.
 * **Concurrent readers, single writer** — WAL mode lets any number of
   reader connections (one per thread, or other processes such as a
   second ``rage serve`` worker) query a consistent snapshot while one
@@ -41,7 +42,7 @@ index directory:
   ties by doc_id.
 
 The class exposes the same read protocol the scorers consume
-(``row_space`` / ``term_frequencies`` / ``stats`` / ``len`` / ``in`` /
+(``scoring_view`` / ``row_space`` / ``stats`` / ``len`` / ``in`` /
 ``tokenizer``), so :class:`~repro.retrieval.bm25.BM25Scorer` and friends
 run against it unchanged; :class:`SqliteSearcher` wraps
 :class:`~repro.retrieval.searcher.Searcher` with the snapshot
@@ -52,13 +53,14 @@ from __future__ import annotations
 
 import bisect
 import hashlib
+import itertools
 import json
 import sqlite3
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,7 +69,7 @@ from ..textproc import Tokenizer
 from .bm25 import BM25Scorer, Scorer
 from .dense import DenseScorer, HashedEmbedder, HybridScorer, ReciprocalRankFusionScorer
 from .document import Document
-from .index import IndexStats, Posting, RowSpace
+from .index import IndexStats, Posting, RowSpace, ScoringView, TermRows
 from .searcher import RetrievalResult, Searcher
 
 #: Bumped whenever the on-disk layout changes; an index written by a
@@ -126,10 +128,15 @@ SELECT COUNT(*) FROM postings AS p WHERE p.doc_id = ? AND NOT EXISTS (
 """
 
 
+#: A term's postings in a view: (slots, int64 tf) arrays.
+_TermSlots = Tuple[np.ndarray, np.ndarray]
+
+
 @dataclass(frozen=True)
 class _View:
-    """What reads take from memory, as of one database generation.  Never
-    mutated: a reader pinned to it may outlive its installation."""
+    """What reads take from memory, as of one database generation.  Only
+    ``terms`` grows, each term filled once and never replaced: a reader
+    pinned to the view may outlive its installation."""
 
     generation: int
     #: The documents as rows, in doc_id order, with their lengths.
@@ -139,14 +146,37 @@ class _View:
     #: Dense indexes only: every vector in one contiguous float64 block,
     #: one row per row of ``space``.
     dense_matrix: Optional[np.ndarray]
+    #: Each row's slot.  A document keeps its slot for as long as it
+    #: lives, so the writes that move rows leave loaded postings in place.
+    row_slots: np.ndarray
+    #: Each slot's row, -1 when free: the inverse of ``row_slots``.
+    slot_rows: np.ndarray
+    #: Analyzed term -> its postings, loaded at this generation or folded
+    #: forward from an older view.
+    terms: Dict[str, _TermSlots] = field(default_factory=dict)
+
+    @property
+    def stats(self) -> IndexStats:
+        return IndexStats(len(self.space), self.total_terms, self.vocabulary_size)
+
+
+class _Doc(NamedTuple):
+    """What one write stored for a document."""
+
+    length: int
+    vector: Optional[bytes]  # None when the index is sparse
+    postings: List[Tuple[str, int]]  # (term, tf)
 
 
 @dataclass
 class _Delta:
     """What one single-document write transaction changed."""
 
-    #: doc_id -> (length, vector bytes or None when sparse); None: removed.
-    docs: Dict[str, Optional[Tuple[int, Optional[bytes]]]] = field(default_factory=dict)
+    #: doc_id -> what it holds now; None: removed.
+    docs: Dict[str, Optional[_Doc]] = field(default_factory=dict)
+    #: doc_id -> the (term, tf) postings it held before this write, for
+    #: each document the write removed or replaced.
+    dropped: Dict[str, List[Tuple[str, int]]] = field(default_factory=dict)
     vocabulary: int = 0  # terms that appeared minus terms that vanished
 
 
@@ -245,6 +275,7 @@ class SqliteIndex:
             "searches": 0,
             "view_loads": 0,
             "view_folds": 0,
+            "term_loads": 0,
         }
         self.tokenizer = tokenizer
         self.embedder = embedder
@@ -474,20 +505,32 @@ class SqliteIndex:
         chain = [self._deltas.get(g) for g in range(view.generation, generation)]
         if any(delta is None for delta in chain):
             return None
-        changed: Dict[str, Optional[Tuple[int, Optional[bytes]]]] = {}
+        changed: Dict[str, Optional[_Doc]] = {}
+        # The postings each changed document holds in ``view``: what the
+        # first write to touch it dropped.
+        dropped: Dict[str, List[Tuple[str, int]]] = {}
         vocabulary_size = view.vocabulary_size
         for delta in chain:
+            for doc_id, postings in delta.dropped.items():
+                if doc_id in view.space.rows:
+                    dropped.setdefault(doc_id, postings)
             changed.update(delta.docs)
             vocabulary_size += delta.vocabulary
         total_terms = view.total_terms
-        for doc_id, entry in changed.items():
+        for doc_id, doc in changed.items():
             row = view.space.rows.get(doc_id)
             if row is not None:
                 total_terms -= int(view.space.lengths[row])
-            if entry is not None:
-                total_terms += entry[0]
-        space, matrix = _patch_rows(view.space, view.dense_matrix, changed)
-        return _View(generation, space, total_terms, vocabulary_size, matrix)
+            if doc is not None:
+                total_terms += doc.length
+        slots = _assign_slots(view, changed)
+        # The terms before the rows, so the matrix is allocated last (see
+        # _patch_rows): about one matrix less of peak RSS under churn.
+        terms = _patch_terms(view, dropped, changed, slots)
+        space, row_slots, slot_rows, matrix = _patch_rows(view, changed, slots)
+        return _View(
+            generation, space, total_terms, vocabulary_size, matrix, row_slots, slot_rows, terms
+        )
 
     def _load(self, conn: sqlite3.Connection, generation: int) -> _View:
         """Build the view from ``conn``'s snapshot (pinned at ``generation``),
@@ -523,7 +566,27 @@ class SqliteIndex:
                             f"vector rows stray from document rows at {doc_id!r}"
                         )
                     matrix[row] = np.frombuffer(blob, dtype=np.float64)
-        return _View(generation, space, int(space.lengths.sum()), vocabulary_size, matrix)
+        slots = np.arange(len(ids), dtype=np.intp)
+        return _View(
+            generation, space, int(space.lengths.sum()), vocabulary_size, matrix, slots, slots
+        )
+
+    def _term_slots(self, conn: sqlite3.Connection, view: _View, term: str) -> _TermSlots:
+        """``term``'s postings in ``view``; the first read loads them
+        through ``conn``, whose snapshot is pinned at ``view.generation``."""
+        arrays = view.terms.get(term)
+        if arrays is not None:
+            return arrays
+        with self._guard():
+            postings = conn.execute(
+                "SELECT doc_id, tf FROM postings WHERE term = ? ORDER BY doc_id",
+                (term,),
+            ).fetchall()
+        rows = view.space.rows_of([doc_id for doc_id, _ in postings])
+        tf = np.fromiter((tf for _, tf in postings), np.int64, len(postings))
+        with self._lock:  # a fold may be copying view.terms
+            self.counters["term_loads"] += 1
+            return view.terms.setdefault(term, (view.row_slots[rows], tf))
 
     def _record(self, before: int, delta: _Delta) -> None:
         """Keep one own write's delta for the next read to fold in."""
@@ -650,6 +713,9 @@ class SqliteIndex:
     ) -> None:
         if delta is not None:
             delta.vocabulary -= conn.execute(_SOLE_TERMS, (doc_id,)).fetchone()[0]
+            delta.dropped[doc_id] = conn.execute(
+                "SELECT term, tf FROM postings WHERE doc_id = ?", (doc_id,)
+            ).fetchall()
             delta.docs[doc_id] = None
         conn.execute("DELETE FROM postings WHERE doc_id = ?", (doc_id,))
         conn.execute("DELETE FROM vectors WHERE doc_id = ?", (doc_id,))
@@ -706,19 +772,22 @@ class SqliteIndex:
             )
         if delta is not None:
             delta.vocabulary += conn.execute(_SOLE_TERMS, (doc.doc_id,)).fetchone()[0]
-            delta.docs[doc.doc_id] = (len(terms), blob)
+            postings = [(term, len(positions)) for term, positions in occurrences.items()]
+            delta.docs[doc.doc_id] = _Doc(len(terms), blob, postings)
 
     # -- the scorer-facing read protocol -----------------------------------
 
-    def term_frequencies(self, term: str) -> List[Tuple[str, int]]:
-        """``(doc_id, tf)`` of every document containing an analyzed
-        term, ordered by doc_id — postings without decoding positions."""
-        conn = self._conn()
-        with self._guard():
-            return conn.execute(
-                "SELECT doc_id, tf FROM postings WHERE term = ? ORDER BY doc_id",
-                (term,),
-            ).fetchall()
+    def scoring_view(self, terms: Iterable[str]) -> ScoringView:
+        """Rows, statistics and the postings of ``terms`` as arrays, all
+        at one generation: the open snapshot's, or the current one."""
+        with self.snapshot() as conn:
+            view = self._pinned()
+            postings: Dict[str, TermRows] = {}
+            for term in terms:
+                if term not in postings:
+                    slots, tf = self._term_slots(conn, view, term)
+                    postings[term] = (view.slot_rows[slots], tf)
+        return ScoringView(view.space, view.stats, postings)
 
     def postings(self, term: str) -> List[Posting]:
         """Postings for an analyzed term, ordered by doc_id (empty when
@@ -809,8 +878,7 @@ class SqliteIndex:
     @property
     def stats(self) -> IndexStats:
         """Collection statistics at the current (or pinned) generation."""
-        view = self._pinned()
-        return IndexStats(len(view.space), view.total_terms, view.vocabulary_size)
+        return self._pinned().stats
 
     def __len__(self) -> int:
         return len(self._pinned().space)
@@ -969,47 +1037,109 @@ def _bump_generation(conn: sqlite3.Connection) -> int:
     return before
 
 
+def _assign_slots(view: _View, changes: Dict[str, Optional[_Doc]]) -> Dict[str, int]:
+    """Each changed document's slot: its slot in ``view`` if it had one
+    (freed when ``changes`` removes it), else a free slot, else a new
+    one."""
+    rows = view.space.rows
+    slots = {doc_id: int(view.row_slots[rows[doc_id]]) for doc_id in changes if doc_id in rows}
+    free = np.flatnonzero(view.slot_rows < 0).tolist()
+    free += [slot for doc_id, slot in slots.items() if changes[doc_id] is None]
+    fresh = itertools.count(len(view.slot_rows))
+    for doc_id, doc in changes.items():
+        if doc is not None and doc_id not in slots:
+            slots[doc_id] = free.pop() if free else next(fresh)
+    return slots
+
+
+def _patch_terms(
+    view: _View,
+    dropped: Dict[str, List[Tuple[str, int]]],
+    changes: Dict[str, Optional[_Doc]],
+    slots: Dict[str, int],
+) -> Dict[str, _TermSlots]:
+    """``view``'s loaded terms with ``dropped`` postings taken out and
+    the postings ``changes`` stores put in.  Only the terms a change
+    touches get new arrays; rows moving costs nothing here."""
+    terms = dict(view.terms)
+    if not terms:
+        return terms
+    gone: Dict[str, List[int]] = {}
+    for doc_id, postings in dropped.items():
+        for term, _ in postings:
+            if term in terms:
+                gone.setdefault(term, []).append(slots[doc_id])
+    added: Dict[str, List[Tuple[int, int]]] = {}
+    for doc_id, doc in changes.items():
+        if doc is not None:
+            for term, tf in doc.postings:
+                if term in terms:
+                    added.setdefault(term, []).append((slots[doc_id], tf))
+    for term in gone.keys() | added.keys():
+        term_slots, tf = terms[term]
+        if term in gone:
+            keep = np.ones(len(term_slots), dtype=bool)
+            for slot in gone[term]:
+                keep &= term_slots != slot
+            term_slots, tf = term_slots[keep], tf[keep]
+        if term in added:
+            new_slots, new_tf = zip(*added[term])
+            term_slots = np.concatenate([term_slots, np.array(new_slots, dtype=np.intp)])
+            tf = np.concatenate([tf, np.array(new_tf, dtype=np.int64)])
+        terms[term] = (term_slots, tf)
+    return terms
+
+
 def _patch_rows(
-    space: RowSpace,
-    matrix: Optional[np.ndarray],
-    changes: Dict[str, Optional[Tuple[int, Optional[bytes]]]],
-) -> Tuple[RowSpace, Optional[np.ndarray]]:
-    """Apply ``{doc_id: (length, vector bytes or None), or None to drop}``
-    to a row space and the matrix (if dense) whose rows it orders, in
-    one sorted merge.
+    view: _View, changes: Dict[str, Optional[_Doc]], slots: Dict[str, int]
+) -> Tuple[RowSpace, np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Apply ``changes`` (None drops a document) to ``view``'s row space,
+    row slots and matrix (if dense), in one sorted merge; ``slots``
+    names each stored document's slot.  Returns the space, the row
+    slots, their inverse and the matrix.
 
     The result is what a cold load builds: the same rows in doc_id
     order, the matrix in one fresh contiguous block.  Row placement
     changes how BLAS rounds ``matrix @ q``, so nothing looser would rank
     identically.
     """
+    space, matrix, row_slots = view.space, view.dense_matrix, view.row_slots
     ids = space.ids
     new_ids: List[str] = []
     lengths: List[np.ndarray] = []
+    slot_blocks: List[np.ndarray] = []
     blocks: List[np.ndarray] = []
     start = 0
     for doc_id in sorted(changes):
         at = bisect.bisect_left(ids, doc_id, start)
         new_ids.extend(ids[start:at])
         lengths.append(space.lengths[start:at])
+        slot_blocks.append(row_slots[start:at])
         if matrix is not None:
             blocks.append(matrix[start:at])
-        entry = changes[doc_id]
-        if entry is not None:
+        doc = changes[doc_id]
+        if doc is not None:
             new_ids.append(doc_id)
-            lengths.append(np.array([entry[0]], dtype=np.int64))
+            lengths.append(np.array([doc.length], dtype=np.int64))
+            slot_blocks.append(np.array([slots[doc_id]], dtype=np.intp))
             if matrix is not None:
-                blocks.append(np.frombuffer(entry[1], dtype=np.float64)[np.newaxis])
+                blocks.append(np.frombuffer(doc.vector, dtype=np.float64)[np.newaxis])
         start = at + 1 if at < len(ids) and ids[at] == doc_id else at
     new_ids.extend(ids[start:])
     lengths.append(space.lengths[start:])
-    # The row map before the matrix, as in a cold load: built after it,
-    # the map pinned heap that freed matrices then could not reuse
-    # (about one matrix more of peak RSS over a long run of writes).
+    slot_blocks.append(row_slots[start:])
+    # Everything else before the matrix, as in a cold load: built after
+    # it, the row map pinned heap that freed matrices then could not
+    # reuse (about one matrix more of peak RSS over a long run of writes).
     patched_space = RowSpace(new_ids, np.concatenate(lengths))
+    patched_slots = np.concatenate(slot_blocks)
+    slot_rows = np.full(
+        max(len(view.slot_rows), max(slots.values(), default=-1) + 1), -1, dtype=np.intp
+    )
+    slot_rows[patched_slots] = np.arange(len(patched_slots))
     patched = None
     if matrix is not None:
         blocks.append(matrix[start:])
         patched = np.empty((len(new_ids), matrix.shape[1]), dtype=np.float64)
         np.concatenate(blocks, out=patched)
-    return patched_space, patched
+    return patched_space, patched_slots, slot_rows, patched

@@ -2,12 +2,14 @@
 
 Hypothesis drives one handle through adds, updates, unchanged re-adds,
 removes and bulk adds, searching between some of them, so its read view
-is patched forward by runs of writes of every length.  After every step
-a handle opened cold on the same file must agree with it exactly: the
+is patched forward by runs of writes of every length, loaded terms
+included.  A second handle writes now and then, so some folds meet a
+gap and the next view loads cold, with no terms.  After every step a
+handle opened cold on the same file must agree with it exactly: the
 same rankings in all four retrieval modes (scores compared by
 ``float.hex``), statistics and document lengths, and the same view:
-the same row space (ids, rows, lengths) and the same dense matrix,
-down to its bytes and row order.
+the same row space (ids, rows, lengths), the same dense matrix, down to
+its bytes and row order, and every loaded term equal to its postings.
 """
 
 import tempfile
@@ -18,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.retrieval import Document, SqliteSearcher, make_retrieval_scorer, open_index
+from tests.test_retrieval_sqlindex import _loaded_postings
 
 # "the" is a stopword: a document of only "the" has no terms at all.
 WORDS = ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "the"]
@@ -36,12 +39,13 @@ ops = st.one_of(
     st.tuples(st.just("readd"), doc_ids),
     st.tuples(st.just("add_many"), st.lists(st.tuples(doc_ids, texts), max_size=4)),
     st.tuples(st.just("search"), st.sampled_from(QUERIES)),
+    st.tuples(st.just("other"), doc_ids, texts),
 )
 #: Each step is a run of operations; the comparison runs after each.
 steps = st.lists(st.lists(ops, min_size=1, max_size=6), min_size=1, max_size=8)
 
 
-def _apply(ix, contents, op):
+def _apply(ix, root, contents, op):
     kind = op[0]
     if kind == "put":
         doc = Document(doc_id=op[1], text=op[2])
@@ -57,6 +61,12 @@ def _apply(ix, contents, op):
         contents.update(op[1])
     elif kind == "search" and contents:
         _rankings(ix, modes=MODES[2:3], queries=[op[1]])
+    elif kind == "other":
+        with open_index(root) as other:
+            outcome = other.add(Document(doc_id=op[1], text=op[2]))
+        contents[op[1]] = op[2]
+        if outcome != "unchanged":  # a gap: this handle's terms are dropped
+            assert ix._pinned().terms == {}
 
 
 def _rankings(ix, modes=MODES, queries=QUERIES):
@@ -78,6 +88,8 @@ def _assert_matches_fresh(ix, root):
             assert ix.doc_length(doc_id) == fresh.doc_length(doc_id)
         if len(fresh):
             assert _rankings(ix) == _rankings(fresh)
+        for term, postings in _loaded_postings(ix).items():
+            assert postings == [(p.doc_id, p.term_frequency) for p in fresh.postings(term)]
         live, cold = ix._pinned(), fresh._pinned()
     assert live.space.ids == cold.space.ids
     assert live.space.rows == cold.space.rows
@@ -85,6 +97,7 @@ def _assert_matches_fresh(ix, root):
     assert np.array_equal(live.space.lengths, cold.space.lengths)
     assert live.dense_matrix.flags.c_contiguous
     assert np.array_equal(live.dense_matrix, cold.dense_matrix)
+    assert np.array_equal(live.slot_rows[live.row_slots], np.arange(len(live.space)))
 
 
 @given(steps)
@@ -96,6 +109,6 @@ def test_long_lived_index_equals_a_fresh_one(runs):
         with open_index(root, dense=True) as ix:
             for run in runs:
                 for op in run:
-                    _apply(ix, contents, op)
+                    _apply(ix, root, contents, op)
                 _assert_matches_fresh(ix, root)
             assert sorted(ix.doc_ids()) == sorted(contents)

@@ -5,6 +5,7 @@ import sqlite3
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 from repro.errors import (
@@ -21,6 +22,7 @@ from repro.retrieval import (
     Searcher,
     SqliteIndex,
     SqliteSearcher,
+    TfIdfScorer,
     make_retrieval_scorer,
     open_index,
 )
@@ -72,13 +74,23 @@ def test_bm25_rankings_match_inverted_index(index, docs):
     ] == [(s.document.doc_id, s.rank, s.score) for s in mem_result.sources]
 
 
-def test_term_frequencies_are_postings_without_positions(index, docs):
+def _postings_of(view, term):
+    """A scoring view's arrays for ``term`` as sorted (doc_id, tf) pairs."""
+    rows, tf = view.postings[term]
+    assert (rows.dtype, tf.dtype) == (np.intp, np.int64)
+    return sorted(zip([view.space.ids[row] for row in rows.tolist()], tf.tolist()))
+
+
+def test_scoring_view_holds_postings_without_positions(index, docs):
     mem = InvertedIndex.build(docs)
-    for term in mem.vocabulary():
-        expected = [(p.doc_id, p.term_frequency) for p in index.postings(term)]
-        assert index.term_frequencies(term) == expected
-        assert sorted(mem.term_frequencies(term)) == expected
-    assert index.term_frequencies("absent") == mem.term_frequencies("absent") == []
+    terms = mem.vocabulary() + ["absent"]
+    for target in (index, mem):
+        view = target.scoring_view(terms)
+        assert view.space.ids == sorted(doc.doc_id for doc in docs)
+        assert view.stats == mem.stats
+        for term in terms:
+            expected = [(p.doc_id, p.term_frequency) for p in index.postings(term)]
+            assert _postings_of(view, term) == expected
 
 
 def test_documents_in_first_indexed_order(index, docs):
@@ -188,6 +200,22 @@ def test_warm_reopen_serves_identical_bytes_with_zero_tokenization(tmp_path, doc
     ] == [(s.document.doc_id, s.rank, s.score) for s in cold.sources]
 
 
+def test_warm_open_loads_only_the_query_terms(tmp_path, docs):
+    query = "quick quick foxes and absent"
+    with open_index(tmp_path / "ix", dense=True) as ix:
+        ix.add_many(docs)
+    with open_index(tmp_path / "ix") as ix:
+        searcher = SqliteSearcher(ix, scorer=make_retrieval_scorer(ix, mode="hybrid"))
+        searcher.search(query, k=3)
+        terms = set(ix.tokenizer.tokenize(query))
+        assert terms == {"quick", "fox", "absent"}
+        assert ix.counters["term_loads"] == len(terms)
+        assert set(ix._pinned().terms) == terms
+        assert ix.counters["doc_tokenizations"] == 0
+        searcher.search(query, k=3)
+        assert ix.counters["term_loads"] == len(terms)
+
+
 def test_reopen_adopts_stored_tokenizer(tmp_path):
     tok = Tokenizer(stem=False, remove_stopwords=False)
     with open_index(tmp_path / "ix", tokenizer=tok) as ix:
@@ -267,7 +295,7 @@ def test_every_read_of_a_damaged_file_raises_retrieval_error(tmp_path, docs):
         lambda ix: ix.vocabulary(),
         lambda ix: ix.document_frequency("quick"),
         lambda ix: ix.term_frequency("quick", "d4"),
-        lambda ix: ix.term_frequencies("quick"),
+        lambda ix: ix.scoring_view(["quick"]),
         lambda ix: ix.postings("quick"),
     ]
     for table, reads in (("documents", document_reads), ("postings", postings_reads)):
@@ -307,34 +335,124 @@ def test_empty_index_search_raises(tmp_path):
 
 
 def test_concurrent_readers_during_writes(tmp_path, docs):
+    """Readers load terms (some only just written) while the writer
+    folds its commits into the view by searching after each one,
+    switching threads often.  Every term a view holds must equal SQL
+    counted in the same snapshot."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with open_index(tmp_path / "ix") as ix:
+            ix.add_many(docs)
+            searcher = SqliteSearcher(ix, scorer=BM25Scorer())
+            errors = []
+            stop = threading.Event()
+
+            def reader(seed):
+                try:
+                    turn = seed
+                    while not stop.is_set():
+                        turn += 1
+                        query = f"quick fox word{turn % 30} filler"
+                        assert searcher.search(query, k=3).sources  # a consistent ranking
+                        terms = ix.tokenizer.tokenize(query)
+                        with ix.snapshot() as conn:
+                            view = ix.scoring_view(terms)
+                            for term in terms:
+                                assert _postings_of(view, term) == conn.execute(
+                                    "SELECT doc_id, tf FROM postings WHERE term = ? "
+                                    "ORDER BY doc_id",
+                                    (term,),
+                                ).fetchall()
+                except Exception as error:  # pragma: no cover - failure path
+                    errors.append(error)
+
+            threads = [threading.Thread(target=reader, args=(n * 7,)) for n in range(4)]
+            for thread in threads:
+                thread.start()
+            try:
+                for i in range(25):
+                    text = f"quick filler body word{i} word{i + 1}"
+                    ix.add(Document(doc_id=f"extra-{i}", text=text))
+                    if i % 5 == 4:
+                        ix.update(Document(doc_id="d2", text=f"fox filler word{i} " * 2))
+                    searcher.search("quick fox filler", k=3)
+                for i in range(25):
+                    ix.remove(f"extra-{i}")
+                    searcher.search("quick fox filler", k=3)
+            finally:
+                stop.set()
+                for thread in threads:
+                    thread.join(timeout=10)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not errors
+            assert len(ix) == len(docs)
+            assert ix.counters["term_loads"] > 0 and ix.counters["view_folds"] > 0
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class _CommitsAfterFirstRead:
+    """An index seen through a scorer: once the scorer's first read
+    returns, ``commit`` runs (another handle writing) before its next."""
+
+    def __init__(self, index, commit):
+        self._index = index
+        self._commit = commit
+
+    def _after(self, result):
+        commit, self._commit = self._commit, None
+        if commit is not None:
+            commit()
+        return result
+
+    def __getattr__(self, name):
+        value = getattr(self._index, name)
+        if not callable(value):
+            return self._after(value)
+        return lambda *args, **kwargs: self._after(value(*args, **kwargs))
+
+    def __len__(self):
+        return self._after(len(self._index))
+
+
+@pytest.mark.parametrize("scorer", [BM25Scorer(), TfIdfScorer()], ids=["bm25", "tfidf"])
+@pytest.mark.parametrize("text", ["alpha alpha", "bravo " * 30], ids=["matching", "long"])
+def test_scoring_outside_a_snapshot_reads_one_generation(tmp_path, scorer, text):
+    """Another handle commits between a scorer's reads.  A document with
+    the query term once surfaced as UnknownDocumentError; one without it
+    silently changed avgdl or the IDF's N.  Scores and IDFs must come
+    from the generation of the scorer's first read."""
+    docs = [
+        Document(doc_id="a", text="alpha bravo"),
+        Document(doc_id="b", text="alpha charlie delta"),
+    ]
+    late = [Document(doc_id="c", text=text), Document(doc_id="e", text=text)]
+    with open_index(tmp_path / "ix") as ix, open_index(tmp_path / "ix") as other:
+        ix.add_many(docs)
+        racing = _CommitsAfterFirstRead(ix, lambda: other.add(late[0]))
+        expected = scorer.score_query(InvertedIndex.build(docs), ["alpha"])
+        assert scorer.score_query(racing, ["alpha"]) == expected
+        racing = _CommitsAfterFirstRead(ix, lambda: other.add(late[1]))
+        expected = scorer.idf(InvertedIndex.build(docs + late[:1]), "alpha")
+        assert scorer.idf(racing, "alpha") == expected
+        assert len(ix) == 4
+
+
+def test_a_term_loads_inside_the_snapshot_of_its_view(tmp_path, docs):
+    """A reader pinned before another handle's commit loads a term as
+    its snapshot has it; the next snapshot's cold view reloads it."""
     with open_index(tmp_path / "ix") as ix:
         ix.add_many(docs)
-        searcher = SqliteSearcher(ix, scorer=BM25Scorer())
-        errors = []
-        stop = threading.Event()
-
-        def reader():
-            try:
-                while not stop.is_set():
-                    result = searcher.search("quick fox", k=3)
-                    assert result.sources  # always a consistent ranking
-            except Exception as error:  # pragma: no cover - failure path
-                errors.append(error)
-
-        threads = [threading.Thread(target=reader) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        try:
-            for i in range(25):
-                ix.add(Document(doc_id=f"extra-{i}", text=f"filler body {i}"))
-            for i in range(25):
-                ix.remove(f"extra-{i}")
-        finally:
-            stop.set()
-            for thread in threads:
-                thread.join(timeout=10)
-        assert not errors
-        assert len(ix) == len(docs)
+        expected = BM25Scorer().score_query(InvertedIndex.build(docs), ["quick"])
+        with ix.snapshot():
+            assert len(ix) == 4  # the view is pinned
+            with open_index(tmp_path / "ix") as other:
+                other.add(Document(doc_id="d0", text="quick quick"))
+            assert BM25Scorer().score_query(ix, ["quick"]) == expected
+        assert ix.counters["term_loads"] == 1
+        assert "d0" in BM25Scorer().score_query(ix, ["quick"])
+        assert (ix.counters["view_loads"], ix.counters["term_loads"]) == (2, 2)
 
 
 def test_snapshot_isolates_a_search_from_commits(tmp_path, docs):
@@ -448,6 +566,49 @@ def test_own_writes_patch_the_view_instead_of_reloading(tmp_path, docs):
             searcher.search("quick", k=3)
         assert ix.counters["view_loads"] == 1
         assert ix.counters["view_folds"] == 18
+
+
+def _loaded_postings(ix):
+    """Every term the installed view holds, as sorted (doc_id, tf) pairs."""
+    view = ix._pinned()
+    return {
+        term: sorted(
+            zip([view.space.ids[row] for row in view.slot_rows[slots].tolist()], tf.tolist())
+        )
+        for term, (slots, tf) in view.terms.items()
+    }
+
+
+def test_loaded_terms_fold_forward_with_own_writes(tmp_path, docs):
+    """Adds (one ahead of every row), removes and updates patch the
+    loaded terms in place of reloading them."""
+    query = "quick fox lazy dog"
+    with open_index(tmp_path / "ix") as ix:
+        ix.add_many(docs)
+        searcher = SqliteSearcher(ix, scorer=BM25Scorer())
+        searcher.search(query, k=5)
+        loads = ix.counters["term_loads"]
+        steps = [
+            lambda: ix.add(Document(doc_id="d0", text="quick quick lazy")),
+            lambda: ix.remove("d4"),
+            lambda: ix.update(Document(doc_id="d2", text="fox fox fox and dogs")),
+            lambda: ix.add(Document(doc_id="d5", text="lazy lazy fox")),
+            lambda: ix.remove("d0"),
+            lambda: ix.add(Document(doc_id="d00", text="dog quick")),
+        ]
+        for step in steps:
+            step()
+            result = searcher.search(query, k=5)
+            with open_index(tmp_path / "ix") as fresh:
+                cold = SqliteSearcher(fresh, scorer=BM25Scorer()).search(query, k=5)
+                expected = {
+                    term: [(p.doc_id, p.term_frequency) for p in fresh.postings(term)]
+                    for term in fresh.tokenizer.tokenize(query)
+                }
+            assert _ranking(result) == _ranking(cold)
+            assert _loaded_postings(ix) == expected
+        assert ix.counters["term_loads"] == loads
+        assert (ix.counters["view_loads"], ix.counters["view_folds"]) == (1, len(steps))
 
 
 def test_a_run_of_writes_folds_once(tmp_path):
