@@ -44,6 +44,7 @@ from repro.datasets import load_use_case
 from repro.errors import HttpStatusError
 from repro.exec import make_backend
 from repro.llm.cache import CachingLLM
+from repro.llm.factory import create_llm
 from repro.llm.transport import RetryPolicy
 
 #: Per-request simulated server latency (matches E16's shape).
@@ -158,14 +159,14 @@ def test_e17_rate_limiter_never_exceeds_configured_rps():
 def _report_session(server, case, cache_dir):
     rage = Rage.from_corpus(
         case.corpus,
+        create_llm(
+            model="remote:openai:fake-model", base_url=server.base_url, retries=5
+        ),
         config=RageConfig(
             k=case.k,
             max_evaluations=4000,
-            model="remote:openai:fake-model",
-            base_url=server.base_url,
             backend="asyncio:8",
             cache_dir=cache_dir,
-            retries=5,
         ),
     )
     report = rage.explain(case.query)

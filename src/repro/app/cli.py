@@ -27,6 +27,10 @@ from ..core.counterfactual import SearchDirection
 from ..core.engine import RageConfig
 from ..datasets.base import available_use_cases
 from ..errors import RageError
+from ..llm.base import LanguageModel
+from ..llm.factory import create_llm
+from ..llm.remote import RemoteLLM
+from ..llm.router import RouterLLM
 from ..viz.ascii import (
     render_combination_counterfactual,
     render_combination_insights,
@@ -111,7 +115,8 @@ def _build_parser() -> argparse.ArgumentParser:
             default=None,
             metavar="SECONDS",
             help="per-call deadline: a hung prompt fails that prompt instead "
-            "of stalling the batch (also the remote HTTP request timeout)",
+            "of stalling the batch (for a remote model or pool, the "
+            "timeout of each HTTP request)",
         )
         p.add_argument(
             "--rate",
@@ -360,7 +365,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_overrides(args: argparse.Namespace, case) -> dict:
+def _model(args: argparse.Namespace, case) -> LanguageModel:
+    """The model the common CLI flags name (see :func:`create_llm`)."""
+    return create_llm(
+        case.knowledge,
+        model=args.model,
+        providers=args.providers,
+        base_url=args.base_url,
+        api_key_env=args.api_key_env,
+        timeout=args.timeout,
+        rate=args.rate,
+        retries=args.retries,
+        breaker_threshold=args.breaker_threshold,
+        hedge=args.hedge,
+        hedge_delay=args.hedge_delay,
+    )
+
+
+def _has_transport(llm: LanguageModel) -> bool:
+    """Whether the model has a remote endpoint, which owns ``--timeout``."""
+    members = llm.members if isinstance(llm, RouterLLM) else (llm,)
+    return any(isinstance(member, RemoteLLM) for member in members)
+
+
+def _config_overrides(
+    args: argparse.Namespace, case, llm: LanguageModel
+) -> dict:
     """Translate common CLI flags into :class:`RageConfig` overrides."""
     overrides = dict(k=case.k)
     if args.k is not None:
@@ -373,27 +403,11 @@ def _config_overrides(args: argparse.Namespace, case) -> dict:
         overrides["backend"] = args.backend
     if getattr(args, "cache_dir", None) is not None:
         overrides["cache_dir"] = args.cache_dir
-    model_spec = getattr(args, "model", None)
-    if model_spec is not None and model_spec != "simulated":
-        overrides["model"] = model_spec
-    if getattr(args, "base_url", None) is not None:
-        overrides["base_url"] = args.base_url
-    if getattr(args, "api_key_env", None) is not None:
-        overrides["api_key_env"] = args.api_key_env
-    if getattr(args, "timeout", None) is not None:
+    if getattr(args, "timeout", None) is not None and not _has_transport(llm):
+        # A remote endpoint already enforces --timeout per HTTP request;
+        # a dispatch deadline on top would cut its retries and the
+        # pool's failover walk short.
         overrides["request_timeout"] = args.timeout
-    if getattr(args, "rate", None) is not None:
-        overrides["rate_limit"] = args.rate
-    if getattr(args, "retries", None) is not None:
-        overrides["retries"] = args.retries
-    if getattr(args, "providers", None) is not None:
-        overrides["providers"] = tuple(args.providers)
-    if getattr(args, "hedge", False):
-        overrides["hedge"] = True
-    if getattr(args, "hedge_delay", None) is not None:
-        overrides["hedge_delay"] = args.hedge_delay
-    if getattr(args, "breaker_threshold", None) is not None:
-        overrides["breaker_threshold"] = args.breaker_threshold
     if getattr(args, "no_single_flight", False):
         overrides["single_flight"] = False
     if getattr(args, "batch_window_ms", None) is not None:
@@ -413,8 +427,9 @@ def _session(args: argparse.Namespace) -> RageSession:
     from ..datasets.base import load_use_case
 
     case = load_use_case(args.use_case)
-    config = RageConfig(**_config_overrides(args, case))
-    session = RageSession.for_use_case(case, config=config)
+    llm = _model(args, case)
+    config = RageConfig(**_config_overrides(args, case, llm))
+    session = RageSession.for_use_case(case, config=config, llm=llm)
     if args.query:
         session.pose(args.query)
     return session
@@ -429,12 +444,14 @@ def _serve_command(args: argparse.Namespace) -> int:
     from .server import RageServer
 
     case = load_use_case(args.use_case)
-    config = RageConfig(**_config_overrides(args, case))
+    llm = _model(args, case)
+    config = RageConfig(**_config_overrides(args, case, llm))
     tenants = [name.strip() for name in args.tenants.split(",") if name.strip()]
     server = RageServer.for_use_case(
         case,
         tenants,
         config=config,
+        llm=llm,
         admit_rate=args.admit_rate,
         admit_burst=args.admit_burst,
         default_query=args.query or case.query,
@@ -760,9 +777,6 @@ def _session_dispatch(args: argparse.Namespace, session: RageSession) -> int:
                     f"max {window.max_flush}, {window.refunded} refunded"
                 )
             inner = llm.inner if isinstance(llm, CachingLLM) else llm
-            from ..llm.remote import RemoteLLM
-            from ..llm.router import RouterLLM
-
             if isinstance(inner, (RemoteLLM, RouterLLM)):
                 for line in inner.usage_lines():
                     print(line)

@@ -76,7 +76,7 @@ from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.context import Context
 from ..core.counterfactual import CombinationSearchResult
-from ..core.engine import Rage, RageConfig, RageReport, build_model_chain
+from ..core.engine import Rage, RageConfig, RageReport
 from ..core.insights import CombinationInsights, PermutationInsights
 from ..core.permutation_cf import PermutationSearchResult
 from ..datasets.base import UseCase, load_use_case
@@ -591,9 +591,9 @@ class RageServer:
     ) -> "RageServer":
         """Serve one of the built-in demo datasets.
 
-        Mirrors :meth:`RageSession.for_use_case`: the deterministic
-        simulated model is the default unless the config names a remote
-        spec; the case's canonical query becomes the ``/ask`` default.
+        Mirrors :meth:`RageSession.for_use_case`: ``llm=None`` answers
+        with the deterministic simulated model; the case's canonical
+        query becomes the ``/ask`` default.
         """
         case = (
             load_use_case(name_or_case)
@@ -601,11 +601,7 @@ class RageServer:
             else name_or_case
         )
         config = config or RageConfig(k=case.k)
-        if llm is None and config.providers is not None:
-            # A pool's simulated fallback member must know this use
-            # case's facts; build the chain here with them in hand.
-            llm = build_model_chain(config, knowledge=case.knowledge)
-        elif llm is None and config.model is None:
+        if llm is None:
             llm = SimulatedLLM(knowledge=case.knowledge)
         rage = Rage.from_corpus(case.corpus, llm, config=config)
         kwargs.setdefault("default_query", case.query)

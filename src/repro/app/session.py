@@ -14,7 +14,7 @@ from typing import List, Optional, Tuple
 
 from ..core.context import Context
 from ..core.counterfactual import CombinationSearchResult, SearchDirection
-from ..core.engine import Rage, RageConfig, RageReport, build_model_chain
+from ..core.engine import Rage, RageConfig, RageReport
 from ..core.insights import CombinationInsights, PermutationInsights
 from ..core.optimal import OptimalPermutation
 from ..core.permutation_cf import PermutationSearchResult
@@ -46,23 +46,18 @@ class RageSession:
         config: Optional[RageConfig] = None,
         llm: Optional[LanguageModel] = None,
     ) -> "RageSession":
-        """Start a session on one of the built-in demo datasets."""
+        """Start a session on one of the built-in demo datasets.
+
+        ``llm=None`` answers with the deterministic simulated model over
+        the case's knowledge base.
+        """
         case = (
             load_use_case(name_or_case)
             if isinstance(name_or_case, str)
             else name_or_case
         )
         config = config or RageConfig(k=case.k)
-        if llm is None and config.providers is not None:
-            # A provider pool may include a simulated fallback member,
-            # which must know this use case's facts — the engine can't
-            # guess them, so the chain is built here with the knowledge
-            # base in hand.
-            llm = build_model_chain(config, knowledge=case.knowledge)
-        elif llm is None and config.model is None:
-            # No explicit model anywhere: the deterministic simulated
-            # LLM is the demo default.  With a remote spec in the
-            # config, llm stays None and the engine builds the adapter.
+        if llm is None:
             llm = SimulatedLLM(knowledge=case.knowledge)
         session = cls(Rage.from_corpus(case.corpus, llm, config=config))
         session.pose(case.query)

@@ -22,7 +22,7 @@ Typical use::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..attention.positional import PositionPrior
 from ..errors import ConfigError
@@ -36,16 +36,8 @@ from ..exec import (
 )
 from ..llm.base import GenerationResult, LanguageModel
 from ..llm.cache import CachingLLM
-from ..llm.remote import RemoteLLM, parse_model_spec
-from ..llm.router import (
-    DEFAULT_BREAKER_COOLDOWN,
-    DEFAULT_BREAKER_THRESHOLD,
-    RouterLLM,
-)
-from ..llm.simulated import SimulatedLLM
 from ..llm.store import PromptStore
 from ..llm.prompts import DEFAULT_PROMPT_BUILDER, PromptBuilder
-from ..llm.transport import DEFAULT_TIMEOUT, RetryPolicy
 from ..retrieval.bm25 import Scorer
 from ..retrieval.document import Corpus, Document
 from ..retrieval.index import InvertedIndex
@@ -163,68 +155,16 @@ class RageConfig:
         transformer backends.  Off by default: the paper's search is
         strictly sequential and adaptive chunks may charge a few extra
         evaluations past the flip.
-    model:
-        Optional model spec for engine-built models.  ``None`` (the
-        default) means the caller hands :class:`Rage` an LLM instance;
-        ``"remote:<provider>:<model>"`` (e.g.
-        ``remote:openai:gpt-4o-mini``) makes the engine construct a
-        :class:`~repro.llm.remote.RemoteLLM` from the transport fields
-        below when no LLM is passed.
-    base_url:
-        Endpoint root for the remote model; ``None`` = the provider's
-        public API.  Point it at a local gateway or fake server for
-        hermetic runs.
-    api_key_env:
-        *Name* of the environment variable holding the API key (the
-        key itself never lives in a config); unset variable =
-        :class:`ConfigError` at engine construction.
     request_timeout:
-        Per-call deadline in seconds, enforced at the innermost
-        dispatch layer only (never stacked): for an engine-built
-        remote model it is the per-HTTP-request timeout — each retry
-        attempt gets its own deadline, so the retry policy stays
-        reachable and total time is bounded by roughly
-        ``(retries + 1) * request_timeout + retry_budget``; for local
-        models it deadlines each dispatched call (through the cache
-        wrapper when ``cache=True``, else at the backend) — note a
-        model exposing only a native batch entry point is one call, so
-        the bound covers its whole miss batch.  ``None`` keeps the
-        historical wait-forever behavior for local models; remote
-        models then use the transport default.
-    rate_limit / rate_burst:
-        Token-bucket throttle for the remote model (requests/second and
-        burst), shared across all concurrent calls; ``None`` =
-        unthrottled.
-    retries:
-        Additional attempts after a failed remote request (429,
-        transient 5xx, timeout, malformed body); 0 = fail on first
-        fault.
-    retry_budget:
-        Cap on cumulative backoff sleep per request, seconds.
-    providers:
-        Ordered provider-pool specs for a
-        :class:`~repro.llm.router.RouterLLM` — each entry is
-        ``remote:<provider>:<model>`` (optionally
-        ``remote:<provider>:<model>@<base_url>`` to pin a
-        per-provider endpoint) or ``fallback:simulated`` (the local
-        deterministic model as a last resort).  Mutually exclusive
-        with ``model``: the pool *is* the model.  Remote members share
-        the transport fields above (``base_url`` is the default for
-        specs without ``@``); every member must answer identically so
-        failover changes who served, never the bytes.
-    breaker_threshold / breaker_cooldown:
-        Per-provider circuit breaker: consecutive transport faults
-        before a breaker opens, and seconds before an open breaker
-        allows its half-open probe.  ``None`` = the router defaults
-        (5 failures, 30 s).  Require ``providers``.
-    hedge:
-        Fire a backup request on the next healthy provider once the
-        primary exceeds the hedge delay (async dispatch only); first
-        response wins, the loser is cancelled and its rate-limit
-        reservation refunded.  Requires ``providers``.
-    hedge_delay:
-        Seconds before the backup fires; ``None`` = the primary's
-        observed p95 latency.  Requires ``hedge=True``.
+        Local dispatch deadline per call, in seconds, enforced at one
+        layer only: the prompt cache's miss dispatch when
+        ``cache=True``, else the backend.  A model exposing only a
+        native batch entry point is one call, so the bound covers its
+        whole miss batch.  ``None`` (default) waits forever.  A remote
+        model or provider pool owns its deadline per HTTP request in
+        its transport (``RemoteLLM(timeout=...)``); leave this unset
+        for one, or the bound would stack over its retries and
+        failover walk.
     index_dir:
         Directory for the persistent SQLite retrieval index
         (:class:`~repro.retrieval.sqlindex.SqliteIndex`).
@@ -265,19 +205,7 @@ class RageConfig:
     search_batch_size: int = 1
     plan_pruning: bool = True
     adaptive_search_batching: bool = False
-    model: Optional[str] = None
-    base_url: Optional[str] = None
-    api_key_env: Optional[str] = None
     request_timeout: Optional[float] = None
-    rate_limit: Optional[float] = None
-    rate_burst: Optional[int] = None
-    retries: int = 3
-    retry_budget: float = 30.0
-    providers: Optional[Sequence[str]] = None
-    breaker_threshold: Optional[int] = None
-    breaker_cooldown: Optional[float] = None
-    hedge: bool = False
-    hedge_delay: Optional[float] = None
     index_dir: Optional[str] = None
     retrieval_mode: str = "bm25"
     fusion: Optional[str] = None
@@ -302,92 +230,8 @@ class RageConfig:
                 f"batch_window_ms must be > 0 milliseconds (or None to "
                 f"disable the window), got {self.batch_window_ms}"
             )
-        if self.model is not None and self.providers is not None:
-            raise ConfigError(
-                "model and providers are mutually exclusive: the provider "
-                "pool *is* the model (put the spec in providers instead)"
-            )
-        if self.model is not None:
-            parse_model_spec(self.model)  # validate the spec shape
-        has_remote_provider = False
-        if self.providers is not None:
-            # Normalize to a tuple so the frozen config hashes and the
-            # pool order is pinned.
-            object.__setattr__(self, "providers", tuple(self.providers))
-            if not self.providers:
-                raise ConfigError(
-                    "providers must name at least one spec (or be None)"
-                )
-            if len(set(self.providers)) != len(self.providers):
-                raise ConfigError(
-                    f"duplicate provider specs in {list(self.providers)!r}"
-                )
-            for spec in self.providers:
-                parse_provider_spec(spec)  # validate each entry's shape
-            has_remote_provider = any(
-                spec != FALLBACK_SIMULATED for spec in self.providers
-            )
-        if self.model is None and not has_remote_provider:
-            inert = [
-                name
-                for name, value in (
-                    ("base_url", self.base_url),
-                    ("api_key_env", self.api_key_env),
-                    ("rate_limit", self.rate_limit),
-                    ("rate_burst", self.rate_burst),
-                )
-                if value is not None
-            ]
-            if inert:
-                # Silently ignoring these would let a mistyped CLI run
-                # "succeed" against the simulated model while the user
-                # believes their endpoint was exercised.
-                raise ConfigError(
-                    f"{', '.join(inert)} only affect remote models; set "
-                    "model='remote:<provider>:<model>' (or drop them)"
-                )
-        if self.breaker_threshold is not None and self.breaker_threshold < 1:
-            raise ConfigError(
-                f"breaker_threshold must be >= 1 (or None), "
-                f"got {self.breaker_threshold}"
-            )
-        if self.breaker_cooldown is not None and self.breaker_cooldown < 0:
-            raise ConfigError(
-                "breaker_cooldown must be >= 0 seconds (or None)"
-            )
-        if self.hedge_delay is not None and self.hedge_delay <= 0:
-            raise ConfigError("hedge_delay must be > 0 seconds (or None)")
-        if self.providers is None:
-            inert_router = [
-                name
-                for name, value in (
-                    ("breaker_threshold", self.breaker_threshold),
-                    ("breaker_cooldown", self.breaker_cooldown),
-                    ("hedge_delay", self.hedge_delay),
-                )
-                if value is not None
-            ]
-            if self.hedge:
-                inert_router.append("hedge")
-            if inert_router:
-                raise ConfigError(
-                    f"{', '.join(inert_router)} only affect a provider "
-                    "pool; set providers=[...] (or drop them)"
-                )
-        elif self.hedge_delay is not None and not self.hedge:
-            raise ConfigError(
-                "hedge_delay without hedge=True has no effect"
-            )
-        if self.base_url is not None and not self.base_url.startswith(
-            ("http://", "https://")
-        ):
-            raise ConfigError(f"base_url must be http(s), got {self.base_url!r}")
         if self.request_timeout is not None and self.request_timeout <= 0:
             raise ConfigError("request_timeout must be > 0 seconds (or None)")
-        if self.rate_limit is not None and self.rate_limit <= 0:
-            raise ConfigError("rate_limit must be > 0 requests/sec (or None)")
-        if self.rate_burst is not None and self.rate_burst < 1:
-            raise ConfigError("rate_burst must be >= 1 (or None)")
         if self.retrieval_mode not in RETRIEVAL_MODES:
             raise ConfigError(
                 f"retrieval_mode must be one of {RETRIEVAL_MODES}, "
@@ -420,141 +264,11 @@ class RageConfig:
                     f"{', '.join(inert_fusion)} only affect hybrid fusion; "
                     "set retrieval_mode='hybrid' (or drop them)"
                 )
-        if self.retries < 0:
-            raise ConfigError(f"retries must be >= 0, got {self.retries}")
-        if self.retry_budget < 0:
-            raise ConfigError(f"retry_budget must be >= 0, got {self.retry_budget}")
         make_backend(
             self.backend,
             batch_workers=self.batch_workers,
             timeout=self.request_timeout,
         )  # validate spec
-
-
-#: Provider spec naming the deterministic simulated model as the last
-#: rung of a failover pool.
-FALLBACK_SIMULATED = "fallback:simulated"
-
-
-def parse_provider_spec(spec: str):
-    """Validate and split one ``RageConfig.providers`` entry.
-
-    Two shapes are accepted:
-
-    * ``remote:<provider>:<model>[@<base_url>]`` — a remote endpoint;
-      the optional ``@<base_url>`` pins that member to its own host
-      (two pool members may run the same model behind different
-      endpoints).  Returns ``("remote", (provider, model, base_url))``
-      with ``base_url`` ``None`` when not pinned.
-    * ``fallback:simulated`` — the deterministic local model.  Returns
-      ``("fallback", None)``.
-    """
-    if not isinstance(spec, str):
-        raise ConfigError(
-            f"provider spec must be a string, got {type(spec).__name__}"
-        )
-    if spec == FALLBACK_SIMULATED:
-        return "fallback", None
-    if spec.startswith("fallback:"):
-        raise ConfigError(
-            f"unknown fallback spec {spec!r}: only "
-            f"{FALLBACK_SIMULATED!r} is supported"
-        )
-    head, _, base_url = spec.partition("@")
-    provider, model_id = parse_model_spec(head)
-    if base_url:
-        if not base_url.startswith(("http://", "https://")):
-            raise ConfigError(
-                f"provider spec {spec!r}: base_url after '@' must start "
-                "with http:// or https://"
-            )
-    return "remote", (provider, model_id, base_url or None)
-
-
-def build_remote_llm(config: RageConfig) -> RemoteLLM:
-    """Construct the :class:`~repro.llm.remote.RemoteLLM` a config names.
-
-    Used by :class:`Rage` when no LLM instance is handed in; also the
-    one place the config's transport fields (timeout, rate, retries)
-    become a live policy stack.
-    """
-    if config.model is None:
-        raise ConfigError(
-            "no model to build: pass an LLM instance, set "
-            "RageConfig.model to a remote:<provider>:<model> spec, or "
-            "name a provider pool in RageConfig.providers"
-        )
-    provider, model_id = parse_model_spec(config.model)
-    return _build_remote_member(config, provider, model_id, config.base_url)
-
-
-def _build_remote_member(
-    config: RageConfig,
-    provider: str,
-    model_id: str,
-    base_url: Optional[str],
-) -> RemoteLLM:
-    """One remote endpoint wired with the config's transport policy."""
-    return RemoteLLM(
-        provider,
-        model_id,
-        base_url=base_url,
-        api_key_env=config.api_key_env,
-        timeout=(
-            config.request_timeout
-            if config.request_timeout is not None
-            else DEFAULT_TIMEOUT
-        ),
-        rate_limit=config.rate_limit,
-        rate_burst=config.rate_burst,
-        retry=RetryPolicy(
-            max_attempts=config.retries + 1, budget=config.retry_budget
-        ),
-    )
-
-
-def build_model_chain(
-    config: RageConfig, knowledge=None
-) -> LanguageModel:
-    """Construct the model a config names: single remote or router pool.
-
-    With ``config.providers`` unset this is :func:`build_remote_llm`.
-    Otherwise each spec becomes a pool member (remote endpoints share
-    the config's transport fields; a ``fallback:simulated`` entry gets
-    a :class:`~repro.llm.simulated.SimulatedLLM` seeded with
-    ``knowledge``) and the pool is wrapped in a
-    :class:`~repro.llm.router.RouterLLM` with the config's breaker and
-    hedging policy.
-    """
-    if config.providers is None:
-        return build_remote_llm(config)
-    members: List[LanguageModel] = []
-    for spec in config.providers:
-        kind, payload = parse_provider_spec(spec)
-        if kind == "fallback":
-            members.append(SimulatedLLM(knowledge=knowledge))
-        else:
-            provider, model_id, base_url = payload
-            members.append(
-                _build_remote_member(
-                    config, provider, model_id, base_url or config.base_url
-                )
-            )
-    return RouterLLM(
-        members,
-        breaker_threshold=(
-            config.breaker_threshold
-            if config.breaker_threshold is not None
-            else DEFAULT_BREAKER_THRESHOLD
-        ),
-        breaker_cooldown=(
-            config.breaker_cooldown
-            if config.breaker_cooldown is not None
-            else DEFAULT_BREAKER_COOLDOWN
-        ),
-        hedge=config.hedge,
-        hedge_delay=config.hedge_delay,
-    )
 
 
 @dataclass
@@ -600,35 +314,12 @@ class Rage:
     def __init__(
         self,
         index: InvertedIndex | SqliteIndex,
-        llm: Optional[LanguageModel] = None,
+        llm: LanguageModel,
         config: Optional[RageConfig] = None,
         retrieval_scorer: Optional[Scorer] = None,
         prompt_builder: Optional[PromptBuilder] = None,
     ) -> None:
         self.config = config or RageConfig()
-        # The per-call deadline is enforced at exactly ONE layer — the
-        # innermost dispatch that still sees individual prompts:
-        #
-        # * engine-built remote models enforce it inside the transport
-        #   (per HTTP request, so retries/throttling stay reachable);
-        #   no dispatch-level deadline on top, or the first hung
-        #   request would consume the whole budget and the configured
-        #   retries could never run;
-        # * with the cache on, CachingLLM deadlines its *miss*
-        #   dispatch per-call; the backend must not re-apply the bound
-        #   or it would treat the wrapper's batch entry point as one
-        #   call and deadline the whole (healthy) batch;
-        # * only a cache-less local model leaves enforcement to the
-        #   backend itself.
-        dispatch_timeout = self.config.request_timeout
-        if llm is None:
-            # ``config.model`` / ``config.providers`` name endpoints the
-            # engine can build itself; every other model kind needs an
-            # instance.  No dispatch-level deadline on top: each member
-            # enforces its own transport timeout, and a dispatch bound
-            # would kill the router's failover walk mid-pool.
-            llm = build_model_chain(self.config)
-            dispatch_timeout = None
         self.index = index
         if retrieval_scorer is None and self.config.retrieval_mode != "bm25":
             # Dense/hybrid ranking needs the vectors only a persistent
@@ -656,10 +347,17 @@ class Rage:
             self.searcher: Searcher = SqliteSearcher(index, scorer=retrieval_scorer)
         else:
             self.searcher = Searcher(index, scorer=retrieval_scorer)
+        # The local dispatch deadline is enforced at exactly ONE layer —
+        # the innermost dispatch that still sees individual prompts.
+        # With the cache on, CachingLLM deadlines its *miss* dispatch
+        # per call; the backend must not re-apply the bound or it would
+        # treat the wrapper's batch entry point as one call and deadline
+        # the whole (healthy) batch.  Only a cache-less model leaves
+        # enforcement to the backend itself.
         self.backend: ExecutionBackend = make_backend(
             self.config.backend,
             batch_workers=self.config.batch_workers,
-            timeout=None if self.config.cache else dispatch_timeout,
+            timeout=None if self.config.cache else self.config.request_timeout,
         )
         self.store: Optional[PromptStore] = (
             PromptStore(self.config.cache_dir, max_bytes=self.config.cache_max_bytes)
@@ -685,7 +383,7 @@ class Rage:
                 llm,
                 batch_workers=inner_workers,
                 max_inflight=self.backend.capacity,
-                timeout=dispatch_timeout,
+                timeout=self.config.request_timeout,
                 store=self.store,
                 single_flight=self.config.single_flight,
             )
@@ -705,14 +403,11 @@ class Rage:
     def from_corpus(
         cls,
         corpus: Corpus | Sequence[Document],
-        llm: Optional[LanguageModel] = None,
+        llm: LanguageModel,
         config: Optional[RageConfig] = None,
         retrieval_scorer: Optional[Scorer] = None,
     ) -> "Rage":
         """Index a corpus and build the engine in one step.
-
-        ``llm=None`` builds the model from ``config.model`` (remote
-        specs only — see :func:`build_remote_llm`).
 
         With ``config.index_dir`` set, the corpus is mirrored into the
         persistent SQLite index at that directory instead of an

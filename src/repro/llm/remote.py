@@ -62,8 +62,9 @@ ANTHROPIC_VERSION = "2023-06-01"
 def parse_model_spec(spec: str) -> Tuple[str, str]:
     """Split a ``remote:<provider>:<model>`` spec.
 
-    The CLI and :class:`~repro.core.engine.RageConfig` accept model
-    specs; this parses (and validates) the remote form — e.g.
+    The CLI's ``--model`` and ``--provider`` flags take model specs
+    (see :func:`~repro.llm.factory.create_llm`); this parses (and
+    validates) the remote form — e.g.
     ``remote:openai:gpt-4o-mini`` or ``remote:anthropic:claude-3-5-haiku``.
     """
     parts = spec.split(":", 2)
@@ -231,7 +232,8 @@ class RemoteLLM:
         Per-request timeout in seconds.
     rate_limit / rate_burst:
         Token-bucket throttle shared by every concurrent call;
-        ``None`` = unthrottled.
+        ``None`` = unthrottled.  A burst without a rate would be inert
+        and raises :class:`~repro.errors.ConfigError`.
     retry:
         The :class:`~repro.llm.transport.RetryPolicy`; default retries
         429/transient-5xx/timeouts/malformed bodies with capped
@@ -275,6 +277,8 @@ class RemoteLLM:
             raise ConfigError("remote model id must be non-empty")
         if max_tokens < 1:
             raise ConfigError(f"max_tokens must be >= 1, got {max_tokens}")
+        if rate_burst is not None and rate_limit is None:
+            raise ConfigError("rate_burst only affects a rate limit; set rate_limit")
         self._format = fmt
         self.provider = fmt.name
         self.model = model

@@ -319,7 +319,10 @@ class RouterLLM:
         Members in priority order; the first healthy one serves.  All
         members must answer identically for the router's byte-identity
         guarantee to hold (same knowledge behind different backends).
-        Names must be unique — they key health state and attribution.
+        Each member's name keys its health state and attribution; two
+        members sharing a name (one model behind two endpoints) are
+        keyed ``name@base_url`` instead, and members that stay
+        indistinguishable are rejected.
     breaker_threshold / breaker_cooldown:
         Per-provider :class:`CircuitBreaker` parameters.
     hedge:
@@ -348,7 +351,13 @@ class RouterLLM:
         if not members:
             raise ConfigError("a router needs at least one provider")
         names = [member.name for member in members]
-        if len(set(names)) != len(names):
+        labels = [
+            f"{name}@{getattr(member, 'base_url', None)}"
+            if names.count(name) > 1
+            else name
+            for name, member in zip(names, members)
+        ]
+        if len(set(labels)) != len(labels):
             raise ConfigError(
                 f"duplicate provider names in router pool: {names!r}"
             )
@@ -361,15 +370,15 @@ class RouterLLM:
         self.hedge = hedge
         self.hedge_delay = hedge_delay
         self.health: Dict[str, ProviderHealth] = {
-            name: ProviderHealth(
-                name,
+            label: ProviderHealth(
+                label,
                 CircuitBreaker(
                     threshold=breaker_threshold,
                     cooldown=breaker_cooldown,
                     clock=clock,
                 ),
             )
-            for name in names
+            for label in labels
         }
         self.stats = RouterStats()
         self._lock = threading.Lock()
@@ -407,7 +416,7 @@ class RouterLLM:
         }
 
     def _pool(self) -> List[Tuple[LanguageModel, ProviderHealth]]:
-        return [(member, self.health[member.name]) for member in self._members]
+        return list(zip(self._members, self.health.values()))
 
     # -- sync failover -----------------------------------------------------
 
@@ -425,14 +434,14 @@ class RouterLLM:
         failures: Dict[str, str] = {}
         for member, health in self._pool():
             if not health.breaker.try_claim():
-                failures[member.name] = f"circuit {health.breaker.state.value}"
+                failures[health.name] = f"circuit {health.breaker.state.value}"
                 continue
             start = self._clock()
             try:
                 result = member.generate(prompt)
             except FAILOVER_ERRORS as error:
                 health.record_failure()
-                failures[member.name] = _describe(error)
+                failures[health.name] = _describe(error)
                 continue
             except BaseException:
                 # Not a health signal (programming error, cancellation):
@@ -463,7 +472,7 @@ class RouterLLM:
     ) -> GenerationResult:
         """One claimed, recorded request against one member."""
         if not health.breaker.try_claim():
-            raise _BreakerOpen(member.name, health.breaker.state.value)
+            raise _BreakerOpen(health.name, health.breaker.state.value)
         start = self._clock()
         try:
             agen = getattr(member, "agenerate", None)
@@ -487,7 +496,7 @@ class RouterLLM:
     ) -> GenerationResult:
         """Sequential async walk, skipping members already in ``failures``."""
         for member, health in self._pool():
-            if member.name in failures:
+            if health.name in failures:
                 continue
             try:
                 result = await self._attempt(member, health, prompt)
@@ -495,7 +504,7 @@ class RouterLLM:
                 failures[skip.name] = skip.detail
                 continue
             except FAILOVER_ERRORS as error:
-                failures[member.name] = _describe(error)
+                failures[health.name] = _describe(error)
                 continue
             if failures:
                 with self._lock:
@@ -533,7 +542,7 @@ class RouterLLM:
         primary_task = asyncio.ensure_future(
             self._attempt(p_member, p_health, prompt)
         )
-        owners: Dict[asyncio.Future, LanguageModel] = {primary_task: p_member}
+        owners: Dict[asyncio.Future, ProviderHealth] = {primary_task: p_health}
         try:
             done, _ = await asyncio.wait({primary_task}, timeout=delay)
             if primary_task in done:
@@ -542,14 +551,14 @@ class RouterLLM:
                 except _BreakerOpen as skip:
                     failures[skip.name] = skip.detail
                 except FAILOVER_ERRORS as error:
-                    failures[p_member.name] = _describe(error)
+                    failures[p_health.name] = _describe(error)
                 return await self._afailover(prompt, failures)
 
             # Primary exceeded the hedge delay: fire the backup.
             backup_task = asyncio.ensure_future(
                 self._attempt(b_member, b_health, prompt)
             )
-            owners[backup_task] = b_member
+            owners[backup_task] = b_health
             b_health.note_hedge_fired()
             with self._lock:
                 self.stats.hedges_fired += 1
@@ -606,7 +615,7 @@ class RouterLLM:
                 cost = usage_cost()
             entries.append(
                 {
-                    "name": member.name,
+                    "name": health.name,
                     "state": breaker.state.value,
                     "available": breaker.available,
                     "consecutive_failures": breaker.consecutive_failures,

@@ -146,6 +146,32 @@ def test_no_prune_flag_round_trips_through_config(capsys, monkeypatch):
     assert captured["config"].plan_pruning is True
 
 
+@pytest.mark.parametrize(
+    "model_flags",
+    [[], ["--model", "simulated"], ["--provider", "fallback:simulated"]],
+)
+def test_timeout_is_the_local_deadline_for_a_model_without_transport(
+    monkeypatch, model_flags
+):
+    """No remote endpoint owns --timeout here, so it becomes the local
+    dispatch deadline (the cache wrapper's, since the cache is on)."""
+    from repro.app import cli as cli_module
+
+    sessions = []
+    original = cli_module.RageSession.for_use_case
+
+    def spy(case, config=None, llm=None):
+        sessions.append(original(case, config=config, llm=llm))
+        return sessions[-1]
+
+    monkeypatch.setattr(cli_module.RageSession, "for_use_case", staticmethod(spy))
+    argv = ["ask", "--use-case", "big_three", "--timeout", "5", *model_flags]
+    assert main(argv) == 0
+    rage = sessions[0].rage
+    assert rage.config.request_timeout == 5.0
+    assert rage.llm.timeout == 5.0
+
+
 def test_no_prune_accepted_by_other_commands(capsys):
     assert main(["ask", "--use-case", "big_three", "--no-prune"]) == 0
     assert "Answer:" in capsys.readouterr().out

@@ -35,6 +35,7 @@ from repro.app.server import (
 )
 from repro.datasets import load_use_case
 from repro.errors import ConfigError
+from repro.llm.factory import create_llm
 from repro.llm.remote import RemoteLLM
 from repro.llm.transport import RetryPolicy
 
@@ -529,12 +530,12 @@ def _dead_base_url():
     return url
 
 
-def _pool_server(providers, tenants=("a",), **config_kwargs):
+def _pool_server(providers, tenants=("a",), **model_flags):
     case = load_use_case("big_three")
-    config = RageConfig(
-        k=case.k, providers=providers, retries=0, **config_kwargs
+    llm = create_llm(case.knowledge, providers=providers, retries=0, **model_flags)
+    return RageServer.for_use_case(
+        case, list(tenants), config=RageConfig(k=case.k), llm=llm
     )
-    return RageServer.for_use_case(case, list(tenants), config=config)
 
 
 def test_healthz_reports_providers_for_a_router_pool():
@@ -584,6 +585,44 @@ def test_healthz_unhealthy_when_no_provider_is_available():
         assert status == 503
         assert payload["status"] == "unhealthy"
         assert payload["detail"] == "no provider available"
+
+
+def test_serve_pool_timeout_bounds_each_request_not_the_failover_walk(
+    monkeypatch,
+):
+    """`rage serve` enforces --timeout once, in the primary's
+    transport: a 0.5 s primary times out at 0.3 s and /ask answers from
+    the fallback instead of failing on a deadline over the whole walk."""
+    from repro.app.cli import main as cli_main
+
+    case = load_use_case("big_three")
+    replies = []
+
+    def ask_once(self, timeout=None):
+        replies.append(
+            http_json.post_json(self.base_url + "/ask", {"tenant": "a"})
+        )
+
+    monkeypatch.setattr(RageServer, "join", ask_once)
+    with FakeLLMServer(
+        answer_fn=simulated_answer_fn(case.knowledge), latency=0.5
+    ) as slow:
+        code = cli_main(
+            [
+                "serve",
+                "--use-case", "big_three",
+                "--port", "0",
+                "--tenants", "a",
+                "--provider", f"remote:openai:slow@{slow.base_url}",
+                "--provider", "fallback:simulated",
+                "--retries", "0",
+                "--timeout", "0.3",
+            ]
+        )
+    assert code == 0
+    status, _, body = replies[0]
+    assert status == 200
+    assert http_json.body_json(body)["answer"] == "Roger Federer"
 
 
 def test_metrics_surface_router_breaker_state_and_attribution():

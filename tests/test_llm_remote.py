@@ -16,7 +16,6 @@ from fakes import FakeLLMServer, Fault, simulated_answer_fn
 
 from repro import Rage, RageConfig, RemoteLLM, SimulatedLLM
 from repro.app.cli import main as cli_main
-from repro.core.engine import build_remote_llm
 from repro.core.evaluate import ContextEvaluator
 from repro.datasets import load_use_case
 from repro.errors import (
@@ -34,6 +33,7 @@ from repro.llm.base import (
     run_coroutine,
 )
 from repro.llm.cache import CachingLLM
+from repro.llm.factory import create_llm
 from repro.llm.remote import parse_model_spec
 from repro.llm.store import PromptStore
 from repro.llm.transport import HttpResponse, HttpTransport, RetryPolicy
@@ -365,25 +365,31 @@ def test_store_splits_on_remote_cache_params(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Engine + config + CLI wiring
+# Factory + CLI wiring
 
 
-def test_config_validates_remote_fields():
-    RageConfig(model="remote:openai:m", base_url="http://h:1")  # fine
+def test_config_validates_remote_fields(capsys):
+    """Spec shapes are the factory's to check; value ranges are the
+    constructors' (HttpClient, TokenBucket, RetryPolicy), reached
+    through the factory's flags or set on RemoteLLM directly."""
+    create_llm(model="remote:openai:m", base_url="http://h:1")  # fine
     with pytest.raises(ConfigError):
-        RageConfig(model="remote:nope:m")
+        create_llm(model="remote:nope:m")
     with pytest.raises(ConfigError):
-        RageConfig(model="remote:openai:m", base_url="not-a-url")
+        create_llm(model="remote:openai:m", base_url="not-a-url")
     with pytest.raises(ConfigError):
-        RageConfig(request_timeout=0)
+        create_llm(model="remote:openai:m", timeout=0)
     with pytest.raises(ConfigError):
-        RageConfig(model="remote:openai:m", rate_limit=-1)
+        create_llm(model="remote:openai:m", rate=-1)
     with pytest.raises(ConfigError):
-        RageConfig(model="remote:openai:m", rate_burst=0)
+        RemoteLLM("openai", "m", rate_limit=1.0, rate_burst=0)
     with pytest.raises(ConfigError):
-        RageConfig(retries=-1)
+        create_llm(retries=-1)
     with pytest.raises(ConfigError):
-        RageConfig(retry_budget=-0.5)
+        RemoteLLM("openai", "m", retry=RetryPolicy(budget=-0.5))
+    # The local dispatch deadline is still the config's to check.
+    assert cli_main(["ask", "--use-case", "big_three", "--timeout", "0"]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_config_rejects_inert_remote_fields_without_model_spec():
@@ -392,73 +398,87 @@ def test_config_rejects_inert_remote_fields_without_model_spec():
     for kwargs in (
         {"base_url": "http://h:1"},
         {"api_key_env": "SOME_KEY"},
-        {"rate_limit": 5.0},
-        {"rate_burst": 2},
+        {"rate": 5.0},
+        {"model": "simulated", "rate": 5.0},
+        {"providers": ["fallback:simulated"], "base_url": "http://h:1"},
     ):
         with pytest.raises(ConfigError, match="remote"):
-            RageConfig(**kwargs)
-    # request_timeout and retries stay valid alone: the deadline also
-    # governs local dispatch, and retries has a non-None default.
-    RageConfig(request_timeout=5.0, retries=2)
+            create_llm(**kwargs)
+    with pytest.raises(ConfigError, match="rate_limit"):
+        RemoteLLM("openai", "m", rate_burst=2)
+    # timeout and retries stay valid alone: the deadline also governs
+    # local dispatch, and retries has a default.
+    assert isinstance(create_llm(timeout=5.0, retries=2), SimulatedLLM)
+    RageConfig(request_timeout=5.0)
 
 
-def test_engine_remote_timeout_lives_in_transport_only(big_three):
-    """Finding-3 regression: for engine-built remote models the
+def test_engine_remote_timeout_lives_in_transport_only(big_three, monkeypatch):
+    """Finding-3 regression, on the CLI path: for a remote model the
     deadline is per HTTP request (retries stay reachable); no
     dispatch-level deadline is stacked on top."""
+    from repro.app import cli as cli_module
+
+    sessions = []
+    original = cli_module.RageSession.for_use_case
+
+    def spy(case, config=None, llm=None):
+        sessions.append(original(case, config=config, llm=llm))
+        return sessions[-1]
+
+    monkeypatch.setattr(cli_module.RageSession, "for_use_case", staticmethod(spy))
     with FakeLLMServer(answer_fn=simulated_answer_fn(big_three.knowledge)) as server:
-        rage = Rage.from_corpus(
-            big_three.corpus,
-            config=RageConfig(
-                k=big_three.k,
-                model="remote:openai:fake-model",
-                base_url=server.base_url,
-                request_timeout=0.2,
-                retries=3,
-            ),
-        )
-        assert rage.backend.timeout is None
-        assert isinstance(rage.llm, CachingLLM)
-        assert rage.llm.timeout is None
-        remote = rage.llm.inner
-        assert remote.client.timeout == 0.2
         # A stalled first attempt is retried — the configured retries
         # are reachable because each attempt gets its own deadline.
         server.add_fault(Fault(kind="timeout", delay=1.0))
-        assert rage.ask(big_three.query).answer
-        assert remote.client.stats.retries >= 1
+        status = cli_main(
+            [
+                "ask",
+                "--use-case", "big_three",
+                "--model", "remote:openai:fake-model",
+                "--base-url", server.base_url,
+                "--timeout", "0.2",
+                "--retries", "3",
+            ]
+        )
+    assert status == 0
+    rage = sessions[0].rage
+    assert rage.config.request_timeout is None
+    assert rage.backend.timeout is None
+    assert isinstance(rage.llm, CachingLLM)
+    assert rage.llm.timeout is None
+    remote = rage.llm.inner
+    assert remote.client.timeout == 0.2
+    assert remote.client.stats.retries >= 1
 
 
-def test_build_remote_llm_from_config():
-    config = RageConfig(
+def test_create_llm_builds_remote_model_from_flags():
+    llm = create_llm(
         model="remote:anthropic:claude-x",
         base_url="http://h:9",
-        request_timeout=3.0,
-        rate_limit=5.0,
+        timeout=3.0,
+        rate=5.0,
         retries=2,
-        retry_budget=7.0,
     )
-    llm = build_remote_llm(config)
     assert llm.name == "remote:anthropic/claude-x"
     assert llm.base_url == "http://h:9"
     assert llm.client.timeout == 3.0
     assert llm.client.rate_limiter is not None
     assert llm.client.rate_limiter.rate == 5.0
     assert llm.client.retry.max_attempts == 3
-    assert llm.client.retry.budget == 7.0
-    with pytest.raises(ConfigError):
-        build_remote_llm(RageConfig())  # no model spec, no instance
+    assert llm.client.retry.budget == RetryPolicy().budget
+    # No model flag: the simulated model over the given knowledge.
+    case = load_use_case("big_three")
+    default = create_llm(case.knowledge)
+    assert isinstance(default, SimulatedLLM)
+    assert default.cache_params == SimulatedLLM(knowledge=case.knowledge).cache_params
 
 
 def test_engine_builds_remote_model_and_answers(big_three):
     with FakeLLMServer(answer_fn=simulated_answer_fn(big_three.knowledge)) as server:
         rage = Rage.from_corpus(
             big_three.corpus,
-            config=RageConfig(
-                k=big_three.k,
-                model="remote:openai:fake-model",
-                base_url=server.base_url,
-            ),
+            create_llm(model="remote:openai:fake-model", base_url=server.base_url),
+            config=RageConfig(k=big_three.k),
         )
         answered = rage.ask(big_three.query)
         assert server.request_count > 0

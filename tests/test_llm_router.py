@@ -17,11 +17,6 @@ from fakes import FakeLLMServer, Fault, simulated_answer_fn
 from repro import Rage, RageConfig, RemoteLLM, RouterLLM, SimulatedLLM
 from repro.app.cli import main as cli_main
 from repro.app.server import encode_json, report_payload
-from repro.core.engine import (
-    FALLBACK_SIMULATED,
-    build_model_chain,
-    parse_provider_spec,
-)
 from repro.datasets import load_use_case
 from repro.errors import (
     ConfigError,
@@ -29,6 +24,7 @@ from repro.errors import (
     TransportError,
 )
 from repro.llm.base import GenerationResult, TokenUsage
+from repro.llm.factory import FALLBACK_SIMULATED, create_llm
 from repro.llm.router import BreakerState, CircuitBreaker
 from repro.llm.transport import RetryPolicy, TokenBucket
 
@@ -199,6 +195,38 @@ def test_router_rejects_empty_pool_and_duplicate_names():
         RouterLLM([EchoLLM("twin"), EchoLLM("twin")])
     with pytest.raises(ConfigError):
         RouterLLM([EchoLLM("a"), EchoLLM("b")], hedge_delay=0.0)
+
+
+def test_router_keys_same_named_members_by_endpoint():
+    router = RouterLLM(
+        [
+            RemoteLLM("openai", "m", base_url="http://a:1"),
+            RemoteLLM("openai", "m", base_url="http://b:2"),
+            EchoLLM("solo"),
+        ]
+    )
+    assert list(router.health) == [
+        "remote:openai/m@http://a:1",
+        "remote:openai/m@http://b:2",
+        "solo",
+    ]
+    assert [entry["name"] for entry in router.provider_stats()] == list(
+        router.health
+    )
+    # The store key stays the bare names plus each member's params.
+    assert router.name == "router(remote:openai/m+remote:openai/m+solo)"
+    assert [p["name"] for p in router.cache_params["providers"]] == [
+        "remote:openai/m",
+        "remote:openai/m",
+        "solo",
+    ]
+    with pytest.raises(ConfigError, match="duplicate provider names"):
+        RouterLLM(
+            [
+                RemoteLLM("openai", "m", base_url="http://a:1"),
+                RemoteLLM("openai", "m", base_url="http://a:1/"),
+            ]
+        )
 
 
 def test_router_cache_params_merge_every_member_identity():
@@ -522,58 +550,137 @@ def test_two_server_connection_reset_and_slow_drip_fail_over():
 
 
 # ---------------------------------------------------------------------------
-# Engine and CLI wiring
+# Factory and CLI wiring
 
 
 def test_parse_provider_spec_shapes():
-    assert parse_provider_spec(FALLBACK_SIMULATED) == ("fallback", None)
-    assert parse_provider_spec("remote:openai:gpt") == (
-        "remote", ("openai", "gpt", None),
+    pool = create_llm(
+        providers=(
+            FALLBACK_SIMULATED,
+            "remote:openai:gpt",
+            "remote:openai:gpt@http://127.0.0.1:1",
+        )
     )
-    assert parse_provider_spec("remote:openai:gpt@http://127.0.0.1:1") == (
-        "remote", ("openai", "gpt", "http://127.0.0.1:1"),
-    )
-    with pytest.raises(ConfigError):
-        parse_provider_spec("fallback:other")
-    with pytest.raises(ConfigError):
-        parse_provider_spec("remote:openai:gpt@ftp://nope")
-    with pytest.raises(ConfigError):
-        parse_provider_spec("local:thing")
+    assert isinstance(pool.members[0], SimulatedLLM)
+    assert pool.members[1].base_url == "https://api.openai.com/v1"
+    assert pool.members[2].base_url == "http://127.0.0.1:1"
+    for spec in (
+        "fallback:other",
+        "remote:openai:gpt@ftp://nope",
+        "local:thing",
+    ):
+        with pytest.raises(ConfigError):
+            create_llm(providers=(spec,))
 
 
-def test_build_model_chain_wires_specs_and_defaults():
-    config = RageConfig(
+def test_create_llm_wires_pool_specs_and_defaults():
+    case = load_use_case("big_three")
+    chain = create_llm(
+        case.knowledge,
         providers=(
             "remote:openai:a@http://127.0.0.1:1",
             "remote:anthropic:b",
             FALLBACK_SIMULATED,
         ),
         base_url="http://127.0.0.1:2",
+        timeout=4.0,
+        retries=1,
         breaker_threshold=7,
         hedge=True,
         hedge_delay=0.25,
     )
-    chain = build_model_chain(config)
     assert isinstance(chain, RouterLLM)
     members = chain.members
     assert members[0].base_url == "http://127.0.0.1:1"  # per-spec pin
-    assert members[1].base_url == "http://127.0.0.1:2"  # config default
+    assert members[1].base_url == "http://127.0.0.1:2"  # --base-url default
+    assert all(m.client.timeout == 4.0 for m in members[:2])
+    assert all(m.client.retry.max_attempts == 2 for m in members[:2])
     assert isinstance(members[2], SimulatedLLM)
+    assert members[2].knowledge is case.knowledge
     assert chain.hedge and chain.hedge_delay == 0.25
     assert chain.health[members[0].name].breaker.threshold == 7
+    default = create_llm(providers=(FALLBACK_SIMULATED,))
+    assert default.health[default.members[0].name].breaker.threshold == 5
 
 
-def test_build_model_chain_without_providers_builds_single_remote():
-    config = RageConfig(model="remote:openai:gpt")
-    assert isinstance(build_model_chain(config), RemoteLLM)
+def test_create_llm_without_providers_builds_single_remote():
+    assert isinstance(create_llm(model="remote:openai:gpt"), RemoteLLM)
 
 
-def test_rage_engine_builds_the_chain_from_config(tmp_path):
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"breaker_threshold": 3},
+        {"hedge": True},
+        {"hedge_delay": 0.5},
+        {"model": "remote:openai:gpt", "hedge": True},
+    ],
+)
+def test_create_llm_rejects_pool_flags_without_a_pool(kwargs):
+    with pytest.raises(ConfigError, match="provider pool"):
+        create_llm(**kwargs)
+
+
+def test_create_llm_rejects_hedge_delay_without_hedge():
+    with pytest.raises(ConfigError, match="hedge_delay without hedge"):
+        create_llm(providers=(FALLBACK_SIMULATED,), hedge_delay=0.5)
+
+
+def test_cli_pool_timeout_bounds_each_request_not_the_failover_walk(capsys):
+    """--timeout is the primary's transport deadline, enforced once:
+    a 0.5 s primary times out at 0.3 s and the pool fails over, instead
+    of a 0.3 s dispatch deadline over the whole walk failing the call."""
     case = load_use_case("big_three")
-    config = RageConfig(k=case.k, providers=(FALLBACK_SIMULATED,))
-    rage = Rage.from_corpus(case.corpus, config=config)
-    # A pool of one simulated fallback still answers the demo question.
-    assert rage.ask(case.query).answer == case.expected_answer
+    with FakeLLMServer(
+        answer_fn=simulated_answer_fn(case.knowledge), latency=0.5
+    ) as slow:
+        code = cli_main(
+            [
+                "ask",
+                "--use-case", "big_three",
+                "--provider", f"remote:openai:slow@{slow.base_url}",
+                "--provider", FALLBACK_SIMULATED,
+                "--retries", "0",
+                "--timeout", "0.3",
+            ]
+        )
+        assert slow.request_count == 1
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert "Answer:   Roger Federer" in captured.out
+
+
+def test_cli_pool_serves_one_model_behind_two_endpoints(capsys):
+    """README's Resilience pool: the same model on two endpoints,
+    then the simulated fallback.  With the first endpoint dead, the
+    second one answers and each endpoint keeps its own entry."""
+    case = load_use_case("big_three")
+    dead = _dead_base_url()
+    with FakeLLMServer(answer_fn=simulated_answer_fn(case.knowledge)) as backup:
+        live = backup.base_url
+        code = cli_main(
+            [
+                "report",
+                "--use-case", "big_three",
+                "--base-url", dead,
+                "--provider", "remote:openai:fake-model",
+                "--provider", f"remote:openai:fake-model@{live}",
+                "--provider", FALLBACK_SIMULATED,
+                "--retries", "0",
+                "--stats",
+            ]
+        )
+        assert backup.request_count > 0
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "Answer:   Roger Federer" in out
+    assert "Router: 3 providers" in out
+    assert f"  remote:openai/fake-model@{dead}: open," in out
+    assert f"  remote:openai/fake-model@{live}: closed," in out
+    fallback = next(
+        line for line in out.splitlines() if line.startswith("  simulated-llm")
+    )
+    assert ": closed, 0 calls," in fallback
 
 
 def test_cli_provider_pool_falls_back_to_simulated(capsys):
