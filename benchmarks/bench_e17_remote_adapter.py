@@ -70,7 +70,7 @@ def _evaluation_round(server, case, backend_spec, orderings, rate_limit=None):
     )
     context = probe.retrieve(case.query)
     backend = make_backend(backend_spec)
-    cached = CachingLLM(llm, max_inflight=backend.capacity)
+    cached = CachingLLM(llm)
     evaluator = ContextEvaluator(cached, context, backend=backend)
     started = time.perf_counter()
     evaluations = evaluator.evaluate_many(orderings)
@@ -140,7 +140,7 @@ def test_e17_rate_limiter_never_exceeds_configured_rps():
         )
         context = probe.retrieve(case.query)
         evaluator = ContextEvaluator(
-            CachingLLM(llm, max_inflight=backend.capacity), context, backend=backend
+            CachingLLM(llm), context, backend=backend
         )
         evaluator.evaluate_many(prompts_needed)
         assert server.request_count == len(prompts_needed)

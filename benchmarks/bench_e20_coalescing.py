@@ -77,7 +77,7 @@ def test_e20_thundering_herd_pays_one_call():
 
     def racers(single_flight):
         # Latency outermost: LatencyLLM only exposes per-prompt entry
-        # points, so the ladder never asks CountingLLM for a native
+        # points, so the cache never asks CountingLLM for a native
         # batch its inner model cannot serve.
         counting = CountingLLM(SimulatedLLM(knowledge=case.knowledge))
         cached = CachingLLM(

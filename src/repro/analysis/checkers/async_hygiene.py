@@ -15,7 +15,7 @@ Flagged inside ``async def`` bodies in library code:
   ``threading`` locks only via short ``with`` blocks, or use asyncio
   primitives;
 * bare ``.generate(...)`` / ``.generate_batch(...)`` model calls —
-  await ``agenerate``/``abatched_generate`` or wrap in ``to_thread``
+  await ``agenerate`` or wrap in ``asyncio.to_thread``
   (passing the *method reference* to ``to_thread`` is fine and not
   flagged).
 
@@ -104,8 +104,8 @@ class AsyncHygieneChecker(Checker):
             if func.attr in _SYNC_MODEL_CALLS:
                 return (
                     f"bare `.{func.attr}(...)` inside `async def` — await "
-                    "`agenerate`/`abatched_generate`, or ship the sync "
-                    "call through `asyncio.to_thread`"
+                    "`agenerate`, or ship the sync call through "
+                    "`asyncio.to_thread`"
                 )
         return None
 

@@ -59,13 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--query", default=None, help="override the canonical question")
         p.add_argument("--k", type=int, default=None, help="retrieval depth override")
         p.add_argument(
-            "--workers",
-            type=int,
-            default=None,
-            help="thread-pool width for batched evaluation on backends "
-            "without native batching (I/O-bound models only)",
-        )
-        p.add_argument(
             "--no-prune",
             action="store_true",
             help="disable answer-implication plan pruning (evaluate every "
@@ -395,8 +388,6 @@ def _config_overrides(
     overrides = dict(k=case.k)
     if args.k is not None:
         overrides["k"] = args.k
-    if getattr(args, "workers", None) is not None:
-        overrides["batch_workers"] = args.workers
     if getattr(args, "no_prune", False):
         overrides["plan_pruning"] = False
     if getattr(args, "backend", None) is not None:
@@ -774,7 +765,7 @@ def _session_dispatch(args: argparse.Namespace, session: RageSession) -> int:
                     f"{window.windows} windows flushed "
                     f"({window.merged_windows} merged), "
                     f"mean flush size {window.mean_flush_size:.1f}, "
-                    f"max {window.max_flush}, {window.refunded} refunded"
+                    f"max {window.max_flush}"
                 )
             inner = llm.inner if isinstance(llm, CachingLLM) else llm
             if isinstance(inner, (RemoteLLM, RouterLLM)):

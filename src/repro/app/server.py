@@ -879,7 +879,6 @@ class RageServer:
                         "merged_windows": backend.window_stats.merged_windows,
                         "mean_flush_size": backend.window_stats.mean_flush_size,
                         "max_flush": backend.window_stats.max_flush,
-                        "refunded": backend.window_stats.refunded,
                     }
                     if isinstance(backend, CoalescingBackend)
                     else {"enabled": False}

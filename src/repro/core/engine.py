@@ -26,14 +26,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..attention.positional import PositionPrior
 from ..errors import ConfigError
-from ..exec import (
-    DEFAULT_THREAD_WORKERS,
-    AsyncioBackend,
-    CoalescingBackend,
-    ExecutionBackend,
-    ThreadedBackend,
-    make_backend,
-)
+from ..exec import CoalescingBackend, ExecutionBackend, make_backend
 from ..llm.base import GenerationResult, LanguageModel
 from ..llm.cache import CachingLLM
 from ..llm.store import PromptStore
@@ -95,17 +88,12 @@ class RageConfig:
         The user-calibrated expected position-attention distribution
         used by optimal permutations.
     cache:
-        Wrap the LLM in a prompt cache (recommended).
-    batch_workers:
-        Thread-pool width for batched evaluation when the LLM has no
-        native ``generate_batch`` (useful for I/O-bound remote
-        backends); ``None`` keeps batch misses sequential.  Shorthand
-        for ``backend="threaded:N"``.
+        Put a prompt cache in front of the backend (recommended).
     backend:
-        Execution-backend spec for every evaluation batch: ``serial``
-        (default), ``threaded[:N]`` (thread pool) or ``asyncio[:N]``
-        (event loop driving the LLM's async contract, at most ``N``
-        calls in flight).  See :mod:`repro.exec`.
+        Execution-backend spec, the one place the LLM is called:
+        ``serial`` (default), ``threaded[:N]`` (thread pool) or
+        ``asyncio[:N]`` (event loop driving the LLM's async contract,
+        at most ``N`` calls in flight).  See :mod:`repro.exec`.
     cache_dir:
         Directory for the content-addressed persistent generation
         store (:class:`~repro.llm.store.PromptStore`).  The prompt
@@ -156,11 +144,10 @@ class RageConfig:
         strictly sequential and adaptive chunks may charge a few extra
         evaluations past the flip.
     request_timeout:
-        Local dispatch deadline per call, in seconds, enforced at one
-        layer only: the prompt cache's miss dispatch when
-        ``cache=True``, else the backend.  A model exposing only a
-        native batch entry point is one call, so the bound covers its
-        whole miss batch.  ``None`` (default) waits forever.  A remote
+        Local deadline per model call, in seconds, enforced by the
+        execution backend (the prompt cache never calls the model).
+        A native batch entry point is one call, so the bound covers
+        its whole batch.  ``None`` (default) waits forever.  A remote
         model or provider pool owns its deadline per HTTP request in
         its transport (``RemoteLLM(timeout=...)``); leave this unset
         for one, or the bound would stack over its retries and
@@ -196,7 +183,6 @@ class RageConfig:
     expected_prior: PositionPrior = PositionPrior.V_SHAPED
     expected_depth: float = 0.8
     cache: bool = True
-    batch_workers: Optional[int] = None
     backend: Optional[str] = None
     cache_dir: Optional[str] = None
     cache_max_bytes: Optional[int] = None
@@ -216,8 +202,6 @@ class RageConfig:
             raise ConfigError(f"k must be positive, got {self.k}")
         if self.max_evaluations <= 0:
             raise ConfigError("max_evaluations must be positive")
-        if self.batch_workers is not None and self.batch_workers < 1:
-            raise ConfigError("batch_workers must be >= 1 (or None)")
         if self.search_batch_size < 1:
             raise ConfigError("search_batch_size must be >= 1")
         if self.cache_dir is not None and not self.cache:
@@ -264,11 +248,7 @@ class RageConfig:
                     f"{', '.join(inert_fusion)} only affect hybrid fusion; "
                     "set retrieval_mode='hybrid' (or drop them)"
                 )
-        make_backend(
-            self.backend,
-            batch_workers=self.batch_workers,
-            timeout=self.request_timeout,
-        )  # validate spec
+        make_backend(self.backend, timeout=self.request_timeout)  # validate spec
 
 
 @dataclass
@@ -347,56 +327,21 @@ class Rage:
             self.searcher: Searcher = SqliteSearcher(index, scorer=retrieval_scorer)
         else:
             self.searcher = Searcher(index, scorer=retrieval_scorer)
-        # The local dispatch deadline is enforced at exactly ONE layer —
-        # the innermost dispatch that still sees individual prompts.
-        # With the cache on, CachingLLM deadlines its *miss* dispatch
-        # per call; the backend must not re-apply the bound or it would
-        # treat the wrapper's batch entry point as one call and deadline
-        # the whole (healthy) batch.  Only a cache-less model leaves
-        # enforcement to the backend itself.
         self.backend: ExecutionBackend = make_backend(
-            self.config.backend,
-            batch_workers=self.config.batch_workers,
-            timeout=None if self.config.cache else self.config.request_timeout,
+            self.config.backend, timeout=self.config.request_timeout
         )
+        if self.config.batch_window_ms is not None:
+            self.backend = CoalescingBackend(self.backend, self.config.batch_window_ms)
         self.store: Optional[PromptStore] = (
             PromptStore(self.config.cache_dir, max_bytes=self.config.cache_max_bytes)
             if self.config.cache_dir is not None
             else None
         )
-        if self.config.cache:
-            # The backend's capacity must survive the cache boundary:
-            # CachingLLM forwards only *misses* to the inner model, so
-            # the backend's concurrency bound is handed to the wrapper —
-            # threaded width as the pool size, and `capacity` as the
-            # in-flight bound for async-capable inner models (serial
-            # stays serial: capacity 1).  Explicit batch_workers wins.
-            inner_workers = self.config.batch_workers
-            if inner_workers is None and isinstance(self.backend, ThreadedBackend):
-                inner_workers = self.backend.max_workers
-            elif inner_workers is None and isinstance(self.backend, AsyncioBackend):
-                # Sync-only inner models still deserve the requested
-                # concurrency: the in-flight bound doubles as the
-                # thread-pool width for the miss batch.
-                inner_workers = self.backend.max_inflight or DEFAULT_THREAD_WORKERS
-            self.llm: LanguageModel = CachingLLM(
-                llm,
-                batch_workers=inner_workers,
-                max_inflight=self.backend.capacity,
-                timeout=self.config.request_timeout,
-                store=self.store,
-                single_flight=self.config.single_flight,
-            )
-        else:
-            self.llm = llm
-        if self.config.batch_window_ms is not None:
-            # Wrapped last, after the capacity hand-off above read the
-            # executing backend directly; the window layer reports the
-            # same capacity/timeout and merges concurrent evaluation
-            # batches before they reach it.
-            self.backend = CoalescingBackend(
-                self.backend, self.config.batch_window_ms
-            )
+        self.llm: LanguageModel = (
+            CachingLLM(llm, store=self.store, single_flight=self.config.single_flight)
+            if self.config.cache
+            else llm
+        )
         self.prompt_builder = prompt_builder or DEFAULT_PROMPT_BUILDER
 
     @classmethod
@@ -461,7 +406,10 @@ class Rage:
     def relevance_scores(self, context: Context) -> Dict[str, float]:
         """``S(q, d, Dq)`` under the configured method."""
         scorer = make_scorer(
-            self.config.relevance_method, llm=self.llm, prompt_builder=self.prompt_builder
+            self.config.relevance_method,
+            llm=self.llm,
+            prompt_builder=self.prompt_builder,
+            backend=self.backend,
         )
         return scorer.scores(context)
 
@@ -730,9 +678,5 @@ class Rage:
 
     def _evaluator(self, context: Context) -> ContextEvaluator:
         return ContextEvaluator(
-            self.llm,
-            context,
-            self.prompt_builder,
-            batch_workers=self.config.batch_workers,
-            backend=self.backend,
+            self.llm, context, self.prompt_builder, backend=self.backend
         )

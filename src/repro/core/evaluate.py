@@ -8,17 +8,20 @@ so re-visited perturbations are free.
 
 :meth:`ContextEvaluator.evaluate_many` is the batched entry point: it
 deduplicates the requested orderings, consults the memo, and submits
-only the misses — as a single batch — through an
-:class:`~repro.exec.ExecutionBackend`, so batch execution policy
-(native batching, thread pools, asyncio) is decided in one place and
-every caller — evaluation plans, lattice probe rounds, candidate
-scans, counterfactual searches — inherits it without knowing.
-``llm_calls`` counts *misses only*, whichever entry point triggered
-them, making it the paper's LLM-call metric.
+only the misses — as a single batch — to the prompt cache, which hands
+its own misses to an :class:`~repro.exec.ExecutionBackend` (with
+``cache=False`` the batch goes straight to the backend).  So batch
+execution policy (native batching, thread pools, asyncio, deadlines)
+is decided in one place and every caller — evaluation plans, lattice
+probe rounds, candidate scans, counterfactual searches, ``ask()`` —
+inherits it without knowing.  ``llm_calls`` counts *memo misses
+only*, whichever entry point triggered them, making it the paper's
+LLM-call metric.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -31,8 +34,9 @@ from typing import (
     Tuple,
 )
 
-from ..exec import ExecutionBackend, make_backend
+from ..exec import ExecutionBackend, SerialBackend
 from ..llm.base import GenerationResult, LanguageModel
+from ..llm.cache import CachingLLM
 from ..llm.prompts import DEFAULT_PROMPT_BUILDER, PromptBuilder
 from ..textproc import normalize_answer
 from .context import Context
@@ -53,21 +57,16 @@ class ContextEvaluator:
     Parameters
     ----------
     llm:
-        The language model (or caching wrapper) to evaluate against.
+        The language model to evaluate against.  A
+        :class:`~repro.llm.cache.CachingLLM` is consulted first and
+        hands only its misses to the backend.
     context:
         The retrieved context whose perturbations are evaluated.
     prompt_builder:
         Prompt renderer; defaults to the paper's template.
-    batch_workers:
-        Optional thread-pool width for :meth:`evaluate_many` when the
-        model has no native ``generate_batch`` — useful for I/O-bound
-        backends (remote APIs), pointless for compute-bound ones.
-        Shorthand for ``backend=ThreadedBackend(batch_workers)``;
-        ignored when ``backend`` is given explicitly.
     backend:
-        The :class:`~repro.exec.ExecutionBackend` every miss batch is
-        submitted through; ``None`` resolves the historical default
-        (threaded when ``batch_workers`` is set, else serial).
+        The :class:`~repro.exec.ExecutionBackend` that calls the model;
+        ``None`` means a :class:`~repro.exec.SerialBackend`.
     """
 
     def __init__(
@@ -75,16 +74,12 @@ class ContextEvaluator:
         llm: LanguageModel,
         context: Context,
         prompt_builder: Optional[PromptBuilder] = None,
-        batch_workers: Optional[int] = None,
         backend: Optional[ExecutionBackend] = None,
     ) -> None:
         self.llm = llm
         self.context = context
         self.prompt_builder = prompt_builder or DEFAULT_PROMPT_BUILDER
-        self.batch_workers = batch_workers
-        self.backend = backend if backend is not None else make_backend(
-            None, batch_workers=batch_workers
-        )
+        self.backend = backend if backend is not None else SerialBackend()
         self._memo: Dict[Tuple[str, ...], Evaluation] = {}
         self._llm_calls = 0
 
@@ -104,12 +99,7 @@ class ContextEvaluator:
 
     def evaluate(self, ordered_doc_ids: Sequence[str]) -> Evaluation:
         """Answer for the given ordered source ids (memoized)."""
-        key = tuple(ordered_doc_ids)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        result = self._generate(key)
-        return self._memoize(key, result)
+        return self.evaluate_many([ordered_doc_ids])[0]
 
     def evaluate_many(
         self, orderings: Sequence[Sequence[str]]
@@ -118,7 +108,7 @@ class ContextEvaluator:
 
         Duplicate orderings and memo hits cost nothing; the distinct
         misses are rendered into prompts and submitted as one batch
-        through the execution backend.  Results align with
+        (see the module docstring).  Results align with
         ``orderings`` (one evaluation per entry, in input order), and
         every result is memoized for later single :meth:`evaluate`
         calls.
@@ -131,21 +121,22 @@ class ContextEvaluator:
                 seen.add(key)
                 miss_order.append(key)
         if miss_order:
-            prompts = [
-                self.prompt_builder.build(
-                    self.context.query, self.context.texts_for(key)
-                )
-                for key in miss_order
-            ]
             self._llm_calls += len(miss_order)
-            results = self.backend.run(self.llm, prompts)
+            results = self._run([self._prompt(key) for key in miss_order])
             for key, result in zip(miss_order, results):
                 self._memoize(key, result)
         return [self._memo[key] for key in keys]
 
     def generation(self, ordered_doc_ids: Sequence[str]) -> GenerationResult:
-        """Full generation result (fresh call; used for attention traces)."""
-        return self._generate(tuple(ordered_doc_ids))
+        """Full generation result, attention trace included.
+
+        Bypasses the memo, which keeps only answers, and asks the
+        backend for a per-prompt call: a native batch entry point may
+        drop the attention trace that ``ask()`` and attention relevance
+        read.
+        """
+        self._llm_calls += 1
+        return self._run([self._prompt(tuple(ordered_doc_ids))], per_prompt=True)[0]
 
     def prime(
         self, ordered_doc_ids: Sequence[str], result: GenerationResult
@@ -158,11 +149,20 @@ class ContextEvaluator:
         """
         return self._memoize(tuple(ordered_doc_ids), result)
 
-    def _generate(self, ordered_doc_ids: Tuple[str, ...]) -> GenerationResult:
+    def _prompt(self, ordered_doc_ids: Tuple[str, ...]) -> str:
         texts = self.context.texts_for(ordered_doc_ids)
-        prompt = self.prompt_builder.build(self.context.query, texts)
-        self._llm_calls += 1
-        return self.llm.generate(prompt)
+        return self.prompt_builder.build(self.context.query, texts)
+
+    def _run(
+        self, prompts: List[str], per_prompt: bool = False
+    ) -> List[GenerationResult]:
+        """The prompt cache first, then the backend for its misses."""
+        run = self.backend.run
+        if per_prompt:
+            run = functools.partial(run, per_prompt=True)
+        if isinstance(self.llm, CachingLLM):
+            return self.llm.generate_batch(prompts, run=run)
+        return run(self.llm, prompts)
 
     def _memoize(
         self, key: Tuple[str, ...], result: GenerationResult

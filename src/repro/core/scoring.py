@@ -16,6 +16,7 @@ from typing import Dict, Optional, Protocol
 
 from ..attention.aggregate import aggregate_by_source, normalize_scores
 from ..errors import ConfigError
+from ..exec import ExecutionBackend
 from ..llm.base import LanguageModel
 from ..llm.prompts import PromptBuilder
 from .context import Context
@@ -47,9 +48,10 @@ class RetrievalRelevance:
 class AttentionRelevance:
     """Relevance = LLM attention summed over layers, heads and tokens.
 
-    Runs one full-context generation and aggregates its attention trace
-    per source.  Models that expose no attention are a configuration
-    error — fall back to :class:`RetrievalRelevance` for those.
+    Runs one full-context generation through ``backend`` (the engine's,
+    so its deadline applies) and aggregates its attention trace per
+    source.  Models that expose no attention are a configuration error
+    — fall back to :class:`RetrievalRelevance` for those.
     """
 
     def __init__(
@@ -57,13 +59,17 @@ class AttentionRelevance:
         llm: LanguageModel,
         prompt_builder: Optional[PromptBuilder] = None,
         normalize: bool = True,
+        backend: Optional[ExecutionBackend] = None,
     ) -> None:
         self.llm = llm
         self.prompt_builder = prompt_builder or PromptBuilder()
         self.normalize = normalize
+        self.backend = backend
 
     def scores(self, context: Context) -> Dict[str, float]:
-        evaluator = ContextEvaluator(self.llm, context, self.prompt_builder)
+        evaluator = ContextEvaluator(
+            self.llm, context, self.prompt_builder, backend=self.backend
+        )
         result = evaluator.generation(context.doc_ids())
         if result.attention is None:
             raise ConfigError(
@@ -78,6 +84,7 @@ def make_scorer(
     method: RelevanceMethod | str,
     llm: Optional[LanguageModel] = None,
     prompt_builder: Optional[PromptBuilder] = None,
+    backend: Optional[ExecutionBackend] = None,
 ) -> RelevanceScorer:
     """Factory for the paper's two scoring methods."""
     method = RelevanceMethod(method)
@@ -85,4 +92,4 @@ def make_scorer(
         return RetrievalRelevance()
     if llm is None:
         raise ConfigError("attention-based relevance needs the LLM")
-    return AttentionRelevance(llm, prompt_builder)
+    return AttentionRelevance(llm, prompt_builder, backend=backend)

@@ -1,9 +1,9 @@
-"""Execution layer: pluggable backends for running LLM call batches.
+"""Execution layer: pluggable backends, the one place models are called.
 
 See :mod:`repro.exec.backend` for the strategy catalogue; the
 evaluator (:class:`repro.core.evaluate.ContextEvaluator`) submits every
-batch through one of these, so explanation algorithms stay oblivious to
-how calls are executed.
+generation through one of these, after the prompt cache, so
+explanation algorithms stay oblivious to how calls are executed.
 """
 
 from .backend import (

@@ -4,13 +4,14 @@ Single-flight (:mod:`repro.llm.coalesce`) deduplicates *identical*
 prompts; this layer merges *different* ones.  Concurrent tenants of a
 serving process each submit their evaluation rounds through
 :meth:`ExecutionBackend.run` as separate small batches, and each batch
-pays its own dispatch.  A :class:`CoalescingBackend` holds the first
+pays its own model call.  A :class:`CoalescingBackend` holds the first
 submission for a model open for up to ``window_ms`` milliseconds,
 gathers every submission that arrives in that window — across requests,
-tenants, and threads — and flushes them as **one** merged native batch
-through the wrapped backend's dispatch ladder.  Duplicate prompts
-across submissions are dispatched once and fanned back out to every
-submitter in its own order.
+tenants, and threads — and flushes them as **one** merged batch
+through the wrapped backend.  Duplicate prompts across submissions are
+sent once and fanned back out to every submitter in its own order.
+Per-prompt runs (``ask()``'s full generation) skip the window and go
+straight to the wrapped backend.
 
 The window is opt-in (``RageConfig.batch_window_ms`` /
 ``--batch-window-ms``, default off) because it is a throughput/latency
@@ -19,21 +20,14 @@ which only pays off when the inner model rewards bigger batches (a
 padded transformer batch, one HTTP round-trip) or requests genuinely
 overlap.
 
-Semantics preserved from the wrapped backend:
-
-* **Per-prompt timeouts** — the flush goes through the inner backend's
-  normal dispatch, so its deadline still applies per prompt; a hung
-  prompt fails after its siblings complete, exactly as it would have in
-  a solo batch.  The window does widen the failure domain: an error
-  raised by the merged flush propagates to every submission in the
-  window (each sees the same exception), mirroring what the existing
-  batch contract does for prompts of one request.
-* **Cancellation refunds** — an async waiter cancelled before its
-  window flushes is withdrawn: its prompts are not dispatched on its
-  behalf (``stats.refunded``) and the flush proceeds for the others.
-  Cancelled after the flush started, the result is simply discarded.
-  The flush itself runs on a timer thread, never on a waiter, so a
-  cancelled leader cannot strand the window.
+The flush goes through the wrapped backend's normal ``run``, so its
+per-prompt deadline still applies: a hung prompt fails after its
+siblings complete, exactly as it would have in a solo batch.  The
+window does widen the failure domain: an error raised by the merged
+flush propagates to every submission in the window (each sees the same
+exception), mirroring what the batch contract does for prompts of one
+request.  The flush runs on a timer thread, never on a submitter, so a
+submitter that dies cannot strand the window.
 """
 
 from __future__ import annotations
@@ -57,8 +51,7 @@ class WindowStats:
     more than one submission (cross-request batching actually
     happened); ``flushed_prompts`` the deduplicated prompts dispatched
     across all flushes (so ``mean_flush_size`` is the average merged
-    batch the inner backend saw); ``refunded`` the prompts withdrawn by
-    cancelled waiters before their flush.
+    batch the inner backend saw).
     """
 
     submissions: int = 0
@@ -66,7 +59,6 @@ class WindowStats:
     merged_windows: int = 0
     flushed_prompts: int = 0
     max_flush: int = 0
-    refunded: int = 0
 
     @property
     def mean_flush_size(self) -> float:
@@ -79,13 +71,11 @@ class WindowStats:
 class _Submission:
     """One caller's batch waiting for its window to flush."""
 
-    __slots__ = ("prompts", "latch", "withdrawn", "taken")
+    __slots__ = ("prompts", "latch")
 
     def __init__(self, prompts: Sequence[str]) -> None:
         self.prompts = list(prompts)
         self.latch = Latch()
-        self.withdrawn = False  # cancelled before the flush took it
-        self.taken = False  # claimed by a flush; too late to withdraw
 
     def settle_aligned(
         self, results: Sequence[GenerationResult], index: Dict[str, int]
@@ -129,42 +119,28 @@ class CoalescingBackend(ExecutionBackend):
         self.timeout = inner.timeout
         self.window_stats = WindowStats()
         # One window per wrapped model may be open at a time; the
-        # registry and all submission/withdrawal bookkeeping happen
-        # under this lock.  Flushes (real model calls) never hold it.
+        # registry and all submission bookkeeping happen under this
+        # lock.  Flushes (real model calls) never hold it.
         self._window_lock = threading.Lock()
         self._pending: Dict[int, _Window] = {}
 
     def run(
-        self, model: LanguageModel, prompts: Sequence[str]
+        self, model: LanguageModel, prompts: Sequence[str], per_prompt: bool = False
     ) -> List[GenerationResult]:
+        if per_prompt:
+            return self.inner.run(model, prompts, per_prompt=True)
         if not prompts:
             return []
         with self._track(len(prompts)):
             submission = self._enlist(model, prompts)
             return submission.latch.wait()
 
-    async def arun(
-        self, model: LanguageModel, prompts: Sequence[str]
-    ) -> List[GenerationResult]:
-        if not prompts:
-            return []
-        with self._track(len(prompts)):
-            submission = self._enlist(model, prompts)
-            try:
-                return await submission.latch.wait_async()
-            except BaseException:
-                # Covers asyncio.CancelledError (which is not an
-                # Exception): refund our seat if the flush has not
-                # taken it, then let the cancellation propagate.
-                self._withdraw(submission)
-                raise
-
     def _enlist(self, model: LanguageModel, prompts: Sequence[str]) -> _Submission:
         """Join (or open) the model's current window; maybe arm its timer.
 
         The timer — not the first submitter — owns the flush, so a
-        submitter that is cancelled, times out, or dies can never
-        strand the other participants of its window.
+        submitter that dies can never strand the other participants of
+        its window.
         """
         submission = _Submission(prompts)
         started: Optional[threading.Timer] = None
@@ -185,26 +161,15 @@ class CoalescingBackend(ExecutionBackend):
             started.start()
         return submission
 
-    def _withdraw(self, submission: _Submission) -> None:
-        with self._window_lock:
-            if submission.taken:
-                return
-            submission.withdrawn = True
-            self.window_stats.refunded += len(submission.prompts)
-
     def _flush(self, window: _Window) -> None:
         """Close ``window`` and dispatch its merged batch (timer thread)."""
         with self._window_lock:
             if self._pending.get(id(window.model)) is window:
                 del self._pending[id(window.model)]
-            live = [s for s in window.submissions if not s.withdrawn]
-            for submission in live:
-                submission.taken = True
-        if not live:
-            return
+            submissions = list(window.submissions)
         unique: List[str] = []
         index: Dict[str, int] = {}
-        for submission in live:
+        for submission in submissions:
             for prompt in submission.prompts:
                 if prompt not in index:
                     index[prompt] = len(unique)
@@ -212,7 +177,7 @@ class CoalescingBackend(ExecutionBackend):
         try:
             results = self.inner.run(window.model, unique)
         except BaseException as error:
-            for submission in live:
+            for submission in submissions:
                 submission.latch.reject(error)
             return
         with self._window_lock:
@@ -221,7 +186,7 @@ class CoalescingBackend(ExecutionBackend):
             self.window_stats.max_flush = max(
                 self.window_stats.max_flush, len(unique)
             )
-            if len(live) > 1:
+            if len(submissions) > 1:
                 self.window_stats.merged_windows += 1
-        for submission in live:
+        for submission in submissions:
             submission.settle_aligned(results, index)

@@ -2,16 +2,7 @@
 and the deterministic simulated model (Llama-2-7B-chat substitute).
 """
 
-from .base import (
-    DispatchPath,
-    GenerationResult,
-    LanguageModel,
-    TokenUsage,
-    abatched_generate,
-    batched_generate,
-    resolve_dispatch,
-    run_coroutine,
-)
+from .base import GenerationResult, LanguageModel, TokenUsage
 from .cache import CacheStats, CachingLLM
 from .coalesce import Latch, SingleFlight, SingleFlightStats
 from .remote import RemoteLLM, UsageStats, parse_model_spec
@@ -46,14 +37,9 @@ from .scripted import ScriptedLLM
 from .simulated import SimulatedLLM, SimulatedLLMConfig
 
 __all__ = [
-    "DispatchPath",
     "GenerationResult",
     "LanguageModel",
     "TokenUsage",
-    "abatched_generate",
-    "batched_generate",
-    "resolve_dispatch",
-    "run_coroutine",
     "CacheStats",
     "CachingLLM",
     "Latch",

@@ -5,13 +5,17 @@ insight analyses re-evaluate many of the same combinations; caching on
 the exact prompt string makes repeated evaluations free while keeping
 the wrapped model a pure prompt -> answer function.
 
-The wrapper is batch-aware: :meth:`CachingLLM.generate_batch` partitions
-a batch into hits and distinct misses, forwards *only the misses* to the
-wrapped model as one batch (via :func:`repro.llm.base.batched_generate`,
-so an inner model's native batching is preserved), and reassembles the
-results in prompt order.  :class:`CacheStats` counts both the per-prompt
-hit/miss totals and the batch-level traffic, so benchmarks can report
-how much batching actually reached the model.
+The cache is a lookup/record tier, not a dispatcher.
+:meth:`CachingLLM.generate_batch` partitions a batch into hits and
+distinct misses, hands *only the misses* to the ``run`` callable it is
+given — on the engine path, the execution backend's
+:meth:`~repro.exec.ExecutionBackend.run`, which owns concurrency and
+deadlines — records the results, and reassembles them in prompt order.
+Used standalone (no ``run``), it calls the wrapped model itself: its
+native ``generate_batch`` when it has one, else ``generate`` per
+prompt.  :class:`CacheStats` counts both the per-prompt hit/miss
+totals and the batch-level traffic, so benchmarks can report how much
+batching actually reached the model.
 
 Two tiers
 ---------
@@ -27,12 +31,6 @@ knobs the name does not encode — see
 pointed at the same directory shares the cache — repeated reports and
 benchmark reruns answer warm with zero real calls, while
 differently-configured models never serve each other's entries.
-
-The wrapper is also async-aware: :meth:`CachingLLM.agenerate` /
-:meth:`CachingLLM.agenerate_batch` run the identical hit/miss logic but
-await the wrapped model through
-:func:`repro.llm.base.abatched_generate`, so an async execution backend
-never blocks its event loop on the inner model.
 
 Single-flight
 -------------
@@ -50,18 +48,25 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..errors import ConfigError
-from .base import (
-    GenerationResult,
-    LanguageModel,
-    abatched_generate,
-    batched_generate,
-    sequential_generate,
-)
+from ..errors import BatchContractError, ConfigError
+from .base import GenerationResult, LanguageModel
 from .coalesce import Latch, SingleFlight
 from .store import PromptStore, store_key
+
+#: ``run(model, prompts) -> results``: how a batch of misses reaches the
+#: model (an execution backend's ``run`` on the engine path).
+Run = Callable[[LanguageModel, Sequence[str]], List[GenerationResult]]
+
+
+def _call_each(model: LanguageModel, prompts: Sequence[str]) -> List[GenerationResult]:
+    return [model.generate(prompt) for prompt in prompts]
+
+
+def _call_batch(model: LanguageModel, prompts: Sequence[str]) -> List[GenerationResult]:
+    batch = getattr(model, "generate_batch", None)
+    return list(batch(prompts)) if callable(batch) else _call_each(model, prompts)
 
 
 @dataclass
@@ -109,20 +114,6 @@ class CachingLLM:
         The wrapped model.
     max_entries:
         In-memory entry cap (FIFO eviction); ``None`` = unbounded.
-    batch_workers:
-        Forwarded to the dispatch of miss batches, so a non-batchable
-        I/O-bound backend still gets its thread pool behind the cache.
-    max_inflight:
-        Concurrency bound forwarded to miss dispatch whenever it lands
-        on an async rung (from either the sync or the async entry
-        points), so an execution backend's capacity survives the cache
-        boundary — a serial backend stays serial and an asyncio bound
-        stays bounded even when the *inner* model is async-capable;
-        ``None`` = unbounded.
-    timeout:
-        Per-call deadline (seconds) forwarded to miss dispatch, so an
-        execution backend's timeout also survives the cache boundary
-        (hits are free and never deadlined); ``None`` = no deadline.
     store:
         Optional persistent second tier (see the module docstring).
     single_flight:
@@ -136,9 +127,6 @@ class CachingLLM:
         self,
         model: LanguageModel,
         max_entries: Optional[int] = None,
-        batch_workers: Optional[int] = None,
-        max_inflight: Optional[int] = None,
-        timeout: Optional[float] = None,
         store: Optional[PromptStore] = None,
         single_flight: bool = True,
     ) -> None:
@@ -146,23 +134,8 @@ class CachingLLM:
             raise ConfigError(
                 f"max_entries must be >= 1 (or None for unbounded), got {max_entries}"
             )
-        if batch_workers is not None and batch_workers < 1:
-            raise ConfigError(
-                f"batch_workers must be >= 1 (or None), got {batch_workers}"
-            )
-        if max_inflight is not None and max_inflight < 1:
-            raise ConfigError(
-                f"max_inflight must be >= 1 (or None), got {max_inflight}"
-            )
-        if timeout is not None and timeout <= 0:
-            raise ConfigError(
-                f"timeout must be > 0 seconds (or None), got {timeout}"
-            )
         self._model = model
         self._max_entries = max_entries
-        self.batch_workers = batch_workers
-        self.max_inflight = max_inflight
-        self.timeout = timeout
         self.store = store
         self.flights: Optional[SingleFlight] = SingleFlight() if single_flight else None
         self._cache: Dict[str, GenerationResult] = {}
@@ -185,100 +158,40 @@ class CachingLLM:
         return self._model
 
     def generate(self, prompt: str) -> GenerationResult:
-        """Serve from memory, disk, or a flight in progress; else delegate."""
-        params = self._store_params()
-        cached = self._lookup(prompt, params)
-        if cached is not None:
-            with self._stats_lock:
-                self.stats.hits += 1
-            return cached
-        if self.flights is None:
-            with self._stats_lock:
-                self.stats.misses += 1
-            result = self._dispatch_one(prompt)
-            self._store(prompt, result, params=params)
-            return result
-        key = store_key(self._model.name, prompt, params)
-        leader, latch = self.flights.join(key)
-        if not leader:
-            result = latch.wait()
-            with self._stats_lock:
-                self.stats.hits += 1
-            return result
-        try:
-            # Between our miss above and winning the flight, a previous
-            # leader may have resolved and written through; re-checking
-            # the memory tier here is what makes the dedup exact (one
-            # real call per key) rather than best-effort.  Memory
-            # suffices: every flight writes memory before it resolves,
-            # so the disk cannot hold anything newer than our first
-            # lookup saw.
-            cached = self._cache.get(prompt)
-            if cached is not None:
-                with self._stats_lock:
-                    self.stats.hits += 1
-                self.flights.resolve(key, latch, cached)
-                return cached
-            with self._stats_lock:
-                self.stats.misses += 1
-            result = self._dispatch_one(prompt)
-            self._store(prompt, result, params=params)
-        except BaseException as error:
-            self.flights.reject(key, latch, error)
-            raise
-        self.flights.resolve(key, latch, result)
-        return result
+        """Serve from memory, disk, or a flight in progress; else call
+        the wrapped model's ``generate``.
 
-    async def agenerate(self, prompt: str) -> GenerationResult:
-        """Async :meth:`generate` (identical tiers and accounting)."""
-        params = self._store_params()
-        cached = self._lookup(prompt, params)
-        if cached is not None:
-            with self._stats_lock:
-                self.stats.hits += 1
-            return cached
-        if self.flights is None:
-            with self._stats_lock:
-                self.stats.misses += 1
-            result = await self._adispatch_one(prompt)
-            self._store(prompt, result, params=params)
-            return result
-        key = store_key(self._model.name, prompt, params)
-        leader, latch = self.flights.join(key)
-        if not leader:
-            result = await latch.wait_async()
-            with self._stats_lock:
-                self.stats.hits += 1
-            return result
-        try:
-            cached = self._cache.get(prompt)
-            if cached is not None:
-                with self._stats_lock:
-                    self.stats.hits += 1
-                self.flights.resolve(key, latch, cached)
-                return cached
-            with self._stats_lock:
-                self.stats.misses += 1
-            result = await self._adispatch_one(prompt)
-            self._store(prompt, result, params=params)
-        except BaseException as error:
-            self.flights.reject(key, latch, error)
-            raise
-        self.flights.resolve(key, latch, result)
-        return result
-
-    def generate_batch(self, prompts: Sequence[str]) -> List[GenerationResult]:
-        """Serve hits from the tiers, delegate distinct misses as one batch.
-
-        Duplicate prompts within the batch reach the model once; the
-        repeats are served from the freshly-filled cache and counted as
-        hits, exactly as a second sequential call would be.  Under
-        single-flight, misses another request is already computing are
-        not dispatched either — this batch awaits those flights after
-        dispatching its own leads (leads always dispatch before any
-        follower wait, so two batches following each other's flights
-        can never deadlock).
+        The same pipeline as :meth:`generate_batch`, minus the batch
+        counters in :class:`CacheStats`.
         """
+        return self._serve([prompt], _call_each, batch=False)[0]
+
+    def generate_batch(
+        self, prompts: Sequence[str], run: Optional[Run] = None
+    ) -> List[GenerationResult]:
+        """Serve hits from the tiers; hand distinct misses to ``run``.
+
+        ``run(model, misses)`` calls the wrapped model (the engine
+        passes its execution backend's ``run``); without one the cache
+        calls the model itself.  Duplicate prompts within the batch
+        reach the model once; the repeats are served from the
+        freshly-filled cache and counted as hits, exactly as a second
+        sequential call would be.  Under single-flight, misses another
+        request is already computing are not handed to ``run`` either —
+        this batch awaits those flights after running its own leads
+        (leads always run before any follower wait, so two batches
+        following each other's flights can never deadlock).
+        """
+        with self._stats_lock:
+            self.stats.batches += 1
+            self.stats.batched_prompts += len(prompts)
+        return self._serve(prompts, run or _call_batch, batch=True)
+
+    # -- the pipeline, shared by both entry points -------------------------
+
+    def _serve(
+        self, prompts: Sequence[str], run: Run, batch: bool
+    ) -> List[GenerationResult]:
         params = self._store_params()
         resolved, misses, miss_order = self._partition(prompts, params)
         leads, followers, miss_order = self._coalesce_misses(
@@ -286,73 +199,31 @@ class CachingLLM:
         )
         if miss_order:
             try:
-                generated = batched_generate(
-                    self._model,
-                    miss_order,
-                    max_workers=self.batch_workers,
-                    max_inflight=self.max_inflight,
-                    timeout=self.timeout,
-                )
+                generated = run(self._model, miss_order)
+                if len(generated) != len(miss_order):
+                    raise BatchContractError(
+                        f"{self._model.name}: {len(generated)} results "
+                        f"for {len(miss_order)} prompts"
+                    )
+                for prompt, result in zip(miss_order, generated):
+                    self._store(prompt, result, params)
+                    resolved[prompt] = result
             except BaseException as error:
+                # Every led flight must settle, or its followers wait forever.
                 self._reject_leads(leads, error)
                 raise
-            self._absorb(resolved, miss_order, generated, params)
+            if batch:
+                with self._stats_lock:
+                    self.stats.batched_misses += len(miss_order)
             self._resolve_leads(leads, resolved)
         for prompt, latch in followers:
             resolved[prompt] = latch.wait()
         return self._assemble(prompts, resolved, misses)
 
-    async def agenerate_batch(self, prompts: Sequence[str]) -> List[GenerationResult]:
-        """Async :meth:`generate_batch`: same partition, awaited misses."""
-        params = self._store_params()
-        resolved, misses, miss_order = self._partition(prompts, params)
-        leads, followers, miss_order = self._coalesce_misses(
-            resolved, misses, miss_order, params
-        )
-        if miss_order:
-            try:
-                generated = await abatched_generate(
-                    self._model,
-                    miss_order,
-                    max_workers=self.batch_workers,
-                    max_inflight=self.max_inflight,
-                    timeout=self.timeout,
-                )
-            except BaseException as error:
-                self._reject_leads(leads, error)
-                raise
-            self._absorb(resolved, miss_order, generated, params)
-            self._resolve_leads(leads, resolved)
-        for prompt, latch in followers:
-            resolved[prompt] = await latch.wait_async()
-        return self._assemble(prompts, resolved, misses)
-
-    # -- single-prompt miss dispatch ---------------------------------------
-
-    def _dispatch_one(self, prompt: str) -> GenerationResult:
-        if self.timeout is not None:
-            return sequential_generate(self._model, [prompt], timeout=self.timeout)[0]
-        return self._model.generate(prompt)
-
-    async def _adispatch_one(self, prompt: str) -> GenerationResult:
-        results = await abatched_generate(
-            self._model,
-            [prompt],
-            max_workers=self.batch_workers,
-            max_inflight=self.max_inflight,
-            timeout=self.timeout,
-        )
-        return results[0]
-
-    # -- the batch pipeline, shared by both entry points -------------------
-
     def _partition(
         self, prompts: Sequence[str], params: Optional[Dict[str, object]]
     ) -> Tuple[Dict[str, GenerationResult], set, List[str]]:
         """Split a batch into resolved hits and ordered distinct misses."""
-        with self._stats_lock:
-            self.stats.batches += 1
-            self.stats.batched_prompts += len(prompts)
         # Resolve eagerly: under a bounded cache the miss inserts below
         # may evict entries this very batch still needs.
         resolved: Dict[str, GenerationResult] = {}
@@ -381,10 +252,10 @@ class CachingLLM:
         """Split distinct misses into flights this batch leads vs follows.
 
         Returns ``(leads, followers, still_missing)``: ``leads`` are the
-        flights this batch owns and must settle after dispatching
-        ``still_missing`` as one native batch; ``followers`` are prompts
-        another request is already computing (removed from ``misses`` so
-        they are charged as hits — no real call was paid here).  A miss
+        flights this batch owns and must settle after running
+        ``still_missing``; ``followers`` are prompts another request is
+        already computing (removed from ``misses`` so they are charged
+        as hits — no real call was paid here).  A miss
         whose flight resolved between partition and join is adopted from
         the freshly-filled cache and charged as a hit too.
         """
@@ -423,19 +294,6 @@ class CachingLLM:
     ) -> None:
         for _prompt, key, latch in leads:
             self.flights.reject(key, latch, error)
-
-    def _absorb(
-        self,
-        resolved: Dict[str, GenerationResult],
-        miss_order: List[str],
-        generated: Sequence[GenerationResult],
-        params: Optional[Dict[str, object]],
-    ) -> None:
-        with self._stats_lock:
-            self.stats.batched_misses += len(miss_order)
-        for prompt, result in zip(miss_order, generated):
-            self._store(prompt, result, params=params)
-            resolved[prompt] = result
 
     def _assemble(
         self,
@@ -490,14 +348,10 @@ class CachingLLM:
         return self._install(prompt, persisted, promotion=True)
 
     def _store(
-        self,
-        prompt: str,
-        result: GenerationResult,
-        persist: bool = True,
-        params: Optional[Dict[str, object]] = None,
+        self, prompt: str, result: GenerationResult, params: Optional[Dict[str, object]]
     ) -> None:
         self._install(prompt, result, promotion=False)
-        if persist and self.store is not None:
+        if self.store is not None:
             self.store.put(self._model.name, prompt, result, params)
 
     def _install(

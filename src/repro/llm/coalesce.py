@@ -29,20 +29,15 @@ leader removes the registry entry *before* settling, so
   is guaranteed to find the cache entry instead — between cache and
   registry there is no window in which a second real call can start.
 
-Both the sync and the async worlds wait efficiently:
-:meth:`Latch.wait` blocks a thread on an event;
-:meth:`Latch.wait_async` parks a loop-native future that the settling
-thread completes via ``call_soon_threadsafe`` — no executor threads are
-consumed by waiting, so a thousand coalesced async requesters cost a
-thousand futures, not a thousand threads.
+Followers wait with :meth:`Latch.wait`, which blocks their thread on an
+event until the leader settles the flight.
 """
 
 from __future__ import annotations
 
-import asyncio
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, Tuple
 
 
 @dataclass
@@ -62,22 +57,19 @@ class SingleFlightStats:
 
 
 class Latch:
-    """A settle-once result box with thread *and* event-loop waiters.
+    """A settle-once result box that threads wait on.
 
     ``resolve``/``reject`` may be called from any thread, exactly once
     between them; later calls are ignored (the first settlement wins,
     which keeps a belated double-settle from clobbering delivered
-    results).  Sync waiters block on a :class:`threading.Event`; async
-    waiters park a future on their own loop and are woken via
-    ``call_soon_threadsafe``, so waiting never ties up a thread.
+    results).
     """
 
-    __slots__ = ("_lock", "_event", "_async_waiters", "_result", "_error")
+    __slots__ = ("_lock", "_event", "_result", "_error")
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._event = threading.Event()
-        self._async_waiters: List[Tuple[asyncio.AbstractEventLoop, asyncio.Future]] = []
         self._result: Any = None
         self._error: BaseException | None = None
 
@@ -101,38 +93,10 @@ class Latch:
             self._result = result
             self._error = error
             self._event.set()
-            waiters = self._async_waiters
-            self._async_waiters = []
-        for loop, future in waiters:
-            try:
-                loop.call_soon_threadsafe(self._wake, future)
-            except RuntimeError:
-                # The waiter's loop closed before settlement; it can no
-                # longer observe any outcome, so there is nobody to wake.
-                pass
-
-    @staticmethod
-    def _wake(future: asyncio.Future) -> None:
-        if not future.done():
-            future.set_result(None)
 
     def wait(self) -> Any:
         """Block until settled; return the result or raise the error."""
         self._event.wait()
-        if self._error is not None:
-            raise self._error
-        return self._result
-
-    async def wait_async(self) -> Any:
-        """Await settlement on the caller's loop; no thread is blocked."""
-        future: asyncio.Future | None = None
-        with self._lock:
-            if not self._event.is_set():
-                loop = asyncio.get_running_loop()
-                future = loop.create_future()
-                self._async_waiters.append((loop, future))
-        if future is not None:
-            await future
         if self._error is not None:
             raise self._error
         return self._result
@@ -166,8 +130,8 @@ class SingleFlight:
     def join(self, key: str) -> Tuple[bool, Latch]:
         """Return ``(leader, latch)`` for ``key``.
 
-        The leader owns the dispatch and must settle the latch;
-        followers just :meth:`Latch.wait` / :meth:`Latch.wait_async`.
+        The leader owns the real call and must settle the latch;
+        followers just :meth:`Latch.wait`.
         """
         with self._lock:
             latch = self._flights.get(key)

@@ -9,11 +9,11 @@ adapter so the token bucket and usage accounting are shared by every
 concurrent call, whichever execution backend drives them.
 
 Deliberately *no* ``generate_batch`` / ``agenerate_batch``: a chat
-endpoint takes one prompt per request, so batching is exactly the
-dispatch ladder's job — :func:`~repro.llm.base.resolve_dispatch` lands
-on the per-prompt async rung, whose ``max_inflight`` bound is how an
-execution backend's capacity (and the cache wrapper's forwarded bound)
-actually reaches the wire.  A native batch entry point here would
+endpoint takes one prompt per request, so fanning a batch out is the
+execution backend's job — ``threaded:N`` runs ``generate`` on ``N``
+threads and ``asyncio:N`` gathers ``agenerate`` behind an ``N``-wide
+semaphore, which is how the backend's capacity reaches the wire.  A
+native batch entry point here would take precedence on every backend,
 swallow that bound and reintroduce unbounded fan-out.
 
 Providers
@@ -393,7 +393,7 @@ class RemoteLLM:
         """Async :meth:`generate`: same policy stack, awaited sleeps.
 
         This is the entry point that makes ``asyncio:N`` pay off — the
-        dispatch ladder fans per-prompt calls into a bounded task group
+        backend gathers per-prompt calls behind its in-flight bound
         while the event loop overlaps every in-flight request.
         """
         payload, headers = self._request_parts(prompt)

@@ -38,8 +38,8 @@ cancellation-safe refund path, so an abandoned hedge never bleeds a
 member's rate limit.
 
 Deliberately *no* ``generate_batch`` / ``agenerate_batch``: like the
-remote adapter, the router answers one prompt per call so the dispatch
-ladder's ``max_inflight`` bound governs fan-out — and failover/hedging
+remote adapter, the router answers one prompt per call so the
+execution backend's capacity governs fan-out — and failover/hedging
 decisions stay per-prompt, never all-or-nothing for a whole batch.
 """
 

@@ -107,10 +107,9 @@ class ScriptedLLM:
         """Batch entry point; a plain per-prompt loop.
 
         Script lookup has no shared work to amortize, so this matches
-        what the :func:`~repro.llm.base.batched_generate` fallback would
-        do.  It is kept explicit so replay scripts count calls the same
-        way on both paths and tests pin the contract on this class
-        directly.
+        what a serial backend's ``generate`` loop would do.  It is kept
+        explicit so replay scripts count calls the same way on both
+        paths and tests pin the contract on this class directly.
         """
         return [self.generate(prompt) for prompt in prompts]
 

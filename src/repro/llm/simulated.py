@@ -206,9 +206,9 @@ class SimulatedLLM:
         """Async :meth:`generate`.
 
         The simulation is pure CPU-bound Python with no I/O to overlap,
-        so this answers inline — it exists so async callers (the
-        asyncio execution backend, async caching tiers) can drive the
-        simulated model through one uniform await-based contract.
+        so this answers inline — it exists so the asyncio execution
+        backend can drive the simulated model through one uniform
+        await-based contract.
         """
         # repro: disable=async-hygiene -- pure CPU simulation, no I/O to
         # overlap; answering inline is the documented contract above.

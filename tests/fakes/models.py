@@ -119,8 +119,8 @@ class SlowPromptLLM:
         self.completed: List[str] = []
         self._lock = threading.Lock()
         if not offer_async:
-            # Hide the async entry point so dispatch resolves to the
-            # sync rungs (sequential / thread pool).
+            # Hide the async entry point so every backend takes its
+            # sync strategy (a generate loop or thread pool).
             self.agenerate = None  # type: ignore[assignment]
 
     def _result(self, prompt: str) -> GenerationResult:

@@ -154,7 +154,7 @@ def test_timeout_is_the_local_deadline_for_a_model_without_transport(
     monkeypatch, model_flags
 ):
     """No remote endpoint owns --timeout here, so it becomes the local
-    dispatch deadline (the cache wrapper's, since the cache is on)."""
+    deadline, which the execution backend enforces."""
     from repro.app import cli as cli_module
 
     sessions = []
@@ -169,7 +169,7 @@ def test_timeout_is_the_local_deadline_for_a_model_without_transport(
     assert main(argv) == 0
     rage = sessions[0].rage
     assert rage.config.request_timeout == 5.0
-    assert rage.llm.timeout == 5.0
+    assert rage.backend.timeout == 5.0
 
 
 def test_no_prune_accepted_by_other_commands(capsys):

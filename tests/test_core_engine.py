@@ -13,8 +13,6 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         RageConfig(max_evaluations=0)
     with pytest.raises(ConfigError):
-        RageConfig(batch_workers=0)
-    with pytest.raises(ConfigError):
         RageConfig(search_batch_size=0)
     with pytest.raises(ConfigError):
         RageConfig(batch_window_ms=0)

@@ -84,7 +84,7 @@ def test_migrated_raise_sites_use_taxonomy_classes():
 
 
 def test_batch_misalignment_raises_taxonomy_class():
-    from repro.llm.base import _check_alignment
+    from repro.exec.backend import _check_alignment
     from repro.llm.simulated import SimulatedLLM
 
     model = SimulatedLLM()

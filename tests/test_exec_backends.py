@@ -88,7 +88,6 @@ def test_make_backend_specs():
     threaded = make_backend("threaded:5")
     assert isinstance(threaded, ThreadedBackend) and threaded.max_workers == 5
     assert make_backend("threaded").max_workers == DEFAULT_THREAD_WORKERS
-    assert make_backend("threaded", batch_workers=3).max_workers == 3
     unbounded = make_backend("asyncio")
     assert isinstance(unbounded, AsyncioBackend) and unbounded.max_inflight is None
     assert make_backend("asyncio:16").max_inflight == 16
@@ -97,9 +96,7 @@ def test_make_backend_specs():
 
 def test_make_backend_default_resolution():
     assert isinstance(make_backend(None), SerialBackend)
-    legacy = make_backend(None, batch_workers=4)
-    assert isinstance(legacy, ThreadedBackend) and legacy.max_workers == 4
-    assert isinstance(make_backend(None, batch_workers=1), SerialBackend)
+    assert make_backend(None, timeout=1.0).timeout == 1.0
 
 
 @pytest.mark.parametrize(
@@ -168,15 +165,6 @@ def test_asyncio_backend_overlaps_and_bounds_inflight():
     assert 1 <= bounded.max_inflight <= 2
 
 
-def test_asyncio_backend_arun_awaits_on_callers_loop():
-    model = Instrumented()
-
-    async def drive():
-        return await AsyncioBackend().arun(model, _prompts(4))
-
-    assert len(asyncio.run(drive())) == 4
-
-
 def test_base_backend_run_is_abstract():
     with pytest.raises(NotImplementedError):
         ExecutionBackend().run(Instrumented(), _prompts(1))
@@ -212,15 +200,6 @@ def test_evaluator_submits_through_backend(big_three_engine, big_three):
     assert backend_used == [3]
 
 
-def test_evaluator_default_backend_matches_batch_workers(big_three_engine, big_three):
-    context = big_three_engine.retrieve(big_three.query)
-    plain = ContextEvaluator(NativeBatch(), context)
-    assert isinstance(plain.backend, SerialBackend)
-    pooled = ContextEvaluator(NativeBatch(), context, batch_workers=4)
-    assert isinstance(pooled.backend, ThreadedBackend)
-    assert pooled.backend.max_workers == 4
-
-
 def test_engine_builds_backend_from_config(big_three):
     rage = Rage.from_corpus(
         big_three.corpus,
@@ -230,23 +209,33 @@ def test_engine_builds_backend_from_config(big_three):
     assert isinstance(rage.backend, AsyncioBackend)
     assert rage.backend.max_inflight == 7
     assert isinstance(rage.llm, CachingLLM)
-    assert rage.llm.max_inflight == 7  # capacity survives the cache boundary
+
+
+def _subset_orderings(context, n):
+    ids = context.doc_ids()
+    return [
+        tuple(d for bit, d in enumerate(ids) if mask & (1 << bit))
+        for mask in range(1, n + 1)
+    ]
 
 
 def test_engine_threaded_backend_reaches_cache_workers(big_three):
+    """The backend's width reaches the model behind the engine's cache."""
+    barrier = threading.Barrier(5, timeout=10)
+
+    class Rendezvous(Instrumented):
+        def generate(self, prompt):
+            barrier.wait()
+            return super().generate(prompt)
+
+    inner = Rendezvous()
     rage = Rage.from_corpus(
-        big_three.corpus,
-        SimulatedLLM(knowledge=big_three.knowledge),
-        config=RageConfig(k=big_three.k, backend="threaded:5"),
+        big_three.corpus, inner, config=RageConfig(k=big_three.k, backend="threaded:5")
     )
-    assert rage.llm.batch_workers == 5
-    # An explicit batch_workers wins over the backend width.
-    rage = Rage.from_corpus(
-        big_three.corpus,
-        SimulatedLLM(knowledge=big_three.knowledge),
-        config=RageConfig(k=big_three.k, backend="threaded:5", batch_workers=2),
-    )
-    assert rage.llm.batch_workers == 2
+    context = rage.retrieve(big_three.query)
+    rage._evaluator(context).evaluate_many(_subset_orderings(context, 10))
+    assert inner.calls == 10
+    assert len(inner.threads) == 5
 
 
 def test_config_rejects_bad_backend_spec():
@@ -309,9 +298,9 @@ def test_serial_backend_stays_serial_through_cache(big_three):
     rage = Rage.from_corpus(
         big_three.corpus, inner, config=RageConfig(k=big_three.k, backend="serial")
     )
-    assert rage.llm.max_inflight == 1
-    results = rage.backend.run(rage.llm, _prompts(6))
-    assert len(results) == 6
+    context = rage.retrieve(big_three.query)
+    rage._evaluator(context).evaluate_many(_subset_orderings(context, 6))
+    assert inner.calls == 6
     assert inner.max_inflight == 1
 
 
@@ -320,7 +309,9 @@ def test_asyncio_capacity_survives_cache_boundary(big_three):
     rage = Rage.from_corpus(
         big_three.corpus, inner, config=RageConfig(k=big_three.k, backend="asyncio:3")
     )
-    rage.backend.run(rage.llm, _prompts(9))
+    context = rage.retrieve(big_three.query)
+    rage._evaluator(context).evaluate_many(_subset_orderings(context, 9))
+    assert inner.calls == 9
     assert 1 <= inner.max_inflight <= 3
 
 
@@ -390,18 +381,4 @@ def test_backend_stats_track_overlapping_submitters():
         thread.join(timeout=10.0)
     assert backend.stats.batches == 2
     assert backend.stats.max_active == 2
-    assert backend.stats.active == 0
-
-
-def test_backend_stats_cover_async_entry_point():
-    backend = AsyncioBackend(max_inflight=4)
-    model = Instrumented()
-
-    async def drive():
-        return await backend.arun(model, _prompts(3))
-
-    results = asyncio.run(drive())
-    assert len(results) == 3
-    assert backend.stats.batches == 1
-    assert backend.stats.prompts == 3
     assert backend.stats.active == 0

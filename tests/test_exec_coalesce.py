@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import asyncio
 import threading
 import time
 from typing import List, Sequence
@@ -124,42 +123,18 @@ def test_empty_submission_short_circuits():
     assert backend.window_stats.submissions == 0
 
 
-def test_cancelled_async_waiter_refunds_its_prompts():
-    model = EchoBatchLLM()
-    backend = CoalescingBackend(SerialBackend(), window_ms=150.0)
+def test_per_prompt_run_skips_the_window():
+    class PerPrompt(EchoBatchLLM):
+        def generate(self, prompt):
+            return GenerationResult(answer=f"single:{prompt}", prompt=prompt)
 
-    async def scenario():
-        task = asyncio.ensure_future(backend.arun(model, ["doomed"]))
-        await asyncio.sleep(0.02)  # inside the window, before the flush
-        task.cancel()
-        with pytest.raises(asyncio.CancelledError):
-            await task
-        await asyncio.sleep(0.3)  # let the timer fire
-
-    asyncio.run(scenario())
-    assert backend.window_stats.refunded == 1
-    assert backend.window_stats.windows == 0  # nothing left to flush
+    model = PerPrompt()
+    backend = CoalescingBackend(SerialBackend(), window_ms=WINDOW_MS)
+    results = backend.run(model, ["a"], per_prompt=True)
+    assert [r.answer for r in results] == ["single:a"]
     assert model.batches == []
-
-
-def test_flush_completes_for_survivors_when_a_waiter_cancels():
-    model = EchoBatchLLM()
-    backend = CoalescingBackend(SerialBackend(), window_ms=150.0)
-
-    async def scenario():
-        doomed = asyncio.ensure_future(backend.arun(model, ["dead"]))
-        survivor = asyncio.ensure_future(backend.arun(model, ["alive"]))
-        await asyncio.sleep(0.02)
-        doomed.cancel()
-        with pytest.raises(asyncio.CancelledError):
-            await doomed
-        return await survivor
-
-    results = asyncio.run(scenario())
-    assert [r.answer for r in results] == ["answer:alive"]
-    assert model.batches == [["alive"]]  # the refunded prompt never dispatched
-    assert backend.window_stats.refunded == 1
-    assert backend.window_stats.windows == 1
+    assert backend.window_stats.submissions == 0
+    assert backend.inner.stats.batches == 1
 
 
 def test_window_preserves_inner_capacity_timeout_and_name():

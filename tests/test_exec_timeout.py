@@ -1,8 +1,8 @@
 """Per-call timeout suites: a hung prompt fails *that prompt*.
 
-Before this layer existed nothing in llm/ or exec/ could time out; now
-every dispatch rung honors a per-call deadline, the error names the
-hung prompt(s), and sibling calls in the batch still complete.
+The execution backend is the one owner of the local deadline: every
+strategy it picks honors it per call, the error names the hung
+prompt(s), and sibling calls in the batch still complete.
 """
 
 from __future__ import annotations
@@ -17,12 +17,6 @@ from fakes import SlowPromptLLM
 from repro import RageConfig
 from repro.errors import ConfigError, GenerationTimeoutError
 from repro.exec import AsyncioBackend, SerialBackend, ThreadedBackend, make_backend
-from repro.llm.base import (
-    abatched_generate,
-    batched_generate,
-    pooled_generate,
-    sequential_generate,
-)
 from repro.llm.cache import CachingLLM
 
 PROMPTS = ["fast one", "HANG this one", "fast two"]
@@ -39,36 +33,42 @@ def test_sequential_timeout_fails_only_hung_prompt():
     model = SlowPromptLLM(offer_async=False)
     started = time.monotonic()
     with pytest.raises(GenerationTimeoutError) as err:
-        sequential_generate(model, PROMPTS, timeout=0.1)
+        SerialBackend(timeout=0.1).run(model, PROMPTS)
     assert time.monotonic() - started < 2.0  # never waited the 5s hang out
     _assert_failed_only_the_hung(err.value, model)
 
 
 def test_sequential_no_timeout_preserves_old_behavior():
     model = SlowPromptLLM(hang_seconds=0.01, offer_async=False)
-    results = sequential_generate(model, PROMPTS)
+    results = SerialBackend().run(model, PROMPTS)
     assert [r.answer for r in results] == ["ok"] * 3
 
 
 def test_pooled_timeout_fails_only_hung_prompt():
     model = SlowPromptLLM(offer_async=False)
     with pytest.raises(GenerationTimeoutError) as err:
-        pooled_generate(model, PROMPTS, max_workers=3, timeout=0.1)
+        ThreadedBackend(3, timeout=0.1).run(model, PROMPTS)
     _assert_failed_only_the_hung(err.value, model)
 
 
 def test_async_rung_timeout_cancels_only_hung_prompt():
     model = SlowPromptLLM()
     with pytest.raises(GenerationTimeoutError) as err:
-        asyncio.run(abatched_generate(model, PROMPTS, timeout=0.1))
+        AsyncioBackend(timeout=0.1).run(model, PROMPTS)
     assert list(err.value.prompts) == ["HANG this one"]
     assert "fast one" in model.completed and "fast two" in model.completed
 
 
 def test_batched_generate_sync_entry_times_out_async_model():
+    """A sync run made from inside a running event loop (its private
+    loop lives on a helper thread) still deadlines an async model."""
     model = SlowPromptLLM()
+
+    async def caller():
+        AsyncioBackend(timeout=0.1).run(model, PROMPTS)
+
     with pytest.raises(GenerationTimeoutError) as err:
-        batched_generate(model, PROMPTS, timeout=0.1)
+        asyncio.run(caller())
     assert list(err.value.prompts) == ["HANG this one"]
 
 
@@ -84,7 +84,7 @@ def test_native_sync_batch_gets_whole_batch_bound():
             return []
 
     with pytest.raises(GenerationTimeoutError) as err:
-        batched_generate(SlowBatch(), ["a", "b"], timeout=0.1)
+        SerialBackend(timeout=0.1).run(SlowBatch(), ["a", "b"])
     assert set(err.value.prompts) == {"a", "b"}  # one call, one deadline
 
 
@@ -124,59 +124,49 @@ def test_make_backend_threads_timeout_through_specs():
 
 
 def test_caching_llm_forwards_timeout_to_miss_dispatch():
-    model = SlowPromptLLM(offer_async=False)
-    cached = CachingLLM(model, timeout=0.1)
+    model = SlowPromptLLM(hang_marker="slow", hang_seconds=0.3, offer_async=False)
+    cached = CachingLLM(model)
+    run = SerialBackend(timeout=0.1).run
     with pytest.raises(GenerationTimeoutError):
-        cached.generate("HANG me")
-    # Batch misses are deadlined too; hits never are.
-    cached.generate("warm")
-    model.hang_marker = "warm-is-cached-so-never-matches"
-    assert cached.generate("warm").answer == "ok"
-    with pytest.raises(ConfigError):
-        CachingLLM(model, timeout=0)
+        cached.generate_batch(["slow one"], run=run)
+    # Misses are deadlined by the backend; hits never reach it.
+    model.hang_marker = "never-matches"
+    cached.generate_batch(["slow two"], run=run)
+    model.hang_marker = "slow"
+    assert cached.generate_batch(["slow two"], run=run)[0].answer == "ok"
 
 
 def test_caching_llm_batch_timeout_names_hung_prompt():
     model = SlowPromptLLM()
-    cached = CachingLLM(model, timeout=0.1)
+    cached = CachingLLM(model)
     with pytest.raises(GenerationTimeoutError) as err:
-        cached.generate_batch(PROMPTS)
+        cached.generate_batch(PROMPTS, run=AsyncioBackend(timeout=0.1).run)
     assert list(err.value.prompts) == ["HANG this one"]
+    assert cached.flights.inflight() == 0  # the failed flights were retired
 
 
 def test_config_request_timeout_reaches_backend():
     config = RageConfig(backend="asyncio:2", request_timeout=1.5)
-    backend = make_backend(
-        config.backend, batch_workers=config.batch_workers,
-        timeout=config.request_timeout,
-    )
+    backend = make_backend(config.backend, timeout=config.request_timeout)
     assert backend.timeout == 1.5
     with pytest.raises(ConfigError):
         RageConfig(request_timeout=-2)
 
 
 def test_engine_enforces_deadline_at_one_layer_only(big_three):
-    """With the cache on, the deadline lives in the cache wrapper's
-    per-call miss dispatch; the backend must NOT re-apply it as a
-    whole-batch bound over the wrapper's batch entry point."""
+    """The backend owns the deadline with the cache on or off; the
+    cache only looks up and records, so it has no deadline to stack."""
     from repro import Rage
-    from repro.llm.cache import CachingLLM
 
-    rage = Rage.from_corpus(
-        big_three.corpus,
-        SlowPromptLLM(hang_seconds=0.0, offer_async=False),
-        config=RageConfig(k=big_three.k, request_timeout=0.2),
-    )
-    assert isinstance(rage.llm, CachingLLM)
-    assert rage.llm.timeout == 0.2
-    assert rage.backend.timeout is None
-    # cache=False: the backend is the innermost layer and enforces it.
-    uncached = Rage.from_corpus(
-        big_three.corpus,
-        SlowPromptLLM(hang_seconds=0.0, offer_async=False),
-        config=RageConfig(k=big_three.k, request_timeout=0.2, cache=False),
-    )
-    assert uncached.backend.timeout == 0.2
+    for cache in (True, False):
+        rage = Rage.from_corpus(
+            big_three.corpus,
+            SlowPromptLLM(hang_seconds=0.0, offer_async=False),
+            config=RageConfig(k=big_three.k, request_timeout=0.2, cache=cache),
+        )
+        assert rage.backend.timeout == 0.2
+        assert isinstance(rage.llm, CachingLLM) is cache
+        assert not hasattr(rage.llm, "timeout")
 
 
 def test_healthy_batch_slower_than_deadline_survives(big_three):

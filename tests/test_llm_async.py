@@ -1,5 +1,5 @@
-"""Async LLM contract tests: the dispatch resolver, abatched_generate,
-and the async entry points of the concrete backends.
+"""Async LLM contract tests: the asyncio backend's strategy order, its
+in-flight bound, and the async entry points of the concrete models.
 
 Async tests run through ``asyncio.run`` inside plain sync test
 functions, so they need no pytest plugin; CI additionally installs
@@ -10,17 +10,14 @@ import asyncio
 
 import pytest
 
+from repro.exec import AsyncioBackend, SerialBackend, ThreadedBackend
+from repro.exec.backend import run_coroutine
 from repro.llm import (
     CachingLLM,
-    DispatchPath,
     GenerationResult,
     PromptBuilder,
     ScriptedLLM,
     SimulatedLLM,
-    abatched_generate,
-    batched_generate,
-    resolve_dispatch,
-    run_coroutine,
 )
 
 BUILDER = PromptBuilder()
@@ -44,7 +41,7 @@ class SyncBatch(SyncOnly):
     name = "sync-batch"
 
     def generate_batch(self, prompts):
-        return [self.generate(p) for p in prompts]
+        return [GenerationResult(answer="sb", prompt=p) for p in prompts]
 
 
 class AsyncSingle(SyncOnly):
@@ -82,90 +79,108 @@ class MisalignedAsyncBatch(SyncOnly):
         return []
 
 
-# -- resolver ----------------------------------------------------------------
+def _answers(backend, model, n=2):
+    return {r.answer for r in backend.run(model, _prompts(n))}
+
+
+# -- strategy order ------------------------------------------------------------
 
 
 def test_resolver_canonical_order_is_async_first():
-    assert resolve_dispatch(AsyncBatch()) is DispatchPath.ASYNC_BATCH
-    assert resolve_dispatch(AsyncSingle()) is DispatchPath.ASYNC_SINGLE
-    assert resolve_dispatch(SyncBatch()) is DispatchPath.SYNC_BATCH
-    assert resolve_dispatch(SyncOnly()) is DispatchPath.SEQUENTIAL
-    assert resolve_dispatch(SyncOnly(), max_workers=4) is DispatchPath.THREAD_POOL
-    assert resolve_dispatch(SyncOnly(), max_workers=1) is DispatchPath.SEQUENTIAL
+    backend = AsyncioBackend()
+    assert _answers(backend, AsyncBatch()) == {"ab"}
+    assert _answers(backend, AsyncSingle()) == {"a"}
+    assert _answers(backend, SyncBatch()) == {"sb"}
+    assert _answers(backend, SyncOnly()) == {"s"}
 
 
 def test_resolver_async_batch_beats_sync_batch():
     class Both(SyncBatch, AsyncBatch):
         name = "both"
 
-    assert resolve_dispatch(Both()) is DispatchPath.ASYNC_BATCH
-    assert resolve_dispatch(Both(), prefer_sync=True) is DispatchPath.SYNC_BATCH
+    assert _answers(AsyncioBackend(), Both()) == {"ab"}
+    # The sync backends never stand up an event loop.
+    assert _answers(SerialBackend(), Both()) == {"sb"}
+    assert _answers(ThreadedBackend(4), Both()) == {"sb"}
 
 
 def test_resolver_async_single_beats_thread_pool():
-    assert resolve_dispatch(AsyncSingle(), max_workers=8) is DispatchPath.ASYNC_SINGLE
+    model = AsyncSingle()
+    assert _answers(AsyncioBackend(8), model, n=3) == {"a"}
+    assert model.calls == 3
 
 
 def test_resolver_on_shipped_models():
-    assert resolve_dispatch(SimulatedLLM()) is DispatchPath.ASYNC_BATCH
-    assert (
-        resolve_dispatch(SimulatedLLM(), prefer_sync=True) is DispatchPath.SYNC_BATCH
-    )
-    assert resolve_dispatch(ScriptedLLM()) is DispatchPath.ASYNC_BATCH
-    assert resolve_dispatch(CachingLLM(SimulatedLLM())) is DispatchPath.ASYNC_BATCH
+    class Spy(SimulatedLLM):
+        def __init__(self):
+            super().__init__()
+            self.used = []
+
+        def generate_batch(self, prompts):
+            self.used.append("generate_batch")
+            return super().generate_batch(prompts)
+
+        async def agenerate_batch(self, prompts):
+            self.used.append("agenerate_batch")
+            return super().generate_batch(prompts)
+
+    llm = Spy()
+    AsyncioBackend().run(llm, _prompts(2))
+    SerialBackend().run(llm, _prompts(2))
+    assert llm.used == ["agenerate_batch", "generate_batch"]
 
 
-# -- abatched_generate -------------------------------------------------------
+# -- the asyncio backend -------------------------------------------------------
 
 
 def test_abatched_generate_empty_is_free():
     model = AsyncSingle()
-    assert asyncio.run(abatched_generate(model, [])) == []
+    assert AsyncioBackend().run(model, []) == []
     assert model.calls == 0
 
 
 def test_abatched_generate_async_batch_path():
     model = AsyncBatch()
     prompts = _prompts(4)
-    results = asyncio.run(abatched_generate(model, prompts))
+    results = AsyncioBackend().run(model, prompts)
     assert [r.prompt for r in results] == prompts
     assert [r.answer for r in results] == ["ab"] * 4
 
 
 def test_abatched_generate_task_group_overlaps_calls():
     model = AsyncSingle(delay=0.01)
-    results = asyncio.run(abatched_generate(model, _prompts(6)))
+    results = AsyncioBackend().run(model, _prompts(6))
     assert len(results) == 6
     assert model.max_inflight == 6  # within the default cap: all in flight
 
 
 def test_abatched_generate_max_inflight_bounds_concurrency():
     model = AsyncSingle(delay=0.01)
-    asyncio.run(abatched_generate(model, _prompts(6), max_inflight=2))
+    AsyncioBackend(max_inflight=2).run(model, _prompts(6))
     assert 1 <= model.max_inflight <= 2
 
 
 def test_abatched_generate_sync_batch_off_loop():
     model = SyncBatch()
-    results = asyncio.run(abatched_generate(model, _prompts(3)))
-    assert [r.answer for r in results] == ["s"] * 3
+    results = AsyncioBackend().run(model, _prompts(3))
+    assert [r.answer for r in results] == ["sb"] * 3
 
 
 def test_abatched_generate_thread_pool_and_sequential():
-    results = asyncio.run(abatched_generate(SyncOnly(), _prompts(3), max_workers=2))
+    results = AsyncioBackend(max_inflight=2).run(SyncOnly(), _prompts(3))
     assert len(results) == 3
-    results = asyncio.run(abatched_generate(SyncOnly(), _prompts(3)))
+    results = AsyncioBackend(max_inflight=1).run(SyncOnly(), _prompts(3))
     assert len(results) == 3
 
 
 def test_abatched_generate_misaligned_batch_raises():
     with pytest.raises(RuntimeError, match="misaligned-async"):
-        asyncio.run(abatched_generate(MisalignedAsyncBatch(), _prompts(2)))
+        AsyncioBackend().run(MisalignedAsyncBatch(), _prompts(2))
 
 
 def test_sync_batched_generate_drives_async_only_models():
     model = AsyncSingle()
-    results = batched_generate(model, _prompts(3))
+    results = AsyncioBackend(max_inflight=1).run(model, _prompts(3))
     assert [r.answer for r in results] == ["a"] * 3
     assert model.calls == 3
 
@@ -201,37 +216,38 @@ def test_scripted_async_counts_calls_identically():
     assert llm.calls == 3
 
 
+# -- the cache in front of the asyncio backend --------------------------------
+
+
 def test_caching_llm_async_batch_partitions_hits_and_misses():
     inner = AsyncBatch()
     cached = CachingLLM(inner)
+    run = AsyncioBackend().run
     prompts = _prompts(4)
-    first = asyncio.run(cached.agenerate_batch(prompts + prompts[:2]))
+    first = cached.generate_batch(prompts + prompts[:2], run=run)
     assert len(first) == 6
     assert inner.calls == 4  # distinct misses only
     assert cached.stats.hits == 2 and cached.stats.misses == 4
-    second = asyncio.run(cached.agenerate_batch(prompts))
+    second = cached.generate_batch(prompts, run=run)
     assert [r.answer for r in second] == [r.answer for r in first[:4]]
     assert inner.calls == 4  # all hits
-
-    single = asyncio.run(cached.agenerate(prompts[0]))
-    assert single.answer == first[0].answer
-    assert inner.calls == 4
 
 
 def test_caching_llm_agenerate_miss_reaches_inner_once():
     inner = AsyncSingle()
     cached = CachingLLM(inner)
+    run = AsyncioBackend().run
     prompt = _prompts(1)[0]
-    one = asyncio.run(cached.agenerate(prompt))
-    two = asyncio.run(cached.agenerate(prompt))
+    (one,) = cached.generate_batch([prompt], run=run)
+    (two,) = cached.generate_batch([prompt], run=run)
     assert one is two
     assert inner.calls == 1
 
 
 def test_caching_llm_forwards_max_inflight_to_inner_async_dispatch():
     inner = AsyncSingle(delay=0.01)
-    cached = CachingLLM(inner, max_inflight=2)
-    asyncio.run(cached.agenerate_batch(_prompts(6)))
+    cached = CachingLLM(inner)
+    cached.generate_batch(_prompts(6), run=AsyncioBackend(max_inflight=2).run)
     assert 1 <= inner.max_inflight <= 2
 
 
@@ -239,19 +255,19 @@ def test_sync_and_async_caching_paths_share_one_cache():
     inner = SyncBatch()
     cached = CachingLLM(inner)
     prompts = _prompts(2)
-    cached.generate_batch(prompts)
+    cached.generate_batch(prompts, run=SerialBackend().run)
     before = cached.stats.misses
-    asyncio.run(cached.agenerate_batch(prompts))
-    assert cached.stats.misses == before  # async pass was all hits
+    cached.generate_batch(prompts, run=AsyncioBackend().run)
+    assert cached.stats.misses == before  # the asyncio pass was all hits
 
 
 def test_default_inflight_cap_applies_when_unspecified(monkeypatch):
     """No caller-chosen bound never means unbounded fan-out."""
-    import repro.llm.base as base
+    import repro.exec.backend as backend
 
-    monkeypatch.setattr(base, "DEFAULT_MAX_INFLIGHT", 3)
+    monkeypatch.setattr(backend, "DEFAULT_MAX_INFLIGHT", 3)
     model = AsyncSingle(delay=0.01)
-    asyncio.run(abatched_generate(model, _prompts(9)))
+    AsyncioBackend().run(model, _prompts(9))
     assert 1 <= model.max_inflight <= 3
 
 
@@ -259,4 +275,4 @@ def test_nonsensical_max_inflight_rejected():
     from repro.errors import ConfigError
 
     with pytest.raises(ConfigError):
-        asyncio.run(abatched_generate(AsyncSingle(), _prompts(2), max_inflight=0))
+        AsyncioBackend(max_inflight=0)

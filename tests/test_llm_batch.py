@@ -1,10 +1,13 @@
-"""Batching contract tests: batched_generate dispatch + backend batches."""
+"""Batching contract tests: the sync backends' strategy (native batch,
+else a ``generate`` loop or thread pool) and the models' batch entry
+points."""
 
 import threading
 
 import pytest
 
-from repro.llm import PromptBuilder, ScriptedLLM, SimulatedLLM, batched_generate
+from repro.exec import SerialBackend, ThreadedBackend
+from repro.llm import PromptBuilder, ScriptedLLM, SimulatedLLM
 from repro.llm.base import GenerationResult
 
 BUILDER = PromptBuilder()
@@ -48,14 +51,14 @@ class MisalignedModel:
 
 def test_batched_generate_empty_is_free():
     model = LoopOnlyModel()
-    assert batched_generate(model, []) == []
+    assert SerialBackend().run(model, []) == []
     assert model.calls == 0
 
 
 def test_batched_generate_sequential_fallback_preserves_order():
     model = LoopOnlyModel()
     prompts = _prompts(4)
-    results = batched_generate(model, prompts)
+    results = SerialBackend().run(model, prompts)
     assert [r.prompt for r in results] == prompts
     assert model.calls == 4
 
@@ -63,7 +66,7 @@ def test_batched_generate_sequential_fallback_preserves_order():
 def test_batched_generate_thread_pool_fallback():
     model = LoopOnlyModel()
     prompts = _prompts(6)
-    results = batched_generate(model, prompts, max_workers=3)
+    results = ThreadedBackend(3).run(model, prompts)
     assert [r.prompt for r in results] == prompts
     assert model.calls == 6
 
@@ -81,15 +84,18 @@ def test_batched_generate_prefers_native_batch():
             ]
 
     model = NativeModel()
-    results = batched_generate(model, _prompts(3), max_workers=4)
+    results = ThreadedBackend(4).run(model, _prompts(3))
     assert model.batch_calls == 1
     assert model.calls == 0  # generate never used when a native batch exists
     assert all(r.answer == "batched" for r in results)
+    # ...unless the run asks for per-prompt calls.
+    ThreadedBackend(4).run(model, _prompts(3), per_prompt=True)
+    assert model.batch_calls == 1 and model.calls == 3
 
 
 def test_batched_generate_rejects_misaligned_backend():
     with pytest.raises(RuntimeError):
-        batched_generate(MisalignedModel(), _prompts(2))
+        SerialBackend().run(MisalignedModel(), _prompts(2))
 
 
 def test_simulated_batch_matches_sequential():
@@ -117,34 +123,34 @@ def test_scripted_batch_matches_sequential_and_counts_calls():
 def test_thread_pool_clamped_to_batch_size(monkeypatch):
     """Small batches must not spawn idle threads: the pool width is
     min(max_workers, len(prompts))."""
-    import repro.llm.base as base
+    import repro.exec.backend as backend
 
     captured = []
-    real_pool = base.ThreadPoolExecutor
+    real_pool = backend.ThreadPoolExecutor
 
     class SpyPool(real_pool):
         def __init__(self, max_workers=None, **kwargs):
             captured.append(max_workers)
             super().__init__(max_workers=max_workers, **kwargs)
 
-    monkeypatch.setattr(base, "ThreadPoolExecutor", SpyPool)
+    monkeypatch.setattr(backend, "ThreadPoolExecutor", SpyPool)
     model = LoopOnlyModel()
-    results = batched_generate(model, _prompts(2), max_workers=8)
+    results = ThreadedBackend(8).run(model, _prompts(2))
     assert len(results) == 2
     assert captured == [2]
 
     captured.clear()
-    batched_generate(LoopOnlyModel(), _prompts(6), max_workers=4)
+    ThreadedBackend(4).run(LoopOnlyModel(), _prompts(6))
     assert captured == [4]
 
 
 def test_single_prompt_never_builds_a_pool(monkeypatch):
-    import repro.llm.base as base
+    import repro.exec.backend as backend
 
     def explode(*args, **kwargs):  # pragma: no cover - must not be reached
         raise AssertionError("no pool for a single prompt")
 
-    monkeypatch.setattr(base, "ThreadPoolExecutor", explode)
+    monkeypatch.setattr(backend, "ThreadPoolExecutor", explode)
     model = LoopOnlyModel()
-    results = batched_generate(model, _prompts(1), max_workers=8)
+    results = ThreadedBackend(8).run(model, _prompts(1))
     assert len(results) == 1

@@ -155,10 +155,13 @@ def test_generate_batch_uses_inner_native_batch():
 
 
 def test_generate_batch_forwards_thread_pool_to_non_batch_backend():
-    """Regression: the cache used to swallow batch_workers, so a
-    non-batchable backend behind the (default) cache never saw the
-    thread pool."""
+    """The misses go to the ``run`` the caller hands in — here a
+    threaded backend's pool over a model without a native batch."""
     import threading
+
+    from repro.exec import ThreadedBackend
+
+    barrier = threading.Barrier(3, timeout=10.0)
 
     class ThreadTrackingModel(CountingModel):
         def __init__(self):
@@ -166,17 +169,19 @@ def test_generate_batch_forwards_thread_pool_to_non_batch_backend():
             self.threads = set()
 
         def generate(self, prompt):
+            barrier.wait()  # only passes with 3 calls in flight
             self.threads.add(threading.get_ident())
             return super().generate(prompt)
 
     inner = ThreadTrackingModel()
-    cached = CachingLLM(inner, batch_workers=3)
-    results = cached.generate_batch([f"prompt-{i}" for i in range(6)])
-    assert len(results) == 6
-    assert inner.calls == 6
-    assert len(inner.threads) >= 1  # pool ran (thread reuse is scheduler's call)
-    with pytest.raises(ConfigError):
-        CachingLLM(CountingModel(), batch_workers=0)
+    cached = CachingLLM(inner)
+    backend = ThreadedBackend(3)
+    prompts = [f"prompt-{i}" for i in range(6)]
+    results = cached.generate_batch(prompts + prompts[:2], run=backend.run)
+    assert [r.prompt for r in results] == prompts + prompts[:2]
+    assert inner.calls == 6  # distinct misses only
+    assert len(inner.threads) == 3
+    assert backend.stats.batches == 1 and backend.stats.prompts == 6
 
 
 def test_cache_wraps_simulated_llm_transparently():
@@ -309,13 +314,6 @@ def test_no_store_keeps_memory_only_behavior():
     cached.generate("p")
     assert cached.store is None
     assert cached.stats.disk_hits == 0
-
-
-def test_invalid_max_inflight_rejected():
-    from repro.errors import ConfigError as CE
-
-    with pytest.raises(CE):
-        CachingLLM(CountingModel(), max_inflight=0)
 
 
 def test_disk_tier_splits_on_cache_params(tmp_path):

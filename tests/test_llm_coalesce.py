@@ -2,21 +2,21 @@
 
 Covers the :mod:`repro.llm.coalesce` primitives (Latch, SingleFlight)
 and their integration into :class:`~repro.llm.cache.CachingLLM`: N
-concurrent misses on one key — threads or asyncio tasks, with or
-without a disk store — produce exactly one inner call and identical
-results for every caller; a failing flight reaches every waiter and
-never poisons the registry.
+concurrent misses on one key — with or without a disk store, with or
+without an execution backend behind the cache — produce exactly one
+inner call and identical results for every caller; a failing flight
+reaches every waiter and never poisons the registry.
 """
 
 from __future__ import annotations
 
-import asyncio
 import threading
 import time
 
 import pytest
 
-from repro.errors import GenerationError
+from repro.errors import BatchContractError, GenerationError
+from repro.exec import ThreadedBackend
 from repro.llm.base import GenerationResult
 from repro.llm.cache import CachingLLM
 from repro.llm.coalesce import Latch, SingleFlight
@@ -165,71 +165,31 @@ def test_distinct_prompts_do_not_coalesce():
     assert outs[1].answer == "answer:prompt-1"
 
 
-# ---------------------------------------------------------------------------
-# Thundering herd — asyncio
+def test_thundering_herd_through_backend_runs_one_call():
+    """The engine path: every herd member hands its misses to a
+    backend's run, and only the flight's leader reaches it."""
+    gate = threading.Event()
+    inner = GatedLLM(gate=gate)
+    cached = CachingLLM(inner)
+    backend = ThreadedBackend(4)
+    barrier = threading.Barrier(HERD)
+    results = [None] * HERD
 
+    def worker(i):
+        barrier.wait()
+        results[i] = cached.generate_batch(["same prompt"], run=backend.run)[0]
 
-class AsyncGatedLLM:
-    """Async-only model whose first call parks on a loop-native event."""
-
-    name = "async-gated-llm"
-
-    def __init__(self) -> None:
-        self.calls = 0
-        self.entered = asyncio.Event()
-        self.gate = asyncio.Event()
-
-    async def agenerate(self, prompt: str) -> GenerationResult:
-        self.calls += 1
-        self.entered.set()
-        await asyncio.wait_for(self.gate.wait(), timeout=10.0)
-        return GenerationResult(answer=f"answer:{prompt}", prompt=prompt)
-
-
-def test_thundering_herd_async_single_inner_call():
-    async def scenario():
-        inner = AsyncGatedLLM()
-        cached = CachingLLM(inner)
-        tasks = [
-            asyncio.ensure_future(cached.agenerate("same prompt"))
-            for _ in range(HERD)
-        ]
-        await asyncio.wait_for(inner.entered.wait(), timeout=10.0)
-        while cached.flights.stats.coalesced < HERD - 1:
-            await asyncio.sleep(0.002)
-        inner.gate.set()
-        return inner, await asyncio.gather(*tasks)
-
-    inner, results = asyncio.run(scenario())
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(HERD)]
+    for t in threads:
+        t.start()
+    inner.entered.wait(5.0)
+    _await(lambda: cached.flights.stats.coalesced == HERD - 1)
+    gate.set()
+    for t in threads:
+        t.join(timeout=10.0)
     assert inner.calls == 1
+    assert backend.stats.batches == 1
     assert {r.answer for r in results} == {"answer:same prompt"}
-
-
-def test_async_herd_failure_reaches_all_and_registry_recovers():
-    class ExplodingLLM:
-        name = "exploding-llm"
-
-        def __init__(self):
-            self.calls = 0
-
-        async def agenerate(self, prompt):
-            self.calls += 1
-            await asyncio.sleep(0.01)  # stay in flight long enough to coalesce
-            raise GenerationError("async inner exploded")
-
-    async def scenario():
-        inner = ExplodingLLM()
-        cached = CachingLLM(inner)
-        tasks = [
-            asyncio.ensure_future(cached.agenerate("doomed prompt"))
-            for _ in range(4)
-        ]
-        outcomes = await asyncio.gather(*tasks, return_exceptions=True)
-        return cached, outcomes
-
-    cached, outcomes = asyncio.run(scenario())
-    assert all(isinstance(o, GenerationError) for o in outcomes)
-    assert cached.flights.inflight() == 0  # registry not poisoned
 
 
 # ---------------------------------------------------------------------------
@@ -301,25 +261,16 @@ def test_batch_failure_rejects_all_led_flights():
     assert [r.answer for r in results] == ["answer:a", "answer:b"]
 
 
-def test_async_batch_coalesces_with_sync_flight():
-    gate = threading.Event()
-    inner = GatedLLM(gate=gate)
-    cached = CachingLLM(inner)
-    leader = threading.Thread(target=lambda: cached.generate("shared"))
-    leader.start()
-    inner.entered.wait(5.0)
+def test_misaligned_batch_rejects_its_flights():
+    class ShortBatch(GatedLLM):
+        def generate_batch(self, prompts):
+            return [self.generate(p) for p in prompts[1:]]
 
-    async def scenario():
-        task = asyncio.ensure_future(cached.agenerate_batch(["shared"]))
-        while cached.flights.stats.coalesced < 1:
-            await asyncio.sleep(0.002)
-        gate.set()
-        return await task
-
-    results = asyncio.run(scenario())
-    leader.join(timeout=10.0)
-    assert [r.answer for r in results] == ["answer:shared"]
-    assert inner.calls == 1
+    cached = CachingLLM(ShortBatch())
+    with pytest.raises(BatchContractError):
+        cached.generate_batch(["a", "b"])
+    assert cached.flights.inflight() == 0  # no follower is left waiting
+    assert cached.flights.stats.failures == 2
 
 
 # ---------------------------------------------------------------------------
@@ -341,15 +292,6 @@ def test_latch_reject_raises_for_every_waiter():
     for _ in range(3):
         with pytest.raises(RuntimeError):
             latch.wait()
-
-
-def test_latch_async_wait_after_settlement_returns_immediately():
-    async def scenario():
-        latch = Latch()
-        latch.resolve(41)
-        return await latch.wait_async()
-
-    assert asyncio.run(scenario()) == 41
 
 
 def test_single_flight_join_leader_then_followers():

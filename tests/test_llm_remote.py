@@ -7,7 +7,6 @@ FakeLLMServer (the conftest network guard enforces it).
 
 from __future__ import annotations
 
-import asyncio
 import json
 
 import pytest
@@ -24,14 +23,8 @@ from repro.errors import (
     MalformedResponseError,
     TransportTimeoutError,
 )
-from repro.exec import AsyncioBackend
-from repro.llm.base import (
-    DispatchPath,
-    abatched_generate,
-    batched_generate,
-    resolve_dispatch,
-    run_coroutine,
-)
+from repro.exec import AsyncioBackend, SerialBackend
+from repro.exec.backend import run_coroutine
 from repro.llm.cache import CachingLLM
 from repro.llm.factory import create_llm
 from repro.llm.remote import parse_model_spec
@@ -201,9 +194,21 @@ def test_usage_accounting_aggregates_and_prices():
 
 
 def test_remote_resolves_to_async_single_rung():
-    llm = RemoteLLM("openai", "m", base_url="http://h:1")
-    assert resolve_dispatch(llm) is DispatchPath.ASYNC_SINGLE
-    assert resolve_dispatch(llm, prefer_sync=True) is DispatchPath.ASYNC_SINGLE
+    """No batch entry point: the asyncio backend gathers ``agenerate``."""
+    with FakeLLMServer() as server:
+        llm = RemoteLLM("openai", "m", base_url=server.base_url, retry=FAST_RETRY)
+        assert not hasattr(llm, "generate_batch")
+        assert not hasattr(llm, "agenerate_batch")
+        awaited = []
+        agenerate = llm.agenerate
+
+        async def spy(prompt):
+            awaited.append(prompt)
+            return await agenerate(prompt)
+
+        llm.agenerate = spy
+        AsyncioBackend().run(llm, ["a", "b"])
+    assert sorted(awaited) == ["a", "b"]
 
 
 def test_sync_async_batch_parity_byte_identical():
@@ -212,21 +217,19 @@ def test_sync_async_batch_parity_byte_identical():
         llm = RemoteLLM("openai", "m", base_url=server.base_url, retry=FAST_RETRY)
         sync_one = [llm.generate(p).answer for p in prompts]
         async_one = [run_coroutine(llm.agenerate(p)).answer for p in prompts]
-        sync_batch = [r.answer for r in batched_generate(llm, prompts)]
-        async_batch = [
-            r.answer for r in asyncio.run(abatched_generate(llm, prompts))
-        ]
+        sync_batch = [r.answer for r in SerialBackend().run(llm, prompts)]
+        async_batch = [r.answer for r in AsyncioBackend().run(llm, prompts)]
     assert sync_one == async_one == sync_batch == async_batch
     assert len(set(sync_one)) == 3  # distinct prompts, distinct answers
 
 
 def test_capacity_survives_cache_boundary():
-    """CachingLLM's forwarded max_inflight bounds concurrent HTTP."""
+    """The backend behind the cache bounds concurrent HTTP."""
     prompts = [f"prompt {i}" for i in range(12)]
     with FakeLLMServer(latency=0.02) as server:
         llm = RemoteLLM("openai", "m", base_url=server.base_url, retry=FAST_RETRY)
-        cached = CachingLLM(llm, max_inflight=3)
-        results = asyncio.run(cached.agenerate_batch(prompts))
+        cached = CachingLLM(llm)
+        results = cached.generate_batch(prompts, run=AsyncioBackend(3).run)
         assert len(results) == 12
         assert 1 <= server.max_inflight <= 3
 
@@ -244,8 +247,7 @@ def test_evaluator_inherits_backend_capacity_over_http(big_three):
         )
         context = probe.retrieve(big_three.query)
         backend = AsyncioBackend(max_inflight=4)
-        cached = CachingLLM(llm, max_inflight=backend.capacity)
-        evaluator = ContextEvaluator(cached, context, backend=backend)
+        evaluator = ContextEvaluator(CachingLLM(llm), context, backend=backend)
         ids = context.doc_ids()
         orderings = [ids[:n] for n in range(1, len(ids) + 1)] + [ids]
         evaluations = evaluator.evaluate_many(orderings)
@@ -445,7 +447,6 @@ def test_engine_remote_timeout_lives_in_transport_only(big_three, monkeypatch):
     assert rage.config.request_timeout is None
     assert rage.backend.timeout is None
     assert isinstance(rage.llm, CachingLLM)
-    assert rage.llm.timeout is None
     remote = rage.llm.inner
     assert remote.client.timeout == 0.2
     assert remote.client.stats.retries >= 1
