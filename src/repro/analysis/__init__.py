@@ -30,10 +30,9 @@ rule                      invariant
 
 Run it with ``rage lint [paths]`` or ``python -m repro.analysis``
 (``--jobs N`` fans file scanning over a process pool); suppress a
-deliberate exception inline with ``# repro: disable=RULE -- why``;
-ratchet legacy debt with a baseline file (see
-:mod:`repro.analysis.baseline`).  The dynamic twin of ``lock-order``
-lives in :mod:`repro.analysis.watchdog` (``RAGE_LOCK_WATCHDOG=1``).
+deliberate exception inline with ``# repro: disable=RULE -- why``.
+The dynamic twin of ``lock-order`` lives in
+:mod:`repro.analysis.watchdog` (``RAGE_LOCK_WATCHDOG=1``).
 """
 
 from __future__ import annotations

@@ -2,8 +2,7 @@
 
 Exit codes follow the CLI contract: 0 clean, 1 findings, 2 usage or
 configuration errors.  ``--json`` emits a machine-readable report (CI
-uploads it as an artifact); ``--write-baseline`` records the current
-findings so legacy debt ratchets down instead of blocking.
+uploads it as an artifact).
 """
 
 from __future__ import annotations
@@ -15,17 +14,12 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from ..errors import ConfigError, RageError
-from .baseline import apply_baseline, load_baseline, write_baseline
+from ..errors import RageError
 from .engine import AnalysisResult, analyze_paths
 from .model import all_checkers, checkers_for_rules
 
 #: Scanned when no paths are given — the self-hosting default.
 DEFAULT_PATHS = ("src", "tests", "benchmarks")
-
-#: Baseline location used when ``--baseline`` is not passed and the
-#: file exists.  Absent file = empty baseline (the healthy state).
-DEFAULT_BASELINE = ".repro-baseline.json"
 
 
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
@@ -48,19 +42,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="FILE",
         help="also write the report (in the selected format) to FILE — "
         "CI uploads this as an artifact even when the run fails",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="baseline file waiving known legacy findings "
-        f"(default: {DEFAULT_BASELINE} if present)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="record current findings into the baseline file and exit 0 "
-        "(the ratchet: rerun after fixing to shrink it)",
     )
     parser.add_argument(
         "--rule",
@@ -90,32 +71,29 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _render_human(
-    result: AnalysisResult, waived: int, reported: List
-) -> str:
+def _render_human(result: AnalysisResult, reported: List) -> str:
     lines = [finding.render() for finding in reported]
     summary = (
         f"{len(reported)} finding{'s' if len(reported) != 1 else ''} "
         f"across {result.files} files "
-        f"({result.suppressed} inline-suppressed, {waived} baselined)"
+        f"({result.suppressed} inline-suppressed)"
     )
     if not reported:
         summary = (
             f"clean: 0 findings across {result.files} files "
-            f"({result.suppressed} inline-suppressed, {waived} baselined)"
+            f"({result.suppressed} inline-suppressed)"
         )
     lines.append(summary)
     return "\n".join(lines)
 
 
-def _render_json(result: AnalysisResult, waived: int, reported: List) -> str:
+def _render_json(result: AnalysisResult, reported: List) -> str:
     payload = {
         "version": 1,
         "files": result.files,
         "counts": {
             "reported": len(reported),
             "suppressed": result.suppressed,
-            "baselined": waived,
         },
         "findings": [finding.to_dict() for finding in reported],
     }
@@ -134,47 +112,12 @@ def run_lint(args: argparse.Namespace) -> int:
     )
     jobs = args.jobs if args.jobs and args.jobs > 0 else (os.cpu_count() or 1)
     result = analyze_paths(args.paths, root=root, checkers=checkers, jobs=jobs)
-
-    baseline_path = (
-        Path(args.baseline) if args.baseline else root / DEFAULT_BASELINE
-    )
-    if args.write_baseline:
-        # A renamed file resets its (path, rule) count to zero while
-        # the stale entry would silently keep waiving findings at the
-        # old path — call the rot out and drop it.
-        stale: List[str] = []
-        if baseline_path.is_file():
-            stale = sorted(
-                rel
-                for rel in load_baseline(baseline_path)
-                if not (root / rel).exists()
-            )
-        write_baseline(baseline_path, result.sorted_findings())
-        for rel in stale:
-            print(
-                f"warning: pruned baseline entry for {rel} — "
-                "the file no longer exists (renamed or deleted)",
-                file=sys.stderr,
-            )
-        print(
-            f"baseline written to {baseline_path} "
-            f"({len(result.findings)} findings waived"
-            + (f", {len(stale)} stale entries pruned" if stale else "")
-            + ")"
-        )
-        return 0
-    if baseline_path.is_file():
-        baseline = load_baseline(baseline_path)
-    elif args.baseline:
-        raise ConfigError(f"no baseline file at {baseline_path}")
-    else:
-        baseline = {}
-    reported, waived = apply_baseline(result.sorted_findings(), baseline)
+    reported = result.sorted_findings()
 
     rendered = (
-        _render_json(result, waived, reported)
+        _render_json(result, reported)
         if args.json_output
-        else _render_human(result, waived, reported)
+        else _render_human(result, reported)
     )
     print(rendered)
     if args.output:

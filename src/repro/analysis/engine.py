@@ -2,9 +2,7 @@
 
 :func:`analyze_paths` is the CLI's workhorse; :func:`analyze_source` /
 :func:`analyze_sources` check in-memory snippets (the fixture tests'
-entry points).  All return findings **after** inline suppressions; the
-baseline is applied by the caller (:mod:`repro.analysis.cli`) because
-only it knows whether this run is writing or enforcing the baseline.
+entry points).  All return findings **after** inline suppressions.
 
 Two phases per run:
 

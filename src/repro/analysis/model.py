@@ -46,10 +46,10 @@ class Finding:
 class Checker:
     """Base class for one lint rule.
 
-    Subclasses set ``rule`` (the id used in output, suppressions and
-    baselines) and ``description`` (one line for ``--list-rules``),
-    then implement :meth:`check`.  :meth:`applies` scopes the rule to
-    parts of the repository layout; the default is every scanned file.
+    Subclasses set ``rule`` (the id used in output and suppressions)
+    and ``description`` (one line for ``--list-rules``), then
+    implement :meth:`check`.  :meth:`applies` scopes the rule to parts
+    of the repository layout; the default is every scanned file.
     """
 
     rule: str = ""

@@ -80,6 +80,10 @@ def recency_weights(k: int, decay: float = 0.7) -> List[float]:
 def _normalize(raw: List[float]) -> List[float]:
     if not raw:
         raise ConfigError("cannot build a prior over zero positions")
+    if not any(raw):
+        # A full-depth shape can zero every position of a short context
+        # (V at k=1, inverted V at k=2): it then prefers none of them.
+        return [1.0 / len(raw)] * len(raw)
     total = math.fsum(raw)
     if total <= 0:
         raise ConfigError("prior weights must have positive mass")

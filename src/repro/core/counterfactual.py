@@ -80,11 +80,13 @@ def search_combination_counterfactual(
     target_answer: Optional[str] = None,
     max_evaluations: int = 1000,
     keep_trail: bool = False,
-    batch_size: int = 1,
     lattice: Optional[AnswerLattice] = None,
-    adaptive: bool = False,
 ) -> CombinationSearchResult:
     """Find a minimal combination counterfactual.
+
+    Candidates are evaluated one at a time, size-major and
+    relevance-ordered within a size, and the search stops at the first
+    flip, so a found counterfactual is minimal in subset size.
 
     Parameters
     ----------
@@ -105,15 +107,8 @@ def search_combination_counterfactual(
         already memoized by the (possibly shared) evaluator are free,
         matching the paper's LLM-call semantics.
     keep_trail:
-        Record every (candidate, answer) pair — used by the pruning
-        benchmarks; off by default to save memory.
-    batch_size:
-        Number of un-memoized candidates evaluated per LLM batch.  The
-        default of 1 reproduces the paper's strictly sequential search;
-        larger values trade a few wasted evaluations past the flip for
-        batched-backend throughput.  The reported ``num_evaluations``
-        always counts every real call, including chunk members after
-        the flip.
+        Record every (candidate, answer) pair, for tests that inspect
+        the search order; off by default to save memory.
     lattice:
         Optional :class:`~repro.core.lattice.AnswerLattice`.  When its
         implication gate is open, candidates whose implied answer
@@ -122,15 +117,9 @@ def search_combination_counterfactual(
         can be returned — a found counterfactual is always backed by a
         genuine answer.  Trail entries only cover evaluated candidates;
         implied skips never appear in it.
-    adaptive:
-        Grow the evaluation chunk geometrically while no flip (or
-        implied flip) appears and reset it on a near-hit; see
-        :func:`repro.core.evaluate.scan_candidates`.
     """
     if max_evaluations <= 0:
         raise SearchBudgetError(f"max_evaluations must be positive, got {max_evaluations}")
-    if batch_size < 1:
-        raise SearchBudgetError(f"batch_size must be >= 1, got {batch_size}")
     direction = SearchDirection(direction)
     context = evaluator.context
     doc_ids = list(context.doc_ids())
@@ -167,7 +156,7 @@ def search_combination_counterfactual(
     # The budget counts real LLM calls only: the baselines above are the
     # caller's cost (they are shared across every explanation), and memo
     # hits — e.g. subsets a prior insight analysis already evaluated —
-    # are free.  scan_candidates owns the chunking/accounting.
+    # are free.  scan_candidates owns the accounting.
     def stream():
         for subset in candidates:
             if direction is SearchDirection.TOP_DOWN:
@@ -206,23 +195,8 @@ def search_combination_counterfactual(
             stream(),
             match,
             max_evaluations,
-            batch_size,
             lattice=lattice,
             flips=lambda normalized: _flips(normalized, baseline, target_norm),
-            # Near-hit (adaptive chunk reset): an answer change that
-            # missed the target.  Only meaningful top-down — bottom-up
-            # candidates differ from the *empty-context* baseline almost
-            # by definition, which would pin the chunk at its floor.
-            near=(
-                (
-                    lambda evaluation: evaluation.normalized_answer
-                    != baseline.normalized_answer
-                    and evaluation.normalized_answer != target_norm
-                )
-                if target_norm is not None and direction is SearchDirection.TOP_DOWN
-                else None
-            ),
-            adaptive=adaptive,
         )
     )
     return result

@@ -58,7 +58,11 @@ from .insights import (
 )
 from .optimal import OptimalPermutation, optimal_permutations
 from .lattice import AnswerLattice
-from .permutation_cf import PermutationSearchResult, search_permutation_counterfactual
+from .permutation_cf import (
+    MAX_EXHAUSTIVE_K,
+    PermutationSearchResult,
+    search_permutation_counterfactual,
+)
 from .plan import EvaluationPlan, PlanStats
 from .sampling import select_combinations, select_permutations
 from .scoring import RelevanceMethod, make_scorer
@@ -78,7 +82,9 @@ class RageConfig:
         permutations: RETRIEVAL (BM25 scores) or ATTENTION (aggregated
         LLM attention).
     max_evaluations:
-        LLM-call budget per counterfactual search.
+        LLM-call budget per counterfactual search.  Each search
+        evaluates one candidate at a time and stops at the first flip
+        or once this many real calls are spent.
     sample_size:
         Default perturbation sample size for the insight analyses;
         ``None`` analyzes all combinations / permutations.
@@ -118,11 +124,6 @@ class RageConfig:
         one native batch (see :mod:`repro.exec.coalesce`).  ``None``
         (default) disables the window; it is a throughput/latency
         trade that pays off when the model rewards bigger batches.
-    search_batch_size:
-        Un-memoized candidates per LLM batch inside the sequential
-        counterfactual searches.  1 (default) is the paper's strictly
-        serial search; larger values trade a few evaluations past the
-        flip for batched-backend throughput.
     plan_pruning:
         Let ``explain()`` attach an
         :class:`~repro.core.lattice.AnswerLattice` to its evaluation
@@ -136,13 +137,6 @@ class RageConfig:
         position-sensitive contexts degrade to the unpruned plan;
         ``rage report --no-prune`` and ``plan_pruning=False`` disable
         it outright.
-    adaptive_search_batching:
-        Grow the counterfactual searches' evaluation chunk
-        geometrically (from ``search_batch_size``, reset on near-hits)
-        while no flip appears — fewer, larger batches for real
-        transformer backends.  Off by default: the paper's search is
-        strictly sequential and adaptive chunks may charge a few extra
-        evaluations past the flip.
     request_timeout:
         Local deadline per model call, in seconds, enforced by the
         execution backend (the prompt cache never calls the model).
@@ -188,9 +182,7 @@ class RageConfig:
     cache_max_bytes: Optional[int] = None
     single_flight: bool = True
     batch_window_ms: Optional[float] = None
-    search_batch_size: int = 1
     plan_pruning: bool = True
-    adaptive_search_batching: bool = False
     request_timeout: Optional[float] = None
     index_dir: Optional[str] = None
     retrieval_mode: str = "bm25"
@@ -202,8 +194,6 @@ class RageConfig:
             raise ConfigError(f"k must be positive, got {self.k}")
         if self.max_evaluations <= 0:
             raise ConfigError("max_evaluations must be positive")
-        if self.search_batch_size < 1:
-            raise ConfigError("search_batch_size must be >= 1")
         if self.cache_dir is not None and not self.cache:
             raise ConfigError("cache_dir requires cache=True (the disk store "
                               "is a tier of the prompt cache)")
@@ -375,7 +365,7 @@ class Rage:
 
     def retrieve(self, query: str, k: Optional[int] = None) -> Context:
         """Build the context ``Dq`` for a query."""
-        result = self.searcher.search(query, k=k or self.config.k)
+        result = self.searcher.search(query, k=k if k is not None else self.config.k)
         return Context.from_retrieval(result)
 
     def ask(
@@ -467,8 +457,9 @@ class Rage:
             relevance_scores=self.relevance_scores(context),
             direction=direction,
             target_answer=target_answer,
-            max_evaluations=max_evaluations or self.config.max_evaluations,
-            batch_size=self.config.search_batch_size,
+            max_evaluations=(
+                max_evaluations if max_evaluations is not None else self.config.max_evaluations
+            ),
         )
 
     def permutation_counterfactual(
@@ -485,8 +476,9 @@ class Rage:
         return search_permutation_counterfactual(
             evaluator,
             target_answer=target_answer,
-            max_evaluations=max_evaluations or self.config.max_evaluations,
-            batch_size=self.config.search_batch_size,
+            max_evaluations=(
+                max_evaluations if max_evaluations is not None else self.config.max_evaluations
+            ),
         )
 
     def optimal_permutations(
@@ -592,7 +584,7 @@ class Rage:
             context, sample_size=sample, seed=self.config.seed, include_empty=False
         )
         permutation_set = None
-        if context.k <= 8 or perm_sample is not None:
+        if context.k <= MAX_EXHAUSTIVE_K or perm_sample is not None:
             permutation_set = select_permutations(
                 context, sample_size=perm_sample, seed=self.config.seed
             )
@@ -622,16 +614,14 @@ class Rage:
         permutation: Optional[PermutationInsights] = None
         if permutation_set is not None:
             permutation = analyze_permutations(evaluator, permutation_set)
-        if context.k <= 8:
+        if context.k <= MAX_EXHAUSTIVE_K:
             permutation_budget = self.config.max_evaluations
         else:
             permutation_budget = min(wide_permutation_budget, self.config.max_evaluations)
         permutation_cf = search_permutation_counterfactual(
             evaluator,
             max_evaluations=permutation_budget,
-            batch_size=self.config.search_batch_size,
             lattice=lattice,
-            adaptive=self.config.adaptive_search_batching,
         )
         report = RageReport(
             query=query,
@@ -644,18 +634,14 @@ class Rage:
                 relevance_scores=scores,
                 direction=SearchDirection.TOP_DOWN,
                 max_evaluations=self.config.max_evaluations,
-                batch_size=self.config.search_batch_size,
                 lattice=lattice,
-                adaptive=self.config.adaptive_search_batching,
             ),
             bottom_up=search_combination_counterfactual(
                 evaluator,
                 relevance_scores=scores,
                 direction=SearchDirection.BOTTOM_UP,
                 max_evaluations=self.config.max_evaluations,
-                batch_size=self.config.search_batch_size,
                 lattice=lattice,
-                adaptive=self.config.adaptive_search_batching,
             ),
             permutation_counterfactual=permutation_cf,
             optimal=optimal_permutations(

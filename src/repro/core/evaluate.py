@@ -186,38 +186,26 @@ class ContextEvaluator:
         return self.evaluate(())
 
 
-#: Ceiling for the adaptive chunk policy (see :func:`scan_candidates`).
-MAX_ADAPTIVE_BATCH = 64
-
-
 def scan_candidates(
     evaluator: ContextEvaluator,
     candidates: Iterable[Tuple[Tuple[str, ...], Any]],
     match: Callable[[Any, Evaluation], Optional[Any]],
     max_evaluations: int,
-    batch_size: int = 1,
     *,
     lattice: Optional["AnswerLattice"] = None,
     flips: Optional[Callable[[str], bool]] = None,
-    near: Optional[Callable[[Evaluation], bool]] = None,
-    adaptive: bool = False,
 ) -> Tuple[Optional[Any], int, bool]:
-    """Budgeted, batched, in-order scan over evaluation candidates.
+    """Budgeted, sequential, in-order scan over evaluation candidates.
 
-    The shared engine of both sequential counterfactual searches:
-    ``candidates`` yields ``(ordering, payload)`` pairs in priority
-    order; ``match(payload, evaluation)`` is invoked once per evaluated
-    candidate *in candidate order* (record trails there) and the first
-    non-``None`` return stops the scan.
+    The shared engine of both counterfactual searches: ``candidates``
+    yields ``(ordering, payload)`` pairs in priority order and is
+    evaluated one candidate at a time; ``match(payload, evaluation)``
+    is invoked once per evaluated candidate (record trails there) and
+    the first non-``None`` return stops the scan.
 
     Budget semantics: ``max_evaluations`` bounds *real* LLM calls —
-    memo hits are free.  Un-memoized candidates accumulate into chunks
-    of ``batch_size`` and are dispatched through
-    :meth:`ContextEvaluator.evaluate_many`; ``batch_size=1`` reproduces
-    strictly sequential evaluation (memoized candidates additionally
-    resolve immediately while nothing fresh is pending, preserving
-    exact sequential stopping).  With larger chunks, members evaluated
-    after an in-chunk hit are still charged.
+    memo hits are free, so the scan only stops for budget at a fresh
+    candidate once ``max_evaluations`` calls are spent.
 
     Lattice pruning: with an active
     :class:`~repro.core.lattice.AnswerLattice` and a ``flips``
@@ -229,61 +217,16 @@ def scan_candidates(
     wherever implication is sound.  Full-context candidates additionally
     feed the lattice's order-stability evidence.
 
-    Adaptive chunking (``adaptive=True``): the chunk grows
-    geometrically from ``batch_size`` up to :data:`MAX_ADAPTIVE_BATCH`
-    while flushes stay cold, and resets to ``batch_size`` on a
-    *near-hit* — a failed implied-flip verification, or any evaluation
-    the optional ``near`` predicate flags (e.g. an answer change that
-    missed the target) — so batched backends see few large batches far
-    from the flip and precise small ones close to it.
-
     Returns ``(hit, real_llm_calls, budget_exhausted)`` where
     ``budget_exhausted`` is only set when a fresh candidate was left
-    unevaluated and nothing pending matched.
+    unevaluated.
     """
     start_calls = evaluator.llm_calls
-
-    def spent() -> int:
-        return evaluator.llm_calls - start_calls
-
-    pending: List[Tuple[Tuple[str, ...], Any]] = []
-    pending_fresh = 0
     hit: Optional[Any] = None
     budget_exhausted = False
-    chunk_size = batch_size
-    verifying: set = set()
-
-    def flush() -> Optional[Any]:
-        nonlocal pending, pending_fresh, chunk_size
-        batch, pending, pending_fresh = pending, [], 0
-        if not batch:
-            return None
-        evaluations = evaluator.evaluate_many([ordering for ordering, _ in batch])
-        near_hit = False
-        found: Optional[Any] = None
-        for (ordering, payload), evaluation in zip(batch, evaluations):
-            if lattice is not None:
-                lattice.record(ordering, evaluation.answer, evaluation.normalized_answer)
-                if ordering in verifying:
-                    if flips is not None and flips(evaluation.normalized_answer):
-                        lattice.stats.verified += 1
-                    else:
-                        near_hit = True  # implication promised a flip; it lied
-            if found is None:
-                found = match(payload, evaluation)
-            if near is not None and near(evaluation):
-                near_hit = True
-        if adaptive:
-            chunk_size = (
-                batch_size
-                if near_hit
-                else min(max(chunk_size * 2, batch_size), MAX_ADAPTIVE_BATCH)
-            )
-        return found
-
     for ordering, payload in candidates:
         fresh = not evaluator.is_memoized(ordering)
-        verify_now = False
+        verifying = False
         if fresh and lattice is not None and flips is not None:
             mask = lattice.mask_for(ordering)
             entry = lattice.lookup(mask) if mask is not None else None
@@ -293,30 +236,16 @@ def scan_candidates(
                     # skip without spending budget.
                     lattice.stats.skipped_candidates += 1
                     continue
-                if entry.inferred:
-                    verifying.add(tuple(ordering))  # verify-on-hit
-                    verify_now = True
-        if fresh and spent() + pending_fresh >= max_evaluations:
-            hit = flush()
-            if hit is None:
-                budget_exhausted = True
+                verifying = entry.inferred  # verify-on-hit
+        if fresh and evaluator.llm_calls - start_calls >= max_evaluations:
+            budget_exhausted = True
             break
-        pending.append((ordering, payload))
-        if fresh:
-            pending_fresh += 1
-        # Flush when the chunk is full — or for free when everything
-        # pending is memoized, preserving exact sequential stopping —
-        # or immediately on an implied flip, so verify-on-hit costs the
-        # one real call it promises instead of waiting out a grown
-        # adaptive chunk.
-        if (
-            pending_fresh >= chunk_size
-            or (not fresh and pending_fresh == 0)
-            or verify_now
-        ):
-            hit = flush()
-            if hit is not None:
-                break
-    else:
-        hit = flush()
-    return hit, spent(), budget_exhausted
+        evaluation = evaluator.evaluate(ordering)
+        if lattice is not None:
+            lattice.record(ordering, evaluation.answer, evaluation.normalized_answer)
+            if verifying and flips(evaluation.normalized_answer):
+                lattice.stats.verified += 1
+        hit = match(payload, evaluation)
+        if hit is not None:
+            break
+    return hit, evaluator.llm_calls - start_calls, budget_exhausted

@@ -99,9 +99,7 @@ def search_permutation_counterfactual(
     max_evaluations: int = 1000,
     keep_trail: bool = False,
     lazy: Optional[bool] = None,
-    batch_size: int = 1,
     lattice: Optional[AnswerLattice] = None,
-    adaptive: bool = False,
 ) -> PermutationSearchResult:
     """Find the most-similar answer-changing permutation.
 
@@ -110,29 +108,24 @@ def search_permutation_counterfactual(
     switch to the lazy decreasing-tau generator, bounded by
     ``max_evaluations``.  Pass ``lazy=True``/``False`` to force a mode.
 
-    ``max_evaluations`` bounds *real* LLM calls: orders the (possibly
-    shared) evaluator has already memoized — e.g. from a permutation
-    insight analysis over the same context — are free, matching the
-    paper's LLM-call semantics.  ``batch_size`` chunks un-memoized
-    candidates into batched LLM calls (default 1 = the paper's strictly
-    sequential evaluation; larger values may charge a few evaluations
-    past the flip in exchange for batched-backend throughput), and
-    ``adaptive=True`` grows the chunk geometrically while no flip
-    appears (reset on a near-hit) for batched backends.  A ``lattice``
-    cannot imply permutation answers (orderings beyond context-order
-    subsets are outside the combination lattice) but every evaluated
-    permutation feeds its order-stability evidence.
+    Candidates are evaluated one at a time in decreasing-tau order and
+    the search stops at the first flip.  ``max_evaluations`` bounds
+    *real* LLM calls: orders the (possibly shared) evaluator has
+    already memoized — e.g. from a permutation insight analysis over
+    the same context — are free, matching the paper's LLM-call
+    semantics.  A ``lattice`` cannot imply permutation answers
+    (orderings beyond context-order subsets are outside the combination
+    lattice) but every evaluated permutation feeds its order-stability
+    evidence.
 
     Raises
     ------
     SearchBudgetError
-        On a non-positive budget or batch size, or when ``lazy=False``
-        is forced for a context beyond the exhaustive cap.
+        On a non-positive budget, or when ``lazy=False`` is forced for
+        a context beyond the exhaustive cap.
     """
     if max_evaluations <= 0:
         raise SearchBudgetError(f"max_evaluations must be positive, got {max_evaluations}")
-    if batch_size < 1:
-        raise SearchBudgetError(f"batch_size must be >= 1, got {batch_size}")
     context = evaluator.context
     if lazy is None:
         lazy = context.k > MAX_EXHAUSTIVE_K
@@ -155,7 +148,7 @@ def search_permutation_counterfactual(
 
     # Budget = real LLM calls from here on (the baseline is the caller's
     # shared cost; memo hits are free).  scan_candidates owns the
-    # chunking/accounting shared with the combination search.
+    # accounting shared with the combination search.
     def match(payload, evaluation):
         order, tau = payload
         if keep_trail:
@@ -181,20 +174,7 @@ def search_permutation_counterfactual(
             ((order, (order, tau)) for order, tau in candidates),
             match,
             max_evaluations,
-            batch_size,
             lattice=lattice,
-            # Near-hit (adaptive chunk reset): an answer change that
-            # missed the target answer.
-            near=(
-                (
-                    lambda evaluation: evaluation.normalized_answer
-                    != baseline.normalized_answer
-                    and evaluation.normalized_answer != target_norm
-                )
-                if target_norm is not None
-                else None
-            ),
-            adaptive=adaptive,
         )
     )
     return result

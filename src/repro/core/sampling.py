@@ -19,6 +19,7 @@ from ..combinatorics.combinations import all_combinations, sample_combinations
 from ..combinatorics.permutations import all_permutations, sample_permutations
 from ..errors import ConfigError
 from .context import CombinationPerturbation, Context, PermutationPerturbation
+from .permutation_cf import MAX_EXHAUSTIVE_K
 
 
 def select_combinations(
@@ -64,7 +65,7 @@ def select_permutations(
     """
     doc_ids = context.doc_ids()
     if sample_size is None:
-        if context.k > 8:
+        if context.k > MAX_EXHAUSTIVE_K:
             raise ConfigError(
                 f"enumerating all {context.k}! permutations is intractable; "
                 "pass sample_size"

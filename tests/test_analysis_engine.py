@@ -1,4 +1,4 @@
-"""Engine-level suites: suppressions, baselines, CLI contract, wiring."""
+"""Engine-level suites: suppressions, CLI contract, wiring."""
 
 from __future__ import annotations
 
@@ -8,10 +8,9 @@ import textwrap
 import pytest
 
 from repro.analysis import analyze_paths, analyze_source, all_checkers
-from repro.analysis.baseline import apply_baseline, load_baseline, write_baseline
 from repro.analysis.cli import main as lint_main
 from repro.analysis.engine import PARSE_ERROR_RULE
-from repro.analysis.model import Finding, checkers_for_rules
+from repro.analysis.model import checkers_for_rules
 from repro.analysis.source import SourceFile
 from repro.app.cli import main as rage_main
 from repro.errors import ConfigError
@@ -97,48 +96,6 @@ def test_unparsable_file_yields_parse_error_finding():
 
 
 # ---------------------------------------------------------------------------
-# Baseline round trip
-
-
-def test_baseline_round_trip(tmp_path):
-    findings = [
-        Finding(path="a.py", line=3, rule="error-taxonomy", message="m"),
-        Finding(path="a.py", line=9, rule="error-taxonomy", message="m"),
-        Finding(path="b.py", line=1, rule="determinism", message="m"),
-    ]
-    path = tmp_path / "baseline.json"
-    write_baseline(path, findings)
-    baseline = load_baseline(path)
-    assert baseline == {
-        "a.py": {"error-taxonomy": 2},
-        "b.py": {"determinism": 1},
-    }
-    reported, waived = apply_baseline(findings, baseline)
-    assert reported == []
-    assert waived == 3
-
-
-def test_baseline_waives_earliest_lines_first():
-    findings = [
-        Finding(path="a.py", line=30, rule="r", message="new"),
-        Finding(path="a.py", line=5, rule="r", message="old"),
-    ]
-    reported, waived = apply_baseline(findings, {"a.py": {"r": 1}})
-    assert waived == 1
-    assert [f.line for f in reported] == [30]
-
-
-def test_baseline_rejects_bad_schema(tmp_path):
-    path = tmp_path / "baseline.json"
-    path.write_text('{"version": 99}', encoding="utf-8")
-    with pytest.raises(ConfigError):
-        load_baseline(path)
-    path.write_text("not json", encoding="utf-8")
-    with pytest.raises(ConfigError):
-        load_baseline(path)
-
-
-# ---------------------------------------------------------------------------
 # CLI contract (exit codes: 0 clean, 1 findings, 2 config errors)
 
 
@@ -175,49 +132,6 @@ def test_cli_json_report_schema(tmp_path, capsys):
     assert finding["severity"] == "error"
 
 
-def test_cli_write_baseline_then_rerun_is_clean(tmp_path, capsys):
-    snippet = _write_pkg(tmp_path)
-    assert lint_main(["--root", str(tmp_path), "src", "--write-baseline"]) == 0
-    assert (tmp_path / ".repro-baseline.json").is_file()
-    capsys.readouterr()
-
-    # The ratchet holds: baselined debt no longer blocks...
-    assert lint_main(["--root", str(tmp_path), "src"]) == 0
-    assert "1 baselined" in capsys.readouterr().out
-
-    # ...but a *new* finding in the same file still fails the run.
-    snippet.write_text(
-        BAD_SNIPPET + '\n\ndef worse(n):\n    raise RuntimeError("x")\n',
-        encoding="utf-8",
-    )
-    assert lint_main(["--root", str(tmp_path), "src"]) == 1
-    out = capsys.readouterr().out
-    assert "snippet.py:8" in out  # only the new finding is reported
-    assert "snippet.py:3" not in out
-
-
-def test_write_baseline_prunes_stale_entries_with_warning(tmp_path, capsys):
-    # The rename blind spot: baseline debt attached to a path that no
-    # longer exists would waive findings forever.  Rewriting the
-    # baseline warns about and drops such entries.
-    snippet = _write_pkg(tmp_path)
-    assert lint_main(["--root", str(tmp_path), "src", "--write-baseline"]) == 0
-    capsys.readouterr()
-
-    # Simulate a rename: the old path's debt is now stale.
-    moved = snippet.with_name("renamed.py")
-    snippet.rename(moved)
-    assert lint_main(["--root", str(tmp_path), "src", "--write-baseline"]) == 0
-    captured = capsys.readouterr()
-    assert "pruned baseline entry for src/repro/llm/snippet.py" in captured.err
-    assert "renamed or deleted" in captured.err
-    assert "1 stale entries pruned" in captured.out
-
-    baseline = load_baseline(tmp_path / ".repro-baseline.json")
-    assert "src/repro/llm/snippet.py" not in baseline
-    assert "src/repro/llm/renamed.py" in baseline
-
-
 def test_cli_missing_path_exits_2(tmp_path, capsys):
     assert lint_main(["--root", str(tmp_path), "no-such-dir"]) == 2
     assert "no such path" in capsys.readouterr().err
@@ -227,15 +141,6 @@ def test_cli_unknown_rule_exits_2(tmp_path, capsys):
     _write_pkg(tmp_path)
     assert lint_main(["--root", str(tmp_path), "src", "--rule", "bogus"]) == 2
     assert "unknown rule" in capsys.readouterr().err
-
-
-def test_cli_explicit_missing_baseline_exits_2(tmp_path, capsys):
-    _write_pkg(tmp_path)
-    code = lint_main(
-        ["--root", str(tmp_path), "src", "--baseline", str(tmp_path / "nope.json")]
-    )
-    assert code == 2
-    assert "baseline" in capsys.readouterr().err
 
 
 def test_cli_rule_selection_limits_checkers(tmp_path, capsys):

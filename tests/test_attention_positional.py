@@ -25,6 +25,13 @@ def test_weights_normalized(prior, k):
     assert all(w > 0 for w in weights)
 
 
+@pytest.mark.parametrize(
+    "prior,k", [(PositionPrior.V_SHAPED, 1), (PositionPrior.INVERTED_V, 2)]
+)
+def test_full_depth_shape_that_zeroes_every_position_is_uniform(prior, k):
+    assert position_weights(prior, k, depth=1.0) == [1.0 / k] * k
+
+
 def test_v_shape_ends_high_middle_low():
     weights = v_shaped_weights(7, depth=0.8)
     middle = weights[3]

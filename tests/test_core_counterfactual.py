@@ -204,29 +204,3 @@ def test_bottom_up_context_order_with_explicitly_unordered_candidates():
     ordered = tuple(sorted(subset, key=context.position_of))
     perturbation = CombinationPerturbation(kept=ordered)
     assert perturbation.apply(context) == ("d0", "d2")
-
-
-def test_batched_search_matches_serial_result():
-    def answers(q, texts):
-        return "flipped" if len(texts) == 2 else "base"
-
-    context, llm = _scripted_world(answer_fn=answers)
-    scores = {f"d{i}": float(i) for i in range(4)}
-    serial = _search(
-        ContextEvaluator(llm, context), scores, direction="top_down", batch_size=1
-    )
-    batched = _search(
-        ContextEvaluator(llm, context), scores, direction="top_down", batch_size=8
-    )
-    assert serial.found and batched.found
-    assert (
-        serial.counterfactual.changed_sources
-        == batched.counterfactual.changed_sources
-    )
-    assert serial.counterfactual.new_answer == batched.counterfactual.new_answer
-
-
-def test_invalid_batch_size(big_three_engine, big_three_context):
-    evaluator = ContextEvaluator(big_three_engine.llm, big_three_context)
-    with pytest.raises(SearchBudgetError):
-        _search(evaluator, {}, batch_size=0)

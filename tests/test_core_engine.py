@@ -3,7 +3,7 @@
 import pytest
 
 from repro import Rage, RageConfig, RelevanceMethod, SearchDirection, SimulatedLLM
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SearchBudgetError
 from repro.llm.cache import CachingLLM
 
 
@@ -12,8 +12,6 @@ def test_config_validation():
         RageConfig(k=0)
     with pytest.raises(ConfigError):
         RageConfig(max_evaluations=0)
-    with pytest.raises(ConfigError):
-        RageConfig(search_batch_size=0)
     with pytest.raises(ConfigError):
         RageConfig(batch_window_ms=0)
     with pytest.raises(ConfigError):
@@ -191,15 +189,14 @@ def test_sub_explanations_accept_shared_evaluator(big_three, big_three_engine):
     assert evaluator.llm_calls == calls_after_insights  # pure memo hits
 
 
-def test_search_batch_size_configurable(big_three):
-    rage = Rage.from_corpus(
-        big_three.corpus,
-        SimulatedLLM(knowledge=big_three.knowledge),
-        config=RageConfig(k=4, search_batch_size=8),
-    )
-    top_down = rage.combination_counterfactual(big_three.query)
-    assert top_down.found
-    assert top_down.counterfactual.changed_sources == ("bigthree-1-match-wins",)
+def test_zero_overrides_are_rejected_not_replaced(big_three, big_three_engine):
+    # An explicit 0 is a bad argument, not "use the config's value".
+    with pytest.raises(SearchBudgetError):
+        big_three_engine.combination_counterfactual(big_three.query, max_evaluations=0)
+    with pytest.raises(SearchBudgetError):
+        big_three_engine.permutation_counterfactual(big_three.query, max_evaluations=0)
+    with pytest.raises(ConfigError):
+        big_three_engine.retrieve(big_three.query, k=0)
 
 
 def test_cache_effect_across_calls(big_three, big_three_engine):

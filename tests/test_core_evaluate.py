@@ -119,7 +119,7 @@ def test_evaluate_many_empty_is_free():
     assert evaluator.llm_calls == 0
 
 
-# -- lattice-aware, adaptive scan_candidates ---------------------------------
+# -- lattice-aware scan_candidates -------------------------------------------
 
 
 def _monotone_world(k=4):
@@ -227,77 +227,3 @@ def test_scan_verify_on_hit_confirms_genuine_implied_flip():
     assert hit == "cf"
     assert calls == 1  # the implied flip cost exactly one real call
     assert lattice.stats.verified == 1
-
-
-class _BatchSizes:
-    """Records the size of every batch (or single call) reaching the model."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.sizes = []
-
-    @property
-    def name(self):
-        return "batch-sizes"
-
-    def generate(self, prompt):
-        self.sizes.append(1)
-        return self.inner.generate(prompt)
-
-    def generate_batch(self, prompts):
-        self.sizes.append(len(prompts))
-        return self.inner.generate_batch(prompts)
-
-
-def test_scan_adaptive_chunk_grows_and_caps():
-    from repro.core.evaluate import MAX_ADAPTIVE_BATCH, scan_candidates
-
-    context, llm = _scripted_world(3)
-
-    recorder = _BatchSizes(llm)
-    evaluator = ContextEvaluator(recorder, context)
-    # 40 distinct orderings, none of which match.
-    orderings = [("d0",), ("d1",), ("d2",), ("d0", "d1"), ("d0", "d2"),
-                 ("d1", "d2"), ("d0", "d1", "d2")]
-    import itertools
-
-    perms = [tuple(p) for p in itertools.permutations(("d0", "d1", "d2"))]
-    candidates = [(o, i) for i, o in enumerate(orderings + perms)]
-    hit, calls, exhausted = scan_candidates(
-        evaluator,
-        iter(candidates),
-        lambda payload, ev: None,
-        max_evaluations=100,
-        batch_size=1,
-        adaptive=True,
-    )
-    assert hit is None
-    # Chunks grow geometrically from 1 while no hit appears.
-    assert recorder.sizes[:3] == [1, 2, 4]
-    assert max(recorder.sizes) <= MAX_ADAPTIVE_BATCH
-
-
-def test_scan_adaptive_resets_on_near_hit():
-    from repro.core.evaluate import scan_candidates
-
-    context, llm = _scripted_world(3)
-
-    recorder = _BatchSizes(llm)
-    evaluator = ContextEvaluator(recorder, context)
-    orderings = [("d0",), ("d1",), ("d2",), ("d0", "d1"), ("d0", "d2"),
-                 ("d1", "d2"), ("d0", "d1", "d2"), ("d1", "d0"), ("d2", "d0"),
-                 ("d2", "d1"), ("d1", "d0", "d2"), ("d2", "d0", "d1")]
-    candidates = [(o, i) for i, o in enumerate(orderings)]
-    hit, calls, _ = scan_candidates(
-        evaluator,
-        iter(candidates),
-        lambda payload, ev: None,
-        max_evaluations=100,
-        batch_size=1,
-        adaptive=True,
-        near=lambda ev: ev.normalized_answer == "1 sources",  # singletons
-    )
-    assert hit is None
-    # Each singleton flush is a near-hit, pinning the chunk at 1; once
-    # the near-hits stop, the chunk grows geometrically again.
-    assert recorder.sizes == [1, 1, 1, 1, 2, 4, 2]
