@@ -8,8 +8,8 @@ misses from *different* requests for a few milliseconds and flushes
 them as one native batch.  Shapes asserted:
 
 1. **Thundering herd pays one call** — 16 threads racing one cold
-   prompt produce exactly one inner model call with single-flight on;
-   with it off, every racer dispatches its own.
+   prompt through the prompt cache produce exactly one inner model
+   call; racing the uncached model, every racer dispatches its own.
 2. **M tenants cost one tenant's calls** — four tenants replaying the
    same report concurrently against one server spend the same number
    of real LLM calls as a single tenant serially (dedup factor M >= 3),
@@ -51,14 +51,14 @@ TENANTS = ["t0", "t1", "t2", "t3"]
 RESULTS: list = []
 
 
-def _herd(cached, prompt, n):
-    """Race n threads at one prompt through ``cached``; return answers."""
+def _herd(llm, prompt, n):
+    """Race n threads at one prompt through ``llm``; return answers."""
     barrier = threading.Barrier(n)
     answers = [None] * n
 
     def worker(i):
         barrier.wait()
-        answers[i] = cached.generate(prompt).answer
+        answers[i] = llm.generate(prompt).answer
 
     threads = [threading.Thread(target=worker, args=(i,)) for i in range(n)]
     for t in threads:
@@ -75,20 +75,20 @@ def test_e20_thundering_herd_pays_one_call():
         case.query, [doc.text for doc in list(case.corpus)[:3]]
     )
 
-    def racers(single_flight):
+    def racers(cached):
         # Latency outermost: LatencyLLM only exposes per-prompt entry
         # points, so the cache never asks CountingLLM for a native
         # batch its inner model cannot serve.
         counting = CountingLLM(SimulatedLLM(knowledge=case.knowledge))
-        cached = CachingLLM(
-            LatencyLLM(counting, latency=LATENCY), single_flight=single_flight
+        model = LatencyLLM(counting, latency=LATENCY)
+        answers, seconds = timed(
+            _herd, CachingLLM(model) if cached else model, prompt, HERD
         )
-        answers, seconds = timed(_herd, cached, prompt, HERD)
         assert len(set(answers)) == 1  # everyone saw the same result
         return counting.calls, seconds
 
-    calls_on, seconds_on = racers(True)
-    calls_off, seconds_off = racers(False)
+    calls_on, seconds_on = racers(cached=True)
+    calls_off, seconds_off = racers(cached=False)
     RESULTS.append(
         {"label": "herd:single-flight", "seconds": seconds_on, "calls": calls_on}
     )

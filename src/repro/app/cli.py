@@ -26,7 +26,8 @@ from ..analysis.cli import add_lint_arguments, run_lint
 from ..core.counterfactual import SearchDirection
 from ..core.engine import RageConfig
 from ..datasets.base import available_use_cases
-from ..errors import RageError
+from ..errors import ConfigError, RageError
+from ..exec import AsyncioBackend, make_backend
 from ..llm.base import LanguageModel
 from ..llm.factory import create_llm
 from ..llm.remote import RemoteLLM
@@ -68,9 +69,9 @@ def _build_parser() -> argparse.ArgumentParser:
             "--backend",
             default=None,
             metavar="SPEC",
-            help="execution backend for evaluation batches: serial, "
-            "threaded[:N] (thread pool) or asyncio[:N] (event loop, "
-            "at most N calls in flight)",
+            help="execution backend for evaluation batches, each keeping "
+            "at most N calls in flight: serial, threaded[:N] (thread pool) "
+            "or asyncio[:N] (event loop, for remote models and pools)",
         )
         p.add_argument(
             "--cache-dir",
@@ -141,7 +142,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "--hedge",
             action="store_true",
             help="fire a hedged backup request on the next healthy provider "
-            "when the primary exceeds the hedge delay (requires --provider)",
+            "when the primary exceeds the hedge delay (requires --provider "
+            "and --backend asyncio[:N])",
         )
         p.add_argument(
             "--hedge-delay",
@@ -158,12 +160,6 @@ def _build_parser() -> argparse.ArgumentParser:
             metavar="N",
             help="consecutive transport failures before a provider's "
             "circuit breaker opens (default 5; requires --provider)",
-        )
-        p.add_argument(
-            "--no-single-flight",
-            action="store_true",
-            help="disable single-flight coalescing of concurrent identical "
-            "cache misses (restores the every-miss-dispatches path)",
         )
         p.add_argument(
             "--batch-window-ms",
@@ -392,6 +388,12 @@ def _config_overrides(
         overrides["plan_pruning"] = False
     if getattr(args, "backend", None) is not None:
         overrides["backend"] = args.backend
+    if getattr(args, "hedge", False) and not isinstance(
+        make_backend(getattr(args, "backend", None)), AsyncioBackend
+    ):
+        # Only RouterLLM.agenerate races a backup, and only the asyncio
+        # backend calls agenerate: elsewhere the flag would do nothing.
+        raise ConfigError("--hedge requires --backend asyncio[:N]")
     if getattr(args, "cache_dir", None) is not None:
         overrides["cache_dir"] = args.cache_dir
     if getattr(args, "timeout", None) is not None and not _has_transport(llm):
@@ -399,8 +401,6 @@ def _config_overrides(
         # a dispatch deadline on top would cut its retries and the
         # pool's failover walk short.
         overrides["request_timeout"] = args.timeout
-    if getattr(args, "no_single_flight", False):
-        overrides["single_flight"] = False
     if getattr(args, "batch_window_ms", None) is not None:
         overrides["batch_window_ms"] = args.batch_window_ms
     if getattr(args, "index_dir", None) is not None:
@@ -748,13 +748,12 @@ def _session_dispatch(args: argparse.Namespace, session: RageSession) -> int:
                     f"{stats.batches} batches covering {stats.batched_prompts} "
                     f"prompts, {stats.batched_misses} reached the model"
                 )
-                if llm.flights is not None:
-                    flights = llm.flights.stats
-                    print(
-                        f"Single-flight: {flights.flights} flights led, "
-                        f"{flights.coalesced} waiters served, "
-                        f"{flights.failures} failures"
-                    )
+                flights = llm.flights.stats
+                print(
+                    f"Single-flight: {flights.flights} flights led, "
+                    f"{flights.coalesced} waiters served, "
+                    f"{flights.failures} failures"
+                )
             from ..exec.coalesce import CoalescingBackend
 
             backend = session.rage.backend

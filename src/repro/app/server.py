@@ -22,7 +22,9 @@ stack, stdlib-only:
   each request on its own thread; sessions serialize their own state
   (atomic :meth:`~repro.app.session.RageSession.pose`), the cache and
   store tolerate concurrent readers/writers, and the shared backend
-  tracks how often request threads actually overlap.
+  tracks how often request threads actually overlap.  The listen
+  backlog is the host's ``SOMAXCONN``, not the stdlib's 5, so a burst
+  of connecting clients queues instead of being reset or stalled.
 
 Endpoints (all JSON)
 --------------------
@@ -67,6 +69,7 @@ from __future__ import annotations
 
 import json
 import math
+import socket
 import threading
 import time
 from collections import deque
@@ -482,6 +485,17 @@ class _Handler(BaseHTTPRequestHandler):
             pass
 
 
+class _Listener(ThreadingHTTPServer):
+    """One thread per request, behind a listen backlog a burst fits in.
+
+    The backlog is a class attribute because the base class listens
+    inside its constructor.
+    """
+
+    daemon_threads = True
+    request_queue_size = socket.SOMAXCONN
+
+
 class RageServer:
     """The multi-tenant ask/explain HTTP service (see module docstring).
 
@@ -576,7 +590,7 @@ class RageServer:
         self.journal: Deque[ServedRequest] = deque(maxlen=journal_limit)
         self._requests_total = 0
         self._store_usage_cache: Optional[Tuple[float, Tuple[int, int]]] = None
-        self._httpd: Optional[ThreadingHTTPServer] = None
+        self._httpd: Optional[_Listener] = None
         self._thread: Optional[threading.Thread] = None
         self._started = time.monotonic()
 
@@ -612,8 +626,7 @@ class RageServer:
     def start(self) -> "RageServer":
         """Bind and serve on a daemon thread; returns ``self``."""
         assert self._httpd is None, "server already started"
-        httpd = ThreadingHTTPServer((self._host, self._port), _Handler)
-        httpd.daemon_threads = True
+        httpd = _Listener((self._host, self._port), _Handler)
         httpd.rage_server = self  # handlers reach back through the server
         self._httpd = httpd
         self._thread = threading.Thread(
@@ -867,7 +880,7 @@ class RageServer:
                         "waiters_served": cache.flights.stats.coalesced,
                         "failures": cache.flights.stats.failures,
                     }
-                    if cache is not None and cache.flights is not None
+                    if cache is not None
                     else {"enabled": False}
                 ),
                 "window": (

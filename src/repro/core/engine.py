@@ -68,6 +68,14 @@ from .sampling import select_combinations, select_permutations
 from .scoring import RelevanceMethod, make_scorer
 from .stability import OrderStability, order_stability as compute_order_stability
 
+#: Optimal permutations listed in an ``explain()`` report.
+REPORT_OPTIMAL_PERMUTATIONS = 3
+
+#: LLM calls the lazy permutation counterfactual search may spend in an
+#: ``explain()`` report on a context wider than ``MAX_EXHAUSTIVE_K``
+#: (still capped by ``max_evaluations``).
+WIDE_PERMUTATION_BUDGET = 200
+
 
 @dataclass(frozen=True)
 class RageConfig:
@@ -96,10 +104,10 @@ class RageConfig:
     cache:
         Put a prompt cache in front of the backend (recommended).
     backend:
-        Execution-backend spec, the one place the LLM is called:
-        ``serial`` (default), ``threaded[:N]`` (thread pool) or
-        ``asyncio[:N]`` (event loop driving the LLM's async contract,
-        at most ``N`` calls in flight).  See :mod:`repro.exec`.
+        Execution-backend spec, the one place the LLM is called, with
+        at most ``N`` calls in flight: ``serial`` (default, one),
+        ``threaded[:N]`` (thread pool) or ``asyncio[:N]`` (event loop,
+        for models that wait on a socket).  See :mod:`repro.exec`.
     cache_dir:
         Directory for the content-addressed persistent generation
         store (:class:`~repro.llm.store.PromptStore`).  The prompt
@@ -108,14 +116,6 @@ class RageConfig:
         Requires ``cache=True``.
     cache_max_bytes:
         LRU size cap for the persistent store; ``None`` = unbounded.
-    single_flight:
-        Coalesce concurrent cache misses on the same key onto one real
-        LLM call (default on; see :mod:`repro.llm.coalesce`): the
-        second simultaneous requester of a prompt awaits the first's
-        in-flight result instead of dispatching its own.  The registry
-        lives on the prompt-cache wrapper, so with ``cache=False``
-        there is nothing to coalesce and the flag is inert.  ``False``
-        restores the historical every-miss-dispatches path verbatim.
     batch_window_ms:
         Opt-in cross-request micro-batch window (milliseconds): hold
         the first evaluation batch submitted to the execution backend
@@ -180,7 +180,6 @@ class RageConfig:
     backend: Optional[str] = None
     cache_dir: Optional[str] = None
     cache_max_bytes: Optional[int] = None
-    single_flight: bool = True
     batch_window_ms: Optional[float] = None
     plan_pruning: bool = True
     request_timeout: Optional[float] = None
@@ -328,7 +327,7 @@ class Rage:
             else None
         )
         self.llm: LanguageModel = (
-            CachingLLM(llm, store=self.store, single_flight=self.config.single_flight)
+            CachingLLM(llm, store=self.store)
             if self.config.cache
             else llm
         )
@@ -536,8 +535,6 @@ class Rage:
         query: str,
         context: Optional[Context] = None,
         sample_size: Optional[int] = None,
-        optimal_s: int = 3,
-        wide_permutation_budget: int = 200,
         stability_sample: int = 50,
         permutation_sample: Optional[int] = None,
     ) -> RageReport:
@@ -572,7 +569,9 @@ class Rage:
 
         Contexts wider than the exhaustive permutation cap run the lazy
         decreasing-tau counterfactual search under
-        ``wide_permutation_budget`` LLM calls instead of skipping.
+        :data:`WIDE_PERMUTATION_BUDGET` LLM calls instead of skipping.
+        The report lists :data:`REPORT_OPTIMAL_PERMUTATIONS` optimal
+        permutations.
         """
         context = context or self.retrieve(query)
         evaluator = self._evaluator(context)
@@ -617,7 +616,7 @@ class Rage:
         if context.k <= MAX_EXHAUSTIVE_K:
             permutation_budget = self.config.max_evaluations
         else:
-            permutation_budget = min(wide_permutation_budget, self.config.max_evaluations)
+            permutation_budget = min(WIDE_PERMUTATION_BUDGET, self.config.max_evaluations)
         permutation_cf = search_permutation_counterfactual(
             evaluator,
             max_evaluations=permutation_budget,
@@ -647,7 +646,7 @@ class Rage:
             optimal=optimal_permutations(
                 context,
                 relevance_scores=scores,
-                s=optimal_s,
+                s=REPORT_OPTIMAL_PERMUTATIONS,
                 prior=self.config.expected_prior,
                 depth=self.config.expected_depth,
             ),

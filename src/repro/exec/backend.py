@@ -17,6 +17,9 @@ with the input order); only wall-clock and resource usage differ.
 
 Choosing a backend
 ------------------
+Every backend bounds in-flight calls by its ``capacity``, whatever
+entry points the model exposes; a native batch counts as one call.
+
 ``serial``
     No added concurrency: the model's native ``generate_batch`` when it
     has one, else one ``generate`` at a time.  The right default for
@@ -27,14 +30,14 @@ Choosing a backend
     same compute across threads cannot beat it, and for padded
     transformer batches would regress), else up to ``N`` (default 8)
     concurrent ``generate`` calls on a thread pool.  Wins only when the
-    model releases the GIL or waits on I/O (remote HTTP APIs).
+    model releases the GIL or waits on I/O.
 ``asyncio[:N]``
-    Drives the model on an event loop with at most ``N`` calls in
-    flight (:data:`DEFAULT_MAX_INFLIGHT` when omitted): its
-    ``agenerate_batch``, else its ``generate_batch`` off-loop, else a
-    bounded gather of ``agenerate`` calls, else ``generate`` on ``N``
-    threads.  The scalable choice for async remote models — in-flight
-    calls cost coroutines, not threads.
+    For models that wait on a socket (``RemoteLLM``, ``RouterLLM``):
+    a gather of ``agenerate`` calls on an event loop, at most ``N``
+    in flight (:data:`DEFAULT_MAX_INFLIGHT` when omitted).  A model
+    without ``agenerate``, or a batch run on a model with a native
+    ``generate_batch``, takes the ``threaded:N`` strategy instead,
+    with no event loop.
 
 :func:`make_backend` parses exactly those specs (CLI ``--backend`` and
 :class:`~repro.core.engine.RageConfig.backend` use it).
@@ -133,9 +136,9 @@ def _run_with_deadline(
     joined for ``timeout`` seconds: on expiry the caller gets
     :class:`~repro.errors.GenerationTimeoutError` (naming ``prompts``)
     immediately and the hung call is abandoned — being a daemon, it can
-    no longer block anything the caller waits on, including event-loop
-    shutdown.  Async models get real cancellation via
-    ``asyncio.wait_for`` instead.
+    no longer block anything the caller waits on, including interpreter
+    exit.  Async models get real cancellation via ``asyncio.wait_for``
+    instead.
     """
     box: Dict[str, object] = {}
 
@@ -289,7 +292,11 @@ def _run_sync(
     timeout: Optional[float],
     per_prompt: bool,
 ) -> List[GenerationResult]:
-    """The serial and threaded strategy: native batch, else ``generate``."""
+    """Native batch, else ``generate`` on up to ``workers`` threads.
+
+    The whole of ``serial`` and ``threaded``, and ``asyncio`` for any
+    run that does not gather ``agenerate`` calls.
+    """
     if not prompts:
         return []
     if not per_prompt and _has(model, "generate_batch"):
@@ -350,16 +357,18 @@ class ThreadedBackend(ExecutionBackend):
 
 
 class AsyncioBackend(ExecutionBackend):
-    """Event-loop execution with at most ``max_inflight`` calls in flight.
+    """At most ``max_inflight`` calls in flight, on an event loop only
+    for models that wait on a socket.
 
-    Strategy, first match wins: ``agenerate_batch`` (awaited under the
-    deadline), ``generate_batch`` off-loop, a gather of ``agenerate``
-    calls behind a semaphore, and for a model exposing only sync
-    ``generate`` a thread pool as wide as the bound — so ``asyncio:8``
-    never silently degrades to a sequential loop.  ``None`` applies the
+    A per-prompt gather of ``agenerate`` calls runs on a private event
+    loop (via :func:`run_coroutine`) behind a semaphore, and the loop's
+    default thread pool — where ``RemoteLLM`` waits on its sockets and
+    ``RouterLLM`` runs members without ``agenerate`` — is exactly as
+    wide, so a hedged backup waits for a free slot like any other
+    call.  Everything else takes :func:`_run_sync` at the same width:
+    a model without ``agenerate``, and any batch run on a model with a
+    native ``generate_batch``.  ``None`` applies the
     :data:`DEFAULT_MAX_INFLIGHT` cap rather than unbounded fan-out.
-    Each :meth:`run` drives a private event loop via
-    :func:`run_coroutine`.
     """
 
     def __init__(
@@ -381,37 +390,23 @@ class AsyncioBackend(ExecutionBackend):
     def run(
         self, model: LanguageModel, prompts: Sequence[str], per_prompt: bool = False
     ) -> List[GenerationResult]:
+        width = self.max_inflight or DEFAULT_MAX_INFLIGHT
+        on_loop = _has(model, "agenerate") and (
+            per_prompt or not _has(model, "generate_batch")
+        )
         with self._track(len(prompts)):
-            if not prompts:
-                return []
-            return run_coroutine(self._gather(model, prompts, per_prompt))
+            if prompts and on_loop:
+                return run_coroutine(self._gather(model, prompts, width))
+            return _run_sync(model, prompts, width, self.timeout, per_prompt)
 
     async def _gather(
-        self, model: LanguageModel, prompts: Sequence[str], per_prompt: bool
+        self, model: LanguageModel, prompts: Sequence[str], width: int
     ) -> List[GenerationResult]:
         timeout = self.timeout
-        if not per_prompt and _has(model, "agenerate_batch"):
-            try:
-                results = await asyncio.wait_for(
-                    model.agenerate_batch(prompts), timeout  # type: ignore[attr-defined]
-                )
-            except asyncio.TimeoutError:
-                raise GenerationTimeoutError(prompts, timeout) from None
-            return _check_alignment(model, prompts, list(results))
-        if not per_prompt and _has(model, "generate_batch"):
-            # Not wait_for(to_thread(...)): abandoning a to_thread call
-            # leaves its worker blocked in the loop's default executor,
-            # and loop shutdown joins those workers — the "timed out"
-            # caller would hang on exit anyway.  _native_batch parks the
-            # hung call on a disposable daemon thread instead, so the
-            # executor worker is released within the deadline.
-            return await asyncio.to_thread(_native_batch, model, prompts, timeout)
-        if not _has(model, "agenerate"):
-            workers = self.max_inflight or DEFAULT_THREAD_WORKERS
-            return await asyncio.to_thread(
-                _generate_each, model, prompts, workers, timeout
-            )
-        gate = asyncio.Semaphore(self.max_inflight or DEFAULT_MAX_INFLIGHT)
+        asyncio.get_running_loop().set_default_executor(
+            ThreadPoolExecutor(max_workers=width, thread_name_prefix="repro-asyncio")
+        )
+        gate = asyncio.Semaphore(width)
 
         async def bounded(prompt: str) -> GenerationResult:
             async with gate:

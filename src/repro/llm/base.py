@@ -11,28 +11,31 @@ explanation code knows which one it is talking to.
 The batching contract
 ---------------------
 Every RAGE explanation reduces to evaluating *many* prompts against the
-same model, so models may additionally implement any of::
+same model, so models may additionally implement either of::
 
     generate_batch(prompts: Sequence[str]) -> List[GenerationResult]
     agenerate(prompt: str) -> Awaitable[GenerationResult]
-    agenerate_batch(prompts: Sequence[str]) -> Awaitable[List[GenerationResult]]
 
 with these guarantees, which all callers rely on:
 
 * **Alignment** — exactly one result per input prompt, in input order.
 * **Equivalence** — ``generate_batch(ps)[i].answer`` equals
-  ``generate(ps[i]).answer`` for deterministic models, and the async
-  entry points answer exactly as their sync counterparts.  Auxiliary
-  fields are best-effort: a model may omit the attention trace (one
-  total per source) in batch mode when capturing it per prompt would
-  negate the batching win (answers, usage and diagnostics must still be
+  ``generate(ps[i]).answer`` for deterministic models, and
+  ``agenerate`` answers exactly as ``generate``.  Auxiliary fields are
+  best-effort: a model may omit the attention trace (one total per
+  source) in batch mode when capturing it per prompt would negate the
+  batching win (answers, usage and diagnostics must still be
   populated).
 * **No partial failure** — a model either answers every prompt or
   raises; callers never receive a short list.
 
-All three entry points are *optional*.  Which one a batch uses is the
-execution backend's decision (:mod:`repro.exec.backend`), which also
-enforces alignment and the per-call deadline.
+Both are *optional*.  ``generate_batch`` belongs to models that compute
+in-process and amortize work across a batch (the simulated, scripted
+and transformer models); ``agenerate`` to models that wait on a socket
+(``RemoteLLM``, ``RouterLLM``), the only ones the ``asyncio`` backend
+runs on an event loop.  Which entry point a batch uses is the execution
+backend's decision (:mod:`repro.exec.backend`), which also bounds
+in-flight calls and enforces alignment and the per-call deadline.
 """
 
 from __future__ import annotations

@@ -34,14 +34,12 @@ differently-configured models never serve each other's entries.
 
 Single-flight
 -------------
-The tiers only deduplicate *completed* work.  With ``single_flight``
-(the default) concurrent misses on the same key are also deduplicated:
-the first requester leads the real call, every simultaneous requester
-follows its flight (see :mod:`repro.llm.coalesce`), and the winner
-writes through to memory + disk exactly once.  Followers are counted
-as ``hits`` (they paid no real call) and tallied in
-``flights.stats.coalesced``.  Disable it (``single_flight=False``) to
-restore the historical every-miss-dispatches behavior.
+The tiers only deduplicate *completed* work.  Concurrent misses on the
+same key are deduplicated too: the first requester leads the real
+call, every simultaneous requester follows its flight (see
+:mod:`repro.llm.coalesce`), and the winner writes through to memory +
+disk exactly once.  Followers are counted as ``hits`` (they paid no
+real call) and tallied in ``flights.stats.coalesced``.
 """
 
 from __future__ import annotations
@@ -116,11 +114,9 @@ class CachingLLM:
         In-memory entry cap (FIFO eviction); ``None`` = unbounded.
     store:
         Optional persistent second tier (see the module docstring).
-    single_flight:
-        Coalesce concurrent misses on the same key onto one real call
-        (default on; see the module docstring).  When enabled,
-        ``flights`` holds the :class:`~repro.llm.coalesce.SingleFlight`
-        registry and its stats.
+
+    ``flights`` holds the :class:`~repro.llm.coalesce.SingleFlight`
+    registry that coalesces concurrent misses, and its stats.
     """
 
     def __init__(
@@ -128,7 +124,6 @@ class CachingLLM:
         model: LanguageModel,
         max_entries: Optional[int] = None,
         store: Optional[PromptStore] = None,
-        single_flight: bool = True,
     ) -> None:
         if max_entries is not None and max_entries < 1:
             raise ConfigError(
@@ -137,7 +132,7 @@ class CachingLLM:
         self._model = model
         self._max_entries = max_entries
         self.store = store
-        self.flights: Optional[SingleFlight] = SingleFlight() if single_flight else None
+        self.flights = SingleFlight()
         self._cache: Dict[str, GenerationResult] = {}
         self.stats = CacheStats()
         # Counter updates and the eviction-then-insert pair happen
@@ -176,11 +171,11 @@ class CachingLLM:
         calls the model itself.  Duplicate prompts within the batch
         reach the model once; the repeats are served from the
         freshly-filled cache and counted as hits, exactly as a second
-        sequential call would be.  Under single-flight, misses another
-        request is already computing are not handed to ``run`` either —
-        this batch awaits those flights after running its own leads
-        (leads always run before any follower wait, so two batches
-        following each other's flights can never deadlock).
+        sequential call would be.  Misses another request is already
+        computing are not handed to ``run`` either — this batch awaits
+        those flights after running its own leads (leads always run
+        before any follower wait, so two batches following each
+        other's flights can never deadlock).
         """
         with self._stats_lock:
             self.stats.batches += 1
@@ -259,8 +254,6 @@ class CachingLLM:
         whose flight resolved between partition and join is adopted from
         the freshly-filled cache and charged as a hit too.
         """
-        if self.flights is None or not miss_order:
-            return [], [], miss_order
         leads: List[Tuple[str, str, Latch]] = []
         followers: List[Tuple[str, Latch]] = []
         still_missing: List[str] = []

@@ -8,13 +8,13 @@ payload builder/parser: throttling, timeouts and retries live in the
 adapter so the token bucket and usage accounting are shared by every
 concurrent call, whichever execution backend drives them.
 
-Deliberately *no* ``generate_batch`` / ``agenerate_batch``: a chat
-endpoint takes one prompt per request, so fanning a batch out is the
-execution backend's job — ``threaded:N`` runs ``generate`` on ``N``
-threads and ``asyncio:N`` gathers ``agenerate`` behind an ``N``-wide
-semaphore, which is how the backend's capacity reaches the wire.  A
-native batch entry point here would take precedence on every backend,
-swallow that bound and reintroduce unbounded fan-out.
+Deliberately *no* ``generate_batch``: a chat endpoint takes one prompt
+per request, so fanning a batch out is the execution backend's job —
+``threaded:N`` runs ``generate`` on ``N`` threads and ``asyncio:N``
+gathers ``agenerate`` behind an ``N``-wide semaphore on a loop whose
+thread pool is ``N`` wide, which is how the backend's capacity reaches
+the wire.  A native batch entry point here would take precedence on
+every backend, swallow that bound and reintroduce unbounded fan-out.
 
 Providers
 ---------

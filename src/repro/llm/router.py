@@ -29,18 +29,21 @@ usage/cost attribution
     surface per-provider cost so ``/metrics`` and ``report --stats``
     can attribute spend to the backend that actually served.
 
-Hedging (``hedge=True``, async path only): once the primary has been
-in flight longer than ``hedge_delay`` (default: the primary's observed
-p95 latency), a backup request fires on the next healthy provider;
-first response wins and the loser is cancelled — the cancellation
-propagates through :meth:`~repro.llm.transport.TokenBucket.aacquire`'s
-cancellation-safe refund path, so an abandoned hedge never bleeds a
-member's rate limit.
+Hedging (``hedge=True``, ``agenerate`` only, so only the ``asyncio``
+backend hedges): once the primary has been in flight longer than
+``hedge_delay`` (default: the primary's observed p95 latency), a
+backup request fires on the next healthy provider; first response wins
+and the loser is cancelled — the cancellation propagates through
+:meth:`~repro.llm.transport.TokenBucket.aacquire`'s cancellation-safe
+refund path, so an abandoned hedge never bleeds a member's rate limit.
+Hedges share the backend's capacity: a backup's socket wait takes a
+slot in the loop's thread pool, which is as wide as the in-flight
+bound, so it waits for a free slot like any other call.
 
-Deliberately *no* ``generate_batch`` / ``agenerate_batch``: like the
-remote adapter, the router answers one prompt per call so the
-execution backend's capacity governs fan-out — and failover/hedging
-decisions stay per-prompt, never all-or-nothing for a whole batch.
+Deliberately *no* ``generate_batch``: like the remote adapter, the
+router answers one prompt per call so the execution backend's capacity
+governs fan-out — and failover/hedging decisions stay per-prompt,
+never all-or-nothing for a whole batch.
 """
 
 from __future__ import annotations

@@ -113,16 +113,6 @@ class ScriptedLLM:
         """
         return [self.generate(prompt) for prompt in prompts]
 
-    async def agenerate(self, prompt: str) -> GenerationResult:
-        """Async :meth:`generate`: the script lookup is pure compute."""
-        # repro: disable=async-hygiene -- dict lookup, nothing blocks.
-        return self.generate(prompt)
-
-    async def agenerate_batch(self, prompts: Sequence[str]) -> List[GenerationResult]:
-        """Async :meth:`generate_batch` (call counting stays identical)."""
-        # repro: disable=async-hygiene -- dict lookup, nothing blocks.
-        return self.generate_batch(prompts)
-
     def record(self, source_texts: Sequence[str], answer: str) -> None:
         """Add one (context -> answer) pair to the script."""
         self.script[tuple(source_texts)] = answer

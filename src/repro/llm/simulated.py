@@ -202,23 +202,6 @@ class SimulatedLLM:
             results.append(self._answer_one(prompt, parsed, question))
         return results
 
-    async def agenerate(self, prompt: str) -> GenerationResult:
-        """Async :meth:`generate`.
-
-        The simulation is pure CPU-bound Python with no I/O to overlap,
-        so this answers inline — it exists so the asyncio execution
-        backend can drive the simulated model through one uniform
-        await-based contract.
-        """
-        # repro: disable=async-hygiene -- pure CPU simulation, no I/O to
-        # overlap; answering inline is the documented contract above.
-        return self.generate(prompt)
-
-    async def agenerate_batch(self, prompts: Sequence[str]) -> List[GenerationResult]:
-        """Async :meth:`generate_batch` (same inline-compute rationale)."""
-        # repro: disable=async-hygiene -- pure CPU simulation, no I/O to overlap.
-        return self.generate_batch(prompts)
-
     def _answer_one(self, prompt: str, parsed, question: ParsedQuestion) -> GenerationResult:
         """Shared result construction for both generation entry points."""
         trace = self._attention.trace(parsed.question, parsed.source_texts)

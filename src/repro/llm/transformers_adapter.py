@@ -17,7 +17,6 @@ exact calls a real model would receive.
 
 from __future__ import annotations
 
-import asyncio
 from typing import List, Optional, Sequence
 
 from ..attention.model import AttentionTrace
@@ -229,16 +228,6 @@ class TransformersLLM:
                 )
             )
         return results
-
-    async def agenerate(self, prompt: str) -> GenerationResult:
-        """Async :meth:`generate`: model inference runs in a worker
-        thread so an event loop driving many backends stays responsive
-        (HF generation holds the GIL only between kernel launches)."""
-        return await asyncio.to_thread(self.generate, prompt)
-
-    async def agenerate_batch(self, prompts: Sequence[str]) -> List[GenerationResult]:
-        """Async :meth:`generate_batch`, off-loop for the same reason."""
-        return await asyncio.to_thread(self.generate_batch, list(prompts))
 
     def _attention_trace(self, parsed, prompt: str, output) -> Optional[AttentionTrace]:
         """Fold HF attention tensors into per-source totals.

@@ -273,6 +273,17 @@ class _Handler(BaseHTTPRequestHandler):
         return json.dumps(payload).encode("utf-8")
 
 
+class _Listener(ThreadingHTTPServer):
+    """One thread per request; a 16-wide round of connections must not
+    overflow the listen backlog (the stdlib's 5), or the kernel drops
+    SYNs and the client retransmits a second later.  The backlog is a
+    class attribute because the base class listens inside its
+    constructor."""
+
+    daemon_threads = True
+    request_queue_size = socket.SOMAXCONN
+
+
 class FakeLLMServer:
     """The scriptable loopback server (see module docstring).
 
@@ -298,15 +309,14 @@ class FakeLLMServer:
         self._lock = threading.Lock()
         self.inflight = 0
         self.max_inflight = 0
-        self._httpd: Optional[ThreadingHTTPServer] = None
+        self._httpd: Optional[_Listener] = None
         self._thread: Optional[threading.Thread] = None
 
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> "FakeLLMServer":
         assert self._httpd is None, "server already started"
-        httpd = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
-        httpd.daemon_threads = True
+        httpd = _Listener(("127.0.0.1", 0), _Handler)
         httpd.fake = self  # the handler reaches back through self.server.fake
         self._httpd = httpd
         self._thread = threading.Thread(

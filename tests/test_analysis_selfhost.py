@@ -32,6 +32,6 @@ def test_scan_actually_covered_the_tree(repo_result):
 
 
 def test_deliberate_exceptions_are_inline_suppressed(repo_result):
-    # The async simulated/scripted adapters answer inline on purpose;
-    # their justified suppressions are the only ones in the tree.
-    assert repo_result.suppressed == 4
+    # The tree has no deliberate exception left to suppress: the
+    # in-process models have no async twins that answer inline.
+    assert repo_result.suppressed == 0

@@ -209,6 +209,37 @@ def test_concurrent_multi_tenant_requests_stay_byte_identical():
         assert server.rage.backend.stats.batches > 0
 
 
+def test_burst_of_connecting_clients_is_queued_not_reset():
+    """Regression: 16 clients connecting at once overflowed the stdlib
+    listen backlog of 5 — the kernel reset or dropped the excess, and a
+    dropped SYN cost its client a one-second retransmit."""
+    clients = 16
+    tenants = [f"t{i}" for i in range(clients)]
+    barrier = threading.Barrier(clients)
+    outcomes = {}
+
+    def drive(tenant):
+        barrier.wait(timeout=10.0)
+        started = time.monotonic()
+        try:
+            status, _, _ = http_json.post_json(
+                server.base_url + "/ask", {"tenant": tenant}
+            )
+        except Exception as error:  # a reset connection lands here
+            status = repr(error)
+        outcomes[tenant] = (status, time.monotonic() - started)
+
+    with RageServer.for_use_case("big_three", tenants=tenants) as server:
+        threads = [threading.Thread(target=drive, args=(t,)) for t in tenants]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+    assert {status for status, _ in outcomes.values()} == {200}
+    slowest = max(seconds for _, seconds in outcomes.values())
+    assert slowest < 0.5, outcomes
+
+
 def test_concurrent_asks_on_one_tenant_answer_their_own_query():
     """Regression: /ask must answer from its *own* pose, not from the
     session's latest state — two racing asks on one tenant each get

@@ -18,16 +18,6 @@ def test_config_validation():
         RageConfig(batch_window_ms=-5.0)
 
 
-def test_single_flight_defaults_on_and_opt_out(big_three):
-    llm = SimulatedLLM(knowledge=big_three.knowledge)
-    rage = Rage.from_corpus(big_three.corpus, llm)
-    assert rage.llm.flights is not None  # default ON
-    plain = Rage.from_corpus(
-        big_three.corpus, llm, config=RageConfig(single_flight=False)
-    )
-    assert plain.llm.flights is None
-
-
 def test_batch_window_wraps_backend_and_preserves_answers(big_three):
     from repro.exec import CoalescingBackend
 

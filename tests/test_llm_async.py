@@ -1,5 +1,5 @@
 """Async LLM contract tests: the asyncio backend's strategy order, its
-in-flight bound, and the async entry points of the concrete models.
+in-flight bound, and which concrete models run on an event loop.
 
 Async tests run through ``asyncio.run`` inside plain sync test
 functions, so they need no pytest plugin; CI additionally installs
@@ -7,18 +7,23 @@ pytest-asyncio for downstream suites that prefer native async tests.
 """
 
 import asyncio
+import threading
 
 import pytest
 
+from repro.errors import BatchContractError
 from repro.exec import AsyncioBackend, SerialBackend, ThreadedBackend
 from repro.exec.backend import run_coroutine
 from repro.llm import (
     CachingLLM,
     GenerationResult,
     PromptBuilder,
+    RemoteLLM,
+    RouterLLM,
     ScriptedLLM,
     SimulatedLLM,
 )
+from repro.llm.transformers_adapter import TransformersLLM
 
 BUILDER = PromptBuilder()
 
@@ -40,7 +45,11 @@ class SyncOnly:
 class SyncBatch(SyncOnly):
     name = "sync-batch"
 
+    def __init__(self):
+        self.threads = set()
+
     def generate_batch(self, prompts):
+        self.threads.add(threading.get_ident())
         return [GenerationResult(answer="sb", prompt=p) for p in prompts]
 
 
@@ -64,18 +73,10 @@ class AsyncSingle(SyncOnly):
         return GenerationResult(answer="a", prompt=prompt)
 
 
-class AsyncBatch(AsyncSingle):
-    name = "async-batch"
+class MisalignedBatch(SyncOnly):
+    name = "misaligned-batch"
 
-    async def agenerate_batch(self, prompts):
-        self.calls += len(prompts)
-        return [GenerationResult(answer="ab", prompt=p) for p in prompts]
-
-
-class MisalignedAsyncBatch(SyncOnly):
-    name = "misaligned-async"
-
-    async def agenerate_batch(self, prompts):
+    def generate_batch(self, prompts):
         return []
 
 
@@ -87,21 +88,24 @@ def _answers(backend, model, n=2):
 
 
 def test_resolver_canonical_order_is_async_first():
+    """Per-prompt calls go to ``agenerate`` when the model has one; a
+    native batch goes first on every backend, a per-prompt run skips it."""
+
+    class Both(SyncBatch, AsyncSingle):
+        name = "both"
+
+        def __init__(self):
+            SyncBatch.__init__(self)
+            AsyncSingle.__init__(self)
+
     backend = AsyncioBackend()
-    assert _answers(backend, AsyncBatch()) == {"ab"}
     assert _answers(backend, AsyncSingle()) == {"a"}
     assert _answers(backend, SyncBatch()) == {"sb"}
     assert _answers(backend, SyncOnly()) == {"s"}
-
-
-def test_resolver_async_batch_beats_sync_batch():
-    class Both(SyncBatch, AsyncBatch):
-        name = "both"
-
-    assert _answers(AsyncioBackend(), Both()) == {"ab"}
-    # The sync backends never stand up an event loop.
-    assert _answers(SerialBackend(), Both()) == {"sb"}
-    assert _answers(ThreadedBackend(4), Both()) == {"sb"}
+    for other in (backend, SerialBackend(), ThreadedBackend(4)):
+        assert _answers(other, Both()) == {"sb"}
+    per_prompt = backend.run(Both(), _prompts(2), per_prompt=True)
+    assert {r.answer for r in per_prompt} == {"a"}
 
 
 def test_resolver_async_single_beats_thread_pool():
@@ -111,6 +115,15 @@ def test_resolver_async_single_beats_thread_pool():
 
 
 def test_resolver_on_shipped_models():
+    """Only the models that wait on a socket have ``agenerate``; the
+    in-process ones take their native batch on the asyncio backend too."""
+    for model_cls in (SimulatedLLM, ScriptedLLM, TransformersLLM):
+        assert not hasattr(model_cls, "agenerate"), model_cls
+        assert callable(getattr(model_cls, "generate_batch", None)), model_cls
+    for model_cls in (RemoteLLM, RouterLLM):
+        assert callable(getattr(model_cls, "agenerate", None)), model_cls
+        assert not hasattr(model_cls, "generate_batch"), model_cls
+
     class Spy(SimulatedLLM):
         def __init__(self):
             super().__init__()
@@ -120,14 +133,10 @@ def test_resolver_on_shipped_models():
             self.used.append("generate_batch")
             return super().generate_batch(prompts)
 
-        async def agenerate_batch(self, prompts):
-            self.used.append("agenerate_batch")
-            return super().generate_batch(prompts)
-
     llm = Spy()
     AsyncioBackend().run(llm, _prompts(2))
     SerialBackend().run(llm, _prompts(2))
-    assert llm.used == ["agenerate_batch", "generate_batch"]
+    assert llm.used == ["generate_batch", "generate_batch"]
 
 
 # -- the asyncio backend -------------------------------------------------------
@@ -137,14 +146,6 @@ def test_abatched_generate_empty_is_free():
     model = AsyncSingle()
     assert AsyncioBackend().run(model, []) == []
     assert model.calls == 0
-
-
-def test_abatched_generate_async_batch_path():
-    model = AsyncBatch()
-    prompts = _prompts(4)
-    results = AsyncioBackend().run(model, prompts)
-    assert [r.prompt for r in results] == prompts
-    assert [r.answer for r in results] == ["ab"] * 4
 
 
 def test_abatched_generate_task_group_overlaps_calls():
@@ -157,13 +158,16 @@ def test_abatched_generate_task_group_overlaps_calls():
 def test_abatched_generate_max_inflight_bounds_concurrency():
     model = AsyncSingle(delay=0.01)
     AsyncioBackend(max_inflight=2).run(model, _prompts(6))
-    assert 1 <= model.max_inflight <= 2
+    assert model.max_inflight == 2
 
 
 def test_abatched_generate_sync_batch_off_loop():
+    """A native batch is one plain call on the caller's thread: no
+    event loop, no helper thread."""
     model = SyncBatch()
     results = AsyncioBackend().run(model, _prompts(3))
     assert [r.answer for r in results] == ["sb"] * 3
+    assert model.threads == {threading.get_ident()}
 
 
 def test_abatched_generate_thread_pool_and_sequential():
@@ -174,8 +178,8 @@ def test_abatched_generate_thread_pool_and_sequential():
 
 
 def test_abatched_generate_misaligned_batch_raises():
-    with pytest.raises(RuntimeError, match="misaligned-async"):
-        AsyncioBackend().run(MisalignedAsyncBatch(), _prompts(2))
+    with pytest.raises(BatchContractError, match="misaligned-batch"):
+        AsyncioBackend().run(MisalignedBatch(), _prompts(2))
 
 
 def test_sync_batched_generate_drives_async_only_models():
@@ -196,31 +200,25 @@ def test_run_coroutine_inside_running_loop():
     assert asyncio.run(outer()) == 42
 
 
-# -- async parity on the shipped models --------------------------------------
-
-
-def test_simulated_async_entry_points_match_sync():
-    llm = SimulatedLLM()
-    prompts = _prompts(3)
-    sync_answers = [llm.generate(p).answer for p in prompts]
-    async_one = [asyncio.run(llm.agenerate(p)).answer for p in prompts]
-    async_batch = [
-        r.answer for r in asyncio.run(llm.agenerate_batch(prompts))
-    ]
-    assert sync_answers == async_one == async_batch
+# -- the shipped in-process models on the asyncio backend ---------------------
 
 
 def test_scripted_async_counts_calls_identically():
-    llm = ScriptedLLM(default="d")
-    asyncio.run(llm.agenerate_batch(_prompts(3)))
-    assert llm.calls == 3
+    """Replays count the same calls whichever backend runs them."""
+    counts = []
+    for backend in (SerialBackend(), AsyncioBackend(), AsyncioBackend(1)):
+        llm = ScriptedLLM(default="d")
+        backend.run(llm, _prompts(3))
+        backend.run(llm, _prompts(1), per_prompt=True)
+        counts.append(llm.calls)
+    assert counts == [4, 4, 4]
 
 
 # -- the cache in front of the asyncio backend --------------------------------
 
 
 def test_caching_llm_async_batch_partitions_hits_and_misses():
-    inner = AsyncBatch()
+    inner = AsyncSingle()
     cached = CachingLLM(inner)
     run = AsyncioBackend().run
     prompts = _prompts(4)
@@ -248,7 +246,7 @@ def test_caching_llm_forwards_max_inflight_to_inner_async_dispatch():
     inner = AsyncSingle(delay=0.01)
     cached = CachingLLM(inner)
     cached.generate_batch(_prompts(6), run=AsyncioBackend(max_inflight=2).run)
-    assert 1 <= inner.max_inflight <= 2
+    assert inner.max_inflight == 2
 
 
 def test_sync_and_async_caching_paths_share_one_cache():
@@ -268,7 +266,7 @@ def test_default_inflight_cap_applies_when_unspecified(monkeypatch):
     monkeypatch.setattr(backend, "DEFAULT_MAX_INFLIGHT", 3)
     model = AsyncSingle(delay=0.01)
     AsyncioBackend().run(model, _prompts(9))
-    assert 1 <= model.max_inflight <= 3
+    assert model.max_inflight == 3
 
 
 def test_nonsensical_max_inflight_rejected():

@@ -128,21 +128,6 @@ def test_thundering_herd_with_disk_store_writes_once(tmp_path):
     assert rewarmed.inner.calls == 0
 
 
-def test_single_flight_off_dispatches_every_concurrent_miss():
-    gate = threading.Event()
-    inner = GatedLLM(gate=gate)
-    cached = CachingLLM(inner, single_flight=False)
-    assert cached.flights is None
-    threads, results, errors = _run_herd(cached, "same prompt", n=4)
-    _await(lambda: inner.calls == 4)  # nobody coalesces: all four dispatch
-    gate.set()
-    for t in threads:
-        t.join(timeout=10.0)
-    assert errors == [None] * 4
-    assert inner.calls == 4
-    assert {r.answer for r in results} == {"answer:same prompt"}
-
-
 def test_distinct_prompts_do_not_coalesce():
     inner = GatedLLM()
     cached = CachingLLM(inner)

@@ -198,7 +198,6 @@ def test_remote_resolves_to_async_single_rung():
     with FakeLLMServer() as server:
         llm = RemoteLLM("openai", "m", base_url=server.base_url, retry=FAST_RETRY)
         assert not hasattr(llm, "generate_batch")
-        assert not hasattr(llm, "agenerate_batch")
         awaited = []
         agenerate = llm.agenerate
 

@@ -23,6 +23,7 @@ from repro.errors import (
     NoProviderAvailableError,
     TransportError,
 )
+from repro.exec import AsyncioBackend
 from repro.llm.base import GenerationResult, TokenUsage
 from repro.llm.factory import FALLBACK_SIMULATED, create_llm
 from repro.llm.router import BreakerState, CircuitBreaker
@@ -397,6 +398,26 @@ def test_hedge_uses_observed_p95_once_history_exists():
     assert router.stats.hedges_fired == 1
 
 
+@pytest.mark.parametrize("width, backup_won", [(1, 0), (2, 1)])
+def test_hedged_backup_shares_the_asyncio_backends_capacity(width, backup_won):
+    """A backup waits for a free slot in the loop's thread pool like any
+    other request: on ``asyncio:1`` the slow primary holds the only
+    slot, so the backup cannot start, let alone win, before it answers."""
+    with FakeLLMServer(latency=0.3) as slow, FakeLLMServer(latency=0.1) as fast:
+        router = RouterLLM(
+            [
+                RemoteLLM("openai", "slow", base_url=slow.base_url, retry=NO_RETRY),
+                RemoteLLM("openai", "fast", base_url=fast.base_url, retry=NO_RETRY),
+            ],
+            hedge=True,
+            hedge_delay=0.02,
+        )
+        (result,) = AsyncioBackend(width).run(router, ["q"])
+    assert result.prompt == "q"
+    assert router.stats.hedges_fired == 1
+    assert router.stats.hedges_won == backup_won
+
+
 def test_cancelled_hedge_loser_refunds_its_rate_limit_reservation():
     bucket = TokenBucket(rate=0.1, burst=1)
 
@@ -697,6 +718,46 @@ def test_cli_provider_pool_falls_back_to_simulated(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "Roger Federer" in out
+
+
+@pytest.mark.parametrize("backend", [None, "serial", "threaded:4"])
+def test_cli_rejects_hedge_off_the_asyncio_backend(capsys, backend):
+    """Only ``RouterLLM.agenerate`` races a backup, and only the asyncio
+    backend calls it: elsewhere ``--hedge`` would silently do nothing."""
+    argv = [
+        "ask",
+        "--use-case", "big_three",
+        "--provider", f"remote:openai:a@{_dead_base_url()}",
+        "--provider", FALLBACK_SIMULATED,
+        "--hedge",
+    ]
+    if backend is not None:
+        argv += ["--backend", backend]
+    assert cli_main(argv) == 2
+    assert "--hedge requires --backend asyncio" in capsys.readouterr().err
+
+
+def test_cli_hedges_on_the_asyncio_backend(capsys):
+    case = load_use_case("big_three")
+    answer_fn = simulated_answer_fn(case.knowledge)
+    with FakeLLMServer(answer_fn=answer_fn, latency=0.3) as slow, FakeLLMServer(
+        answer_fn=answer_fn
+    ) as fast:
+        code = cli_main(
+            [
+                "ask",
+                "--use-case", "big_three",
+                "--provider", f"remote:openai:slow@{slow.base_url}",
+                "--provider", f"remote:openai:fast@{fast.base_url}",
+                "--hedge", "--hedge-delay", "0.02",
+                "--backend", "asyncio:4",
+            ]
+        )
+        assert slow.request_count == 1
+        assert fast.request_count == 1  # the backup fired
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert "Answer:   Roger Federer" in captured.out
 
 
 def test_cli_rejects_model_and_provider_together(capsys):
