@@ -79,10 +79,17 @@ class RowScores(Mapping):
         self.array[rows] += contributions
         self.matched[rows] = True
 
-    def ranked(self) -> np.ndarray:
-        """The matched rows, best score first, ties in row (doc_id) order."""
+    def ranked(self, k: Optional[int] = None) -> np.ndarray:
+        """The matched rows, best score first, ties in row (doc_id) order:
+        all of them, or the first ``k``.  For ``k``, only the rows
+        scoring at least the k-th best are sorted."""
         rows = np.flatnonzero(self.matched)
-        return rows[np.argsort(-self.array[rows], kind="stable")]
+        negated = -self.array[rows]
+        if k is not None and k < len(rows):
+            kth = np.partition(negated, k - 1)[k - 1]
+            within = ~(negated > kth)  # a NaN k-th keeps every row
+            rows, negated = rows[within], negated[within]
+        return rows[np.argsort(negated, kind="stable")][:k]
 
 
 def on_rows(scores: Mapping[str, float], space: Optional[RowSpace] = None) -> RowScores:
@@ -199,12 +206,12 @@ def check_k(k: int) -> None:
 def top_k(scores: Mapping[str, float], k: int) -> List[Tuple[str, float]]:
     """Return the k highest-scoring ``(doc_id, score)`` pairs.
 
-    One stable argsort over the matched rows; ties are broken by doc_id
-    so rankings are fully deterministic.  Only the k winners become
-    Python objects.
+    A partition finds the k-th best score and one stable argsort orders
+    the rows at or above it; ties are broken by doc_id so rankings are
+    fully deterministic.  Only the k winners become Python objects.
     """
     check_k(k)
     scores = on_rows(scores)
-    rows = scores.ranked()[:k]
+    rows = scores.ranked(k)
     ids = scores.space.ids
     return [(ids[row], score) for row, score in zip(rows.tolist(), scores.array[rows].tolist())]

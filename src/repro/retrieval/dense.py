@@ -11,8 +11,11 @@ without external model weights:
   similarity approximates term overlap.  No training, no network, fully
   reproducible — the appropriate stand-in for a sentence encoder in
   this offline environment (see DESIGN.md §3).
-* :class:`DenseIndex` — exact (brute-force) nearest-neighbour search
-  over normalized document vectors.
+* :class:`DenseIndex` — exact nearest-neighbour search over normalized
+  document vectors, held as per-dimension postings: each hash dimension
+  maps to the vectors nonzero there, so a query reads only its own
+  nonzero dimensions (:func:`dense_scores`, shared with the persistent
+  index).
 * :class:`DenseScorer` — the :class:`~repro.retrieval.bm25.Scorer`
   protocol over a dense index, so :class:`Searcher` can rank with it.
 * :class:`HybridScorer` — min-max-normalized linear fusion of a sparse
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -77,13 +80,51 @@ class HashedEmbedder:
         return np.vstack([self.embed(text) for text in texts])
 
 
+#: One hash dimension's entries: the slots (intp) of the vectors nonzero
+#: there and their float64 values in it, aligned.
+DimensionEntries = Tuple[np.ndarray, np.ndarray]
+
+
+def by_dimension(block: np.ndarray) -> Dict[int, DimensionEntries]:
+    """The per-dimension entries of the vectors in the columns of the
+    dimension-major ``block`` (the vector in slot ``c`` is column
+    ``c``).  Every dimension gets an entry, empty where no vector is
+    nonzero; the values are copies, so ``block`` can be freed."""
+    dimensions: Dict[int, DimensionEntries] = {}
+    for dimension, values in enumerate(block):
+        slots = np.flatnonzero(values)
+        dimensions[dimension] = (slots, values[slots])
+    return dimensions
+
+
+def dense_scores(
+    query: np.ndarray,
+    dimensions: Mapping[int, DimensionEntries],
+    slot_rows: np.ndarray,
+    num_rows: int,
+) -> np.ndarray:
+    """The dot product of ``query`` with every vector, by row: the vector
+    in slot ``s`` scores into row ``slot_rows[s]``.
+
+    Only the query's nonzero dimensions are read, in ascending order, so
+    each score is the ascending-dimension sum of ``q[j] * v[j]`` over
+    the dimensions where both are nonzero, whatever the row or slot of
+    its vector: an index that moves vectors ranks float for float alike.
+    """
+    scores = np.zeros(num_rows)
+    for dimension in np.flatnonzero(query).tolist():
+        slots, values = dimensions[dimension]
+        scores[slot_rows[slots]] += query[dimension] * values
+    return scores
+
+
 class DenseIndex:
     """Exact nearest-neighbour search over document embeddings."""
 
     def __init__(self, embedder: Optional[HashedEmbedder] = None) -> None:
         self.embedder = embedder or HashedEmbedder()
         self._doc_ids: List[str] = []
-        self._matrix = np.zeros((0, self.embedder.dimensions), dtype=np.float64)
+        self._dimensions = by_dimension(np.zeros((self.embedder.dimensions, 0)))
 
     @classmethod
     def build(
@@ -95,7 +136,7 @@ class DenseIndex:
         index = cls(embedder=embedder)
         texts = [doc.text + " " + doc.title for doc in documents]
         index._doc_ids = [doc.doc_id for doc in documents]
-        index._matrix = index.embedder.embed_batch(texts)
+        index._dimensions = by_dimension(index.embedder.embed_batch(texts).T)
         return index
 
     def __len__(self) -> int:
@@ -107,14 +148,17 @@ class DenseIndex:
             raise EmptyIndexError("cannot search an empty dense index")
         return top_k(self.scores(query), k)
 
-    def similarities(self, query: str) -> Tuple[List[str], np.ndarray]:
-        """Cosine similarity of every indexed document, aligned with the
-        returned doc ids (rows in corpus order)."""
-        return self._doc_ids, self._matrix @ self.embedder.embed(query)
+    def similarities(self, query_terms: Sequence[str]) -> Tuple[List[str], np.ndarray]:
+        """Cosine similarity of every indexed document to the analyzed
+        ``query_terms``, aligned with the returned doc ids (rows in
+        corpus order; a document's slot is its row)."""
+        rows = np.arange(len(self._doc_ids))
+        query = self.embedder.embed_terms(query_terms)
+        return self._doc_ids, dense_scores(query, self._dimensions, rows, len(rows))
 
     def scores(self, query: str) -> Dict[str, float]:
         """Cosine similarity for every indexed document."""
-        ids, similarities = self.similarities(query)
+        ids, similarities = self.similarities(self.embedder.tokenizer.tokenize(query))
         return dict(zip(ids, similarities.tolist()))
 
 
@@ -122,8 +166,10 @@ class DenseScorer:
     """Adapt a :class:`DenseIndex` to the sparse :class:`Scorer` protocol.
 
     The inverted index supplies the document set and the analyzed query
-    terms; scores come from the dense index.  Build both indexes over
-    the same corpus.
+    terms; scores come from the dense index, which embeds those terms as
+    they are (analyzing them again would stem some twice: "universities"
+    -> "univers" -> "univ").  Build both indexes over the same corpus,
+    with the same analyzer.
     """
 
     def __init__(self, dense_index: DenseIndex) -> None:
@@ -131,7 +177,7 @@ class DenseScorer:
 
     def score_query(self, index: InvertedIndex, query_terms: Sequence[str]) -> RowScores:
         space = index.row_space()
-        ids, similarities = self.dense_index.similarities(" ".join(query_terms))
+        ids, similarities = self.dense_index.similarities(query_terms)
         if ids is not space.ids:
             # Rows in another order (an in-memory DenseIndex): a document
             # missing from the sparse index drops out, one missing from

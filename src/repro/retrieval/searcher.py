@@ -72,7 +72,8 @@ class Searcher:
 
         The scorer fills float64 arrays over the index's rows (or returns
         a plain ``{doc_id: score}`` mapping, placed on rows of its own);
-        one stable argsort picks the ``k`` best, ties by doc_id.
+        :func:`~repro.retrieval.bm25.top_k` picks the ``k`` best, ties by
+        doc_id.
 
         Raises
         ------

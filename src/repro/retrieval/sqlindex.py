@@ -12,11 +12,13 @@ index directory:
 * **Lazy open** — opening is O(1); the first search loads the *read
   view*: the documents as a :class:`~repro.retrieval.index.RowSpace`
   (doc ids in sorted order, their rows, their lengths), collection
-  statistics and, for a dense index, the vector matrix with rows in the
-  same order.  A term's postings join the view as arrays the first time
-  a search reads the term (``counters["term_loads"]``).  A warm restart
-  therefore serves byte-identical results with *zero* re-tokenization
-  of unchanged documents (``counters["doc_tokenizations"]`` proves it).
+  statistics and, for a dense index, the vectors as per-dimension
+  postings: each hash dimension's (slots, values) of the vectors nonzero
+  there, so a dense query reads only its own few dimensions.  A term's
+  postings join the view as arrays the first time a search reads the
+  term (``counters["term_loads"]``).  A warm restart therefore serves
+  byte-identical results with *zero* re-tokenization of unchanged
+  documents (``counters["doc_tokenizations"]`` proves it).
 * **Incremental re-indexing** — :meth:`SqliteIndex.add` hashes document
   content; re-adding an unchanged document is a no-op, a changed one is
   atomically re-indexed (stale postings can never linger), and
@@ -25,9 +27,11 @@ index directory:
 * **One view per generation** — every write transaction bumps a
   ``generation`` stamp in ``meta``; a read uses the view at the stamp
   its snapshot sees.  This handle's own writes record deltas (lengths,
-  vectors, postings) that the next read folds into the view, loaded
-  terms included; a gap in that chain (another connection wrote) or a
-  bulk :meth:`add_many` means a cold load, with no terms loaded.
+  vectors, postings, old and new) that the next read folds into the
+  view: only the loaded terms and the dimensions a written document
+  touches get new arrays.  A gap in that chain (another connection
+  wrote) or a bulk :meth:`add_many` means a cold load, with no terms
+  loaded.
 * **Concurrent readers, single writer** — WAL mode lets any number of
   reader connections (one per thread, or other processes such as a
   second ``rage serve`` worker) query a consistent snapshot while one
@@ -60,14 +64,22 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
 from ..errors import ConfigError, RetrievalError, UnknownDocumentError
 from ..textproc import Tokenizer
 from .bm25 import BM25Scorer, Scorer
-from .dense import DenseScorer, HashedEmbedder, HybridScorer, ReciprocalRankFusionScorer
+from .dense import (
+    DenseScorer,
+    DimensionEntries,
+    HashedEmbedder,
+    HybridScorer,
+    ReciprocalRankFusionScorer,
+    by_dimension,
+    dense_scores,
+)
 from .document import Document
 from .index import IndexStats, Posting, RowSpace, ScoringView, TermRows
 from .searcher import RetrievalResult, Searcher
@@ -131,21 +143,25 @@ SELECT COUNT(*) FROM postings AS p WHERE p.doc_id = ? AND NOT EXISTS (
 #: A term's postings in a view: (slots, int64 tf) arrays.
 _TermSlots = Tuple[np.ndarray, np.ndarray]
 
+#: A key of a slot-keyed map: an analyzed term or a hash dimension.
+_Key = TypeVar("_Key")
+
 
 @dataclass(frozen=True)
 class _View:
     """What reads take from memory, as of one database generation.  Only
-    ``terms`` grows, each term filled once and never replaced: a reader
-    pinned to the view may outlive its installation."""
+    ``terms`` grows, each term filled once and never replaced, and no
+    array is ever written into: a reader pinned to the view may outlive
+    its installation."""
 
     generation: int
     #: The documents as rows, in doc_id order, with their lengths.
     space: RowSpace
     total_terms: int
     vocabulary_size: int
-    #: Dense indexes only: every vector in one contiguous float64 block,
-    #: one row per row of ``space``.
-    dense_matrix: Optional[np.ndarray]
+    #: Dense indexes only: hash dimension -> the (slots, float64 values)
+    #: of the vectors nonzero there; every dimension has an entry.
+    dimensions: Optional[Dict[int, DimensionEntries]]
     #: Each row's slot.  A document keeps its slot for as long as it
     #: lives, so the writes that move rows leave loaded postings in place.
     row_slots: np.ndarray
@@ -161,7 +177,7 @@ class _View:
 
 
 class _Doc(NamedTuple):
-    """What one write stored for a document."""
+    """What one write stored for a document, or what it dropped."""
 
     length: int
     vector: Optional[bytes]  # None when the index is sparse
@@ -174,9 +190,9 @@ class _Delta:
 
     #: doc_id -> what it holds now; None: removed.
     docs: Dict[str, Optional[_Doc]] = field(default_factory=dict)
-    #: doc_id -> the (term, tf) postings it held before this write, for
-    #: each document the write removed or replaced.
-    dropped: Dict[str, List[Tuple[str, int]]] = field(default_factory=dict)
+    #: doc_id -> what it held before this write (length, vector and
+    #: postings), for each document the write removed or replaced.
+    dropped: Dict[str, _Doc] = field(default_factory=dict)
     vocabulary: int = 0  # terms that appeared minus terms that vanished
 
 
@@ -506,40 +522,44 @@ class SqliteIndex:
         if any(delta is None for delta in chain):
             return None
         changed: Dict[str, Optional[_Doc]] = {}
-        # The postings each changed document holds in ``view``: what the
-        # first write to touch it dropped.
-        dropped: Dict[str, List[Tuple[str, int]]] = {}
+        # What each changed document holds in ``view``: what the first
+        # write to touch it dropped.
+        dropped: Dict[str, _Doc] = {}
         vocabulary_size = view.vocabulary_size
         for delta in chain:
-            for doc_id, postings in delta.dropped.items():
+            for doc_id, doc in delta.dropped.items():
                 if doc_id in view.space.rows:
-                    dropped.setdefault(doc_id, postings)
+                    dropped.setdefault(doc_id, doc)
             changed.update(delta.docs)
             vocabulary_size += delta.vocabulary
-        total_terms = view.total_terms
-        for doc_id, doc in changed.items():
-            row = view.space.rows.get(doc_id)
-            if row is not None:
-                total_terms -= int(view.space.lengths[row])
-            if doc is not None:
-                total_terms += doc.length
+        stored = {doc_id: doc for doc_id, doc in changed.items() if doc is not None}
+        total_terms = view.total_terms + sum(doc.length for doc in stored.values())
+        total_terms -= sum(doc.length for doc in dropped.values())
         slots = _assign_slots(view, changed)
-        # The terms before the rows, so the matrix is allocated last (see
-        # _patch_rows): about one matrix less of peak RSS under churn.
-        terms = _patch_terms(view, dropped, changed, slots)
-        space, row_slots, slot_rows, matrix = _patch_rows(view, changed, slots)
+        terms = _patch_slots(
+            view.terms, _posting_entries(dropped, slots), _posting_entries(stored, slots)
+        )
+        dimensions = view.dimensions
+        if dimensions is not None:
+            dimensions = _patch_slots(
+                dimensions, _vector_entries(dropped, slots), _vector_entries(stored, slots)
+            )
+        space, row_slots, slot_rows = _patch_rows(view, changed, slots)
         return _View(
-            generation, space, total_terms, vocabulary_size, matrix, row_slots, slot_rows, terms
+            generation, space, total_terms, vocabulary_size, dimensions,
+            row_slots, slot_rows, terms,
         )
 
     def _load(self, conn: sqlite3.Connection, generation: int) -> _View:
         """Build the view from ``conn``'s snapshot (pinned at ``generation``),
-        filling the matrix row by row from the cursor: one copy of the
-        vectors in memory, not a list of blobs plus a stacked copy.
+        with each document in the slot of its row.  The vectors fill a
+        dimension-major block column by column from the cursor, then
+        split into per-dimension entries: at most one dense copy of the
+        vectors in memory, not a list of blobs plus a transposed copy.
 
         SQLite orders TEXT by its UTF-8 bytes, which is Python's string
         order, so ``ORDER BY doc_id`` yields the row space's order."""
-        matrix: Optional[np.ndarray] = None
+        dimensions: Optional[Dict[int, DimensionEntries]] = None
         with self._guard():
             rows = conn.execute(
                 "SELECT doc_id, doc_length FROM documents ORDER BY doc_id"
@@ -547,8 +567,11 @@ class SqliteIndex:
             ids = [doc_id for doc_id, _ in rows]
             space = RowSpace(ids, np.fromiter((n for _, n in rows), np.int64, len(rows)))
             del rows
+            # Not COUNT(DISTINCT term): SQLite plans that as a scan of
+            # postings_by_doc into a temporary B-tree, ~4x slower than
+            # this scan of the table in its (term, doc_id) key order.
             vocabulary_size = conn.execute(
-                "SELECT COUNT(DISTINCT term) FROM postings"
+                "SELECT COUNT(*) FROM (SELECT DISTINCT term FROM postings)"
             ).fetchone()[0]
             if self.embedder is not None:
                 count = conn.execute("SELECT COUNT(*) FROM vectors").fetchone()[0]
@@ -557,7 +580,7 @@ class SqliteIndex:
                         f"corrupt index database {self.path}: "
                         f"{count} vectors for {len(ids)} documents"
                     )
-                matrix = np.empty((count, self.embedder.dimensions), dtype=np.float64)
+                block = np.empty((self.embedder.dimensions, count), dtype=np.float64)
                 vectors = conn.execute("SELECT doc_id, vector FROM vectors ORDER BY doc_id")
                 for row, (doc_id, blob) in enumerate(vectors):
                     if doc_id != ids[row]:
@@ -565,10 +588,12 @@ class SqliteIndex:
                             f"corrupt index database {self.path}: "
                             f"vector rows stray from document rows at {doc_id!r}"
                         )
-                    matrix[row] = np.frombuffer(blob, dtype=np.float64)
+                    block[:, row] = np.frombuffer(blob, dtype=np.float64)
+                dimensions = by_dimension(block)
+                del block
         slots = np.arange(len(ids), dtype=np.intp)
         return _View(
-            generation, space, int(space.lengths.sum()), vocabulary_size, matrix, slots, slots
+            generation, space, int(space.lengths.sum()), vocabulary_size, dimensions, slots, slots
         )
 
     def _term_slots(self, conn: sqlite3.Connection, view: _View, term: str) -> _TermSlots:
@@ -713,9 +738,15 @@ class SqliteIndex:
     ) -> None:
         if delta is not None:
             delta.vocabulary -= conn.execute(_SOLE_TERMS, (doc_id,)).fetchone()[0]
-            delta.dropped[doc_id] = conn.execute(
+            length, vector = conn.execute(
+                "SELECT d.doc_length, v.vector FROM documents AS d "
+                "LEFT JOIN vectors AS v ON v.doc_id = d.doc_id WHERE d.doc_id = ?",
+                (doc_id,),
+            ).fetchone()
+            postings = conn.execute(
                 "SELECT term, tf FROM postings WHERE doc_id = ?", (doc_id,)
             ).fetchall()
+            delta.dropped[doc_id] = _Doc(length, vector, postings)
             delta.docs[doc_id] = None
         conn.execute("DELETE FROM postings WHERE doc_id = ?", (doc_id,))
         conn.execute("DELETE FROM vectors WHERE doc_id = ?", (doc_id,))
@@ -914,22 +945,25 @@ class SqliteIndex:
 
 class _DenseView:
     """The :class:`~repro.retrieval.dense.DenseIndex` read protocol
-    (``similarities``, ``scores``) over a :class:`SqliteIndex`'s vector
-    table."""
+    (``similarities``, ``scores``) over a :class:`SqliteIndex`'s vectors,
+    read through the per-dimension postings of its view."""
 
     def __init__(self, index: SqliteIndex) -> None:
         self.index = index
         self.embedder = index.embedder
 
-    def similarities(self, query: str) -> Tuple[List[str], np.ndarray]:
-        """Cosine similarity of every stored vector, rows in the row
-        space's order (the returned ids are ``row_space().ids``)."""
+    def similarities(self, query_terms: Sequence[str]) -> Tuple[List[str], np.ndarray]:
+        """Cosine similarity of every stored vector to the analyzed
+        ``query_terms``, rows in the row space's order (the returned ids
+        are ``row_space().ids``)."""
         view = self.index._pinned()
-        return view.space.ids, view.dense_matrix @ self.embedder.embed(query)
+        query = self.embedder.embed_terms(query_terms)
+        scores = dense_scores(query, view.dimensions, view.slot_rows, len(view.space))
+        return view.space.ids, scores
 
     def scores(self, query: str) -> Dict[str, float]:
         """Cosine similarity for every stored vector."""
-        ids, similarities = self.similarities(query)
+        ids, similarities = self.similarities(self.embedder.tokenizer.tokenize(query))
         return dict(zip(ids, similarities.tolist()))
 
 
@@ -1052,94 +1086,97 @@ def _assign_slots(view: _View, changes: Dict[str, Optional[_Doc]]) -> Dict[str, 
     return slots
 
 
-def _patch_terms(
-    view: _View,
-    dropped: Dict[str, List[Tuple[str, int]]],
-    changes: Dict[str, Optional[_Doc]],
-    slots: Dict[str, int],
-) -> Dict[str, _TermSlots]:
-    """``view``'s loaded terms with ``dropped`` postings taken out and
-    the postings ``changes`` stores put in.  Only the terms a change
-    touches get new arrays; rows moving costs nothing here."""
-    terms = dict(view.terms)
-    if not terms:
-        return terms
-    gone: Dict[str, List[int]] = {}
-    for doc_id, postings in dropped.items():
-        for term, _ in postings:
-            if term in terms:
-                gone.setdefault(term, []).append(slots[doc_id])
-    added: Dict[str, List[Tuple[int, int]]] = {}
-    for doc_id, doc in changes.items():
-        if doc is not None:
-            for term, tf in doc.postings:
-                if term in terms:
-                    added.setdefault(term, []).append((slots[doc_id], tf))
-    for term in gone.keys() | added.keys():
-        term_slots, tf = terms[term]
-        if term in gone:
-            keep = np.ones(len(term_slots), dtype=bool)
-            for slot in gone[term]:
-                keep &= term_slots != slot
-            term_slots, tf = term_slots[keep], tf[keep]
-        if term in added:
-            new_slots, new_tf = zip(*added[term])
-            term_slots = np.concatenate([term_slots, np.array(new_slots, dtype=np.intp)])
-            tf = np.concatenate([tf, np.array(new_tf, dtype=np.int64)])
-        terms[term] = (term_slots, tf)
-    return terms
+def _posting_entries(
+    docs: Dict[str, _Doc], slots: Dict[str, int]
+) -> Iterator[Tuple[str, int, int]]:
+    """(term, slot, tf) for each posting of each document in ``docs``."""
+    for doc_id, doc in docs.items():
+        for term, tf in doc.postings:
+            yield term, slots[doc_id], tf
+
+
+def _vector_entries(
+    docs: Dict[str, _Doc], slots: Dict[str, int]
+) -> Iterator[Tuple[int, int, float]]:
+    """(dimension, slot, value) for each nonzero dimension of each
+    vector in ``docs``."""
+    for doc_id, doc in docs.items():
+        vector = np.frombuffer(doc.vector, dtype=np.float64)
+        for dimension in np.flatnonzero(vector).tolist():
+            yield dimension, slots[doc_id], vector[dimension]
+
+
+def _patch_slots(
+    entries: Dict[_Key, Tuple[np.ndarray, np.ndarray]],
+    gone: Iterable[Tuple[_Key, int, object]],
+    put: Iterable[Tuple[_Key, int, object]],
+) -> Dict[_Key, Tuple[np.ndarray, np.ndarray]]:
+    """A slot-keyed map (key -> aligned (slots, values) arrays) with the
+    ``gone`` (key, slot, _) entries taken out and the ``put`` (key,
+    slot, value) entries added, for the keys the map holds.  Only the
+    keys a change touches get new arrays and no array is written into,
+    so a reader of ``entries`` keeps reading what it read; rows moving
+    costs nothing here."""
+    patched = dict(entries)
+    if not patched:
+        return patched
+    removed: Dict[_Key, List[int]] = {}
+    for key, slot, _ in gone:
+        if key in patched:
+            removed.setdefault(key, []).append(slot)
+    added: Dict[_Key, List[Tuple[int, object]]] = {}
+    for key, slot, value in put:
+        if key in patched:
+            added.setdefault(key, []).append((slot, value))
+    for key in removed.keys() | added.keys():
+        slots, values = patched[key]
+        if key in removed:
+            first, *others = removed[key]
+            keep = slots != first
+            for slot in others:
+                keep &= slots != slot
+            slots, values = slots[keep], values[keep]
+        if key in added:
+            new_slots, new_values = zip(*added[key])
+            slots = np.concatenate([slots, np.array(new_slots, dtype=np.intp)])
+            values = np.concatenate([values, np.array(new_values, dtype=values.dtype)])
+        patched[key] = (slots, values)
+    return patched
 
 
 def _patch_rows(
     view: _View, changes: Dict[str, Optional[_Doc]], slots: Dict[str, int]
-) -> Tuple[RowSpace, np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """Apply ``changes`` (None drops a document) to ``view``'s row space,
-    row slots and matrix (if dense), in one sorted merge; ``slots``
-    names each stored document's slot.  Returns the space, the row
-    slots, their inverse and the matrix.
-
-    The result is what a cold load builds: the same rows in doc_id
-    order, the matrix in one fresh contiguous block.  Row placement
-    changes how BLAS rounds ``matrix @ q``, so nothing looser would rank
-    identically.
-    """
-    space, matrix, row_slots = view.space, view.dense_matrix, view.row_slots
+) -> Tuple[RowSpace, np.ndarray, np.ndarray]:
+    """Apply ``changes`` (None drops a document) to ``view``'s row space
+    and row slots, in one sorted merge; ``slots`` names each stored
+    document's slot.  Returns the space, the row slots and their
+    inverse.  The rows are what a cold load builds, in doc_id order;
+    the slots need not be, since every score is computed by slot and
+    placed through ``slot_rows``."""
+    space, row_slots = view.space, view.row_slots
     ids = space.ids
     new_ids: List[str] = []
     lengths: List[np.ndarray] = []
     slot_blocks: List[np.ndarray] = []
-    blocks: List[np.ndarray] = []
     start = 0
     for doc_id in sorted(changes):
         at = bisect.bisect_left(ids, doc_id, start)
         new_ids.extend(ids[start:at])
         lengths.append(space.lengths[start:at])
         slot_blocks.append(row_slots[start:at])
-        if matrix is not None:
-            blocks.append(matrix[start:at])
         doc = changes[doc_id]
         if doc is not None:
             new_ids.append(doc_id)
             lengths.append(np.array([doc.length], dtype=np.int64))
             slot_blocks.append(np.array([slots[doc_id]], dtype=np.intp))
-            if matrix is not None:
-                blocks.append(np.frombuffer(doc.vector, dtype=np.float64)[np.newaxis])
         start = at + 1 if at < len(ids) and ids[at] == doc_id else at
     new_ids.extend(ids[start:])
     lengths.append(space.lengths[start:])
     slot_blocks.append(row_slots[start:])
-    # Everything else before the matrix, as in a cold load: built after
-    # it, the row map pinned heap that freed matrices then could not
-    # reuse (about one matrix more of peak RSS over a long run of writes).
     patched_space = RowSpace(new_ids, np.concatenate(lengths))
     patched_slots = np.concatenate(slot_blocks)
     slot_rows = np.full(
         max(len(view.slot_rows), max(slots.values(), default=-1) + 1), -1, dtype=np.intp
     )
     slot_rows[patched_slots] = np.arange(len(patched_slots))
-    patched = None
-    if matrix is not None:
-        blocks.append(matrix[start:])
-        patched = np.empty((len(new_ids), matrix.shape[1]), dtype=np.float64)
-        np.concatenate(blocks, out=patched)
-    return patched_space, patched_slots, slot_rows, patched
+    return patched_space, patched_slots, slot_rows

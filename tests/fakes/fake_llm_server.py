@@ -20,8 +20,9 @@ emits — OpenAI (``POST .../chat/completions``) and Anthropic
   so tests can assert *zero HTTP traffic* for warm-cache runs and
   compute observed request rates for limiter compliance.
 * **Concurrency tracking** — ``max_inflight`` records how many
-  requests the (threading) server ever handled simultaneously, which
-  is how the E17 benchmark proves ``asyncio:N`` actually saturates.
+  requests the (threading) server ever held at once, each from its
+  arrival until its response starts, which is how the E17 benchmark
+  proves ``asyncio:N`` actually saturates.
 
 The server binds ``127.0.0.1`` on an ephemeral port; nothing here ever
 touches a non-loopback address, so the suites run with the
@@ -116,15 +117,31 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         pass
 
+    #: Whether the request being handled still counts as in flight.  It
+    #: stops counting when its response starts: counted until the
+    #: handler returns, a serial client that already has its answer and
+    #: has sent its next request would read as two in flight.
+    _counted = False
+
     def do_POST(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
         srv: FakeLLMServer = self.server.fake  # type: ignore[attr-defined]
         srv._enter()
+        self._counted = True
         try:
             self._handle(srv)
         except BrokenPipeError:
             pass  # client gave up (timeout tests do this on purpose)
         finally:
-            srv._exit()
+            self._uncount()
+
+    def send_response(self, code: int, message: Optional[str] = None) -> None:
+        self._uncount()
+        super().send_response(code, message)
+
+    def _uncount(self) -> None:
+        if self._counted:
+            self._counted = False
+            self.server.fake._exit()  # type: ignore[attr-defined]
 
     def _handle(self, srv: "FakeLLMServer") -> None:
         length = int(self.headers.get("Content-Length", 0))

@@ -5,6 +5,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +26,8 @@ from repro.retrieval import (
     open_index,
     top_k,
 )
+from repro.retrieval.bm25 import RowScores
+from repro.retrieval.index import RowSpace
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +125,25 @@ def test_top_k_invalid():
         top_k({"a": 1.0}, 0)
 
 
+# Few distinct values: most rows tie with the k-th best.  NaN and -0.0
+# check the partition keeps what the full sort would.
+tied_values = st.lists(
+    st.sampled_from([2.0, 1.0, 0.5, 0.0, -0.0, -1.0, float("nan")]), min_size=1, max_size=60
+)
+
+
+@given(tied_values, st.integers(1, 70), st.data())
+@settings(max_examples=200, deadline=None)
+def test_top_k_equals_the_full_stable_sort(values, k, data):
+    space = RowSpace([f"d{i:02d}" for i in range(len(values))], np.zeros(len(values), np.int64))
+    matched = data.draw(st.lists(st.booleans(), min_size=len(values), max_size=len(values)))
+    scores = RowScores(space, np.array(values), np.array(matched))
+    rows = np.flatnonzero(scores.matched)
+    full = rows[np.argsort(-scores.array[rows], kind="stable")][:k].tolist()
+    assert scores.ranked(k).tolist() == full
+    assert [doc_id for doc_id, _ in top_k(scores, k)] == [space.ids[row] for row in full]
+
+
 # ---------------------------------------------------------------------------
 # Scorers read (doc_id, tf) pairs; the loop over full postings is the oracle
 
@@ -170,8 +192,8 @@ def test_tfidf_takes_the_log_of_tf_with_math_log():
 
 
 def _reference_dense(index, dense_index, terms):
-    scores = dense_index.scores(" ".join(terms))
-    return {d: s for d, s in scores.items() if s > 0.0 and d in index}
+    ids, similarities = dense_index.similarities(terms)  # the analyzed terms, as they are
+    return {d: s for d, s in zip(ids, similarities.tolist()) if s > 0.0 and d in index}
 
 
 def _reference_normalize(scores):

@@ -1,5 +1,7 @@
 """Dense retrieval and hybrid fusion tests."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,9 @@ from repro.retrieval import (
     HybridScorer,
     InvertedIndex,
     Searcher,
+    SqliteSearcher,
+    make_retrieval_scorer,
+    open_index,
 )
 
 DOCS = [
@@ -85,6 +90,86 @@ def test_dense_scores_all_docs(dense_index):
     scores = dense_index.scores("rocket orbit")
     assert set(scores) == {doc.doc_id for doc in DOCS}
     assert scores["space"] == max(scores.values())
+
+
+def test_dense_query_terms_are_embedded_as_analyzed(tmp_path):
+    """Stemming is not idempotent: "universities" -> "univers" -> "univ".
+    A dense query analyzed twice hashes other dimensions than the same
+    words in a document and finds nothing."""
+    docs = [Document(doc_id="u", text="universities"), Document(doc_id="c", text="clay courts")]
+    memory = Searcher(InvertedIndex.build(docs), scorer=DenseScorer(DenseIndex.build(docs)))
+    with open_index(tmp_path / "ix", dense=True) as ix:
+        ix.add_many(docs)
+        persistent = SqliteSearcher(ix, scorer=make_retrieval_scorer(ix, mode="dense"))
+        for searcher in (memory, persistent):
+            sources = searcher.search("universities", k=2).sources
+            assert (sources[0].doc_id, sources[0].score) == ("u", 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Every dense score is one exact sum, wherever its vector sits
+
+VOCABULARY = [f"w{i:03d}" for i in range(120)]
+
+
+def _texts(rng, count, low, high):
+    return [" ".join(rng.choices(VOCABULARY, k=rng.randint(low, high))) for _ in range(count)]
+
+
+def _reference_scores(embedder, documents, query):
+    """``sum(q[j] * v[j])`` over the dimensions where both are nonzero,
+    added in ascending dimension order, one Python float at a time."""
+    q = embedder.embed(query)
+    scores = {}
+    for doc in documents:
+        v = embedder.embed(doc.text + " " + doc.title)
+        total = 0.0
+        for j in sorted(set(np.flatnonzero(q).tolist()) & set(np.flatnonzero(v).tolist())):
+            total += float(q[j]) * float(v[j])
+        scores[doc.doc_id] = total.hex()
+    return scores
+
+
+def _assert_scores_are_the_reference(dense, documents, queries):
+    for query in queries:
+        scores = {doc_id: score.hex() for doc_id, score in dense.scores(query).items()}
+        assert scores == _reference_scores(dense.embedder, documents, query), query
+
+
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+def test_dense_scores_equal_the_ascending_dimension_sum(tmp_path, backend):
+    """Compared by ``float.hex``: a kernel whose rounding depends on a
+    vector's row (BLAS ``matrix @ q``) differs in the last bit on some
+    scores.  The persistent index scores after folds that move rows and
+    reuse slots."""
+    rng = random.Random(21)
+    documents = {
+        f"d{i:03d}": Document(doc_id=f"d{i:03d}", text=text)
+        for i, text in enumerate(_texts(rng, 400, 20, 40))
+    }
+    queries = _texts(rng, 20, 3, 5)
+    if backend == "memory":
+        dense = DenseIndex.build(list(documents.values()))
+        _assert_scores_are_the_reference(dense, documents.values(), queries)
+        return
+    with open_index(tmp_path / "ix", dense=True) as ix:
+        ix.add_many(documents.values())
+        dense = ix.dense_view()
+        _assert_scores_are_the_reference(dense, documents.values(), queries)
+        for i in range(30):
+            doc_id = rng.choice(sorted(documents))
+            if i % 3 == 0:
+                ix.remove(doc_id)
+                del documents[doc_id]
+                continue
+            if i % 3 == 1:  # a new document, before or among the others
+                doc_id = f"{rng.choice(['a', 'd1', 'z'])}{i:03d}"
+            documents[doc_id] = Document(doc_id=doc_id, text=_texts(rng, 1, 20, 40)[0])
+            ix.add(documents[doc_id])
+            if i % 4 == 0:
+                _assert_scores_are_the_reference(dense, documents.values(), queries[:5])
+        _assert_scores_are_the_reference(dense, documents.values(), queries)
+        assert ix.counters["view_loads"] == 1 and ix.counters["view_folds"] > 1
 
 
 def test_dense_scorer_through_searcher(dense_index):

@@ -705,6 +705,42 @@ def test_pinned_reader_builds_its_own_view(tmp_path, docs):
         assert ix.counters["view_loads"] == 2
 
 
+def test_folds_never_write_into_an_older_view(tmp_path, docs):
+    """A reader pinned to generation g keeps bit-identical dense scores
+    while the handle's own writes, from another thread, fold the view
+    forward past g: a fold builds new arrays and never writes into one
+    an older view can read."""
+    queries = [["quick", "fox"], ["lazi", "dog"], ["brown"]]
+    with open_index(tmp_path / "ix", dense=True) as ix:
+        ix.add_many(docs)
+        dense = ix.dense_view()
+        with ix.snapshot():
+            before = [dense.similarities(terms)[1].tobytes() for terms in queries]
+            held = ix._pinned()
+
+            def write_and_read():
+                # z0 takes d1's slot and the last row, so the first fold
+                # keeps the slot count and moves every row; the next
+                # grows it; the last only drops a document.
+                ix.remove("d1")
+                ix.add(Document(doc_id="z0", text="quick brown fox lazy dogs"))
+                dense.similarities(queries[0])
+                ix.add(Document(doc_id="a1", text="lazy brown dogs"))
+                ix.update(Document(doc_id="d2", text="fox dog brown"))
+                dense.similarities(queries[1])
+                ix.remove("d3")
+                dense.similarities(queries[2])
+
+            thread = threading.Thread(target=write_and_read)
+            thread.start()
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+            assert ix._view.generation == held.generation + 5
+            after = [dense.similarities(terms)[1].tobytes() for terms in queries]
+        assert after == before
+        assert (ix.counters["view_loads"], ix.counters["view_folds"]) == (1, 3)
+
+
 def test_v1_file_upgrades_on_open_and_ranks_as_before(tmp_path, docs):
     with open_index(tmp_path / "ix", dense=True) as ix:
         ix.add_many(docs)
