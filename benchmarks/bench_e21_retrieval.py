@@ -14,7 +14,11 @@ vectors in one WAL database, loaded lazily on open.  Shapes asserted:
 2. **Incremental sync is change-driven** — re-syncing an unchanged
    corpus writes nothing (every document hashes as ``unchanged``), and
    a single-document edit re-tokenizes exactly one document.
-3. **Fusion beats its parts honestly** — on the planted-relevant
+3. **The write path is reported** — per tier, the median latency of a
+   single-document update and of the first hybrid search after it
+   (the search that folds the write into the read view), next to a
+   plain search.  Recorded, not asserted.
+4. **Fusion beats its parts honestly** — on the planted-relevant
    synthetic corpus, min-max and reciprocal-rank hybrid fusion match
    or beat BM25-only precision, and on the demo worlds both fusion
    strategies agree with BM25 on the top-ranked source for the
@@ -31,6 +35,8 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import random
+import statistics
 
 import pytest
 
@@ -56,6 +62,9 @@ TIERS = [
 
 #: Queries timed per tier (averaged for the per-query latency column).
 QUERY_ROUNDS = 20
+
+#: Single-document updates timed per tier on the write-path index.
+WRITE_ROUNDS = 20
 
 RESULTS: list = []
 
@@ -168,6 +177,39 @@ def test_e21_incremental_sync_is_change_driven(tier_indexes):
         }
     )
     print_rows("E21 incremental sync", RESULTS[-1:])
+
+
+def test_e21_write_path_latency(tmp_path):
+    """Per tier: median update latency, and the first hybrid search
+    after each update against a plain one.  Each tier writes into a
+    dense index of its own, so the other checks keep reading the index
+    they built."""
+    rng = random.Random(0)
+    rows = []
+    for size in TIERS:
+        docs, _ = _corpus(size)
+        with open_index(tmp_path / f"writes-{size}", dense=True) as index:
+            index.add_many(docs)
+            searcher = SqliteSearcher(index, scorer=make_retrieval_scorer(index, mode="hybrid"))
+            searcher.search(QUERY, k=20)  # the cold load
+            updates, after_write, plain = [], [], []
+            for round_ in range(WRITE_ROUNDS):
+                target = docs[rng.randrange(size)]
+                edited = dataclasses.replace(target, text=f"{target.text} edit{round_}")
+                updates.append(timed(index.update, edited)[1])
+                after_write.append(timed(searcher.search, QUERY, k=20)[1])
+                plain.append(timed(searcher.search, QUERY, k=20)[1])
+            assert index.counters["view_folds"] == WRITE_ROUNDS  # no cold reload
+        rows.append(
+            {
+                "label": f"write-path:{size}",
+                "update_ms": round(statistics.median(updates) * 1000, 3),
+                "search_after_write_ms": round(statistics.median(after_write) * 1000, 3),
+                "search_ms": round(statistics.median(plain) * 1000, 3),
+            }
+        )
+    RESULTS.extend(rows)
+    print_rows("E21 write path (update, then the search that folds it in)", rows)
 
 
 def test_e21_hybrid_vs_bm25_quality(tmp_path):

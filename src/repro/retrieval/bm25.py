@@ -7,8 +7,8 @@ benchmarks.  Both satisfy the :class:`Scorer` protocol consumed by
 :class:`repro.retrieval.searcher.Searcher`.
 
 Both read one :class:`~repro.retrieval.index.ScoringView` per query:
-rows, statistics and each term's postings as ``(rows, tf)`` arrays, all
-from one index state.  Scores are computed into float64 arrays over its
+rows, total length and each term's postings as ``(rows, tf)`` arrays,
+all from one index state.  Scores are computed into float64 arrays over its
 :class:`~repro.retrieval.index.RowSpace` (:class:`RowScores`), and
 :func:`top_k` turns only the winners into Python objects.
 """
@@ -146,7 +146,7 @@ class BM25Scorer:
         n = len(space)
         if n == 0:
             return scores
-        avgdl = view.stats.average_doc_length or 1.0
+        avgdl = view.total_terms / n or 1.0
         # Query order, one term at a time: the same additions, in the
         # same order, as summing each document's terms one by one.
         for term in query_terms:

@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,12 +38,22 @@ from .document import Document
 from .index import InvertedIndex
 
 
+@lru_cache(maxsize=8192)
+def _hashed_slot(term: str, dimensions: int) -> Tuple[int, float]:
+    """``term``'s bucket among ``dimensions`` and its +/-1 sign, from a
+    blake2b digest of the term.  Memoized: a corpus repeats its terms."""
+    digest = hashlib.blake2b(term.encode("utf-8"), digest_size=8).digest()
+    value = int.from_bytes(digest, "big")
+    return value % dimensions, 1.0 if (value >> 63) & 1 else -1.0
+
+
 class HashedEmbedder:
     """Feature-hashed bag-of-terms embeddings.
 
     Each analyzed term deterministically maps to one of ``dimensions``
-    buckets with a +/-1 sign (both derived from a blake2b digest);
-    vectors are L2-normalized so dot product = cosine similarity.
+    buckets with a +/-1 sign (both derived from a blake2b digest, and
+    memoized per term); vectors are L2-normalized so dot product =
+    cosine similarity.
     """
 
     def __init__(self, dimensions: int = 256, tokenizer: Optional[Tokenizer] = None) -> None:
@@ -50,13 +61,6 @@ class HashedEmbedder:
             raise ConfigError(f"dimensions must be positive, got {dimensions}")
         self.dimensions = dimensions
         self.tokenizer = tokenizer or Tokenizer()
-
-    def _slot(self, term: str) -> Tuple[int, float]:
-        digest = hashlib.blake2b(term.encode("utf-8"), digest_size=8).digest()
-        value = int.from_bytes(digest, "big")
-        index = value % self.dimensions
-        sign = 1.0 if (value >> 63) & 1 else -1.0
-        return index, sign
 
     def embed(self, text: str) -> np.ndarray:
         """Normalized embedding of ``text`` (zero vector for no terms)."""
@@ -66,7 +70,7 @@ class HashedEmbedder:
         """Normalized embedding of already analyzed ``terms``."""
         vector = np.zeros(self.dimensions, dtype=np.float64)
         for term in terms:
-            index, sign = self._slot(term)
+            index, sign = _hashed_slot(term, self.dimensions)
             vector[index] += sign
         norm = float(np.linalg.norm(vector))
         if norm > 0:
@@ -85,16 +89,34 @@ class HashedEmbedder:
 DimensionEntries = Tuple[np.ndarray, np.ndarray]
 
 
-def by_dimension(block: np.ndarray) -> Dict[int, DimensionEntries]:
-    """The per-dimension entries of the vectors in the columns of the
-    dimension-major ``block`` (the vector in slot ``c`` is column
-    ``c``).  Every dimension gets an entry, empty where no vector is
-    nonzero; the values are copies, so ``block`` can be freed."""
-    dimensions: Dict[int, DimensionEntries] = {}
-    for dimension, values in enumerate(block):
-        slots = np.flatnonzero(values)
-        dimensions[dimension] = (slots, values[slots])
-    return dimensions
+def by_dimension(blocks: Iterable[np.ndarray], dimensions: int) -> Dict[int, DimensionEntries]:
+    """The per-dimension entries of vectors given as blocks of rows:
+    the vector in slot ``s`` is row ``s`` counted across the blocks.
+    Every dimension gets an entry, slots ascending, empty where no
+    vector is nonzero.  Each block is read once and only its nonzeros
+    are kept, in small pieces, so a caller can stream the vectors."""
+    slot_pieces: List[List[np.ndarray]] = [[] for _ in range(dimensions)]
+    value_pieces: List[List[np.ndarray]] = [[] for _ in range(dimensions)]
+    offset = 0
+    for block in blocks:
+        # The block's nonzeros dimension by dimension, slots ascending.
+        column, rows = np.divmod(np.flatnonzero((block != 0).T), len(block))
+        values = block[rows, column]
+        ends = np.bincount(column, minlength=dimensions).cumsum().tolist()
+        start = 0
+        for dimension, end in enumerate(ends):
+            if end > start:
+                slot_pieces[dimension].append(rows[start:end] + offset)
+                value_pieces[dimension].append(values[start:end])
+                start = end
+        offset += len(block)
+    return {
+        dimension: (
+            np.concatenate(slots) if slots else np.empty(0, dtype=np.intp),
+            np.concatenate(values) if values else np.empty(0, dtype=np.float64),
+        )
+        for dimension, (slots, values) in enumerate(zip(slot_pieces, value_pieces))
+    }
 
 
 def dense_scores(
@@ -124,7 +146,7 @@ class DenseIndex:
     def __init__(self, embedder: Optional[HashedEmbedder] = None) -> None:
         self.embedder = embedder or HashedEmbedder()
         self._doc_ids: List[str] = []
-        self._dimensions = by_dimension(np.zeros((self.embedder.dimensions, 0)))
+        self._dimensions = by_dimension([], self.embedder.dimensions)
 
     @classmethod
     def build(
@@ -136,7 +158,9 @@ class DenseIndex:
         index = cls(embedder=embedder)
         texts = [doc.text + " " + doc.title for doc in documents]
         index._doc_ids = [doc.doc_id for doc in documents]
-        index._dimensions = by_dimension(index.embedder.embed_batch(texts).T)
+        index._dimensions = by_dimension(
+            [index.embedder.embed_batch(texts)], index.embedder.dimensions
+        )
         return index
 
     def __len__(self) -> int:

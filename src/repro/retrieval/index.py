@@ -6,13 +6,15 @@ collection statistics.  This is everything BM25 and TF-IDF need, and the
 positions support phrase-level diagnostics in the claim extractor tests.
 
 Ranking runs over a :class:`ScoringView`: the indexed documents as
-array rows in doc_id order (a :class:`RowSpace`), the collection
-statistics and each query term's postings as arrays over those rows,
-all from one index state.  Both index classes provide it.
+array rows in doc_id order (a :class:`RowSpace`), their total analyzed
+length and each query term's postings as arrays over those rows, all
+from one index state.  Both index classes provide it.  Scoring reads no
+vocabulary size; only an index's ``stats`` reports one.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -34,7 +36,7 @@ class Posting:
 
 @dataclass
 class IndexStats:
-    """Collection-level statistics used by the ranking functions."""
+    """Collection-level statistics, as an index reports them."""
 
     num_documents: int = 0
     total_terms: int = 0
@@ -55,19 +57,35 @@ class RowSpace:
     maps each id to its row, and ``lengths`` holds the analyzed lengths
     as an int64 array aligned with ``ids``.  Scorers compute into
     float64 arrays over these rows, so a stable sort of rows breaks
-    score ties by doc_id.  Never mutated: an index whose documents
-    change builds a new one.
+    score ties by doc_id.  ``rows`` is built on first use;
+    :meth:`row_of` and :meth:`rows_of_sorted` bisect ``ids`` instead.
+    Never mutated: an index whose documents change builds a new one.
     """
 
-    __slots__ = ("ids", "rows", "lengths")
+    __slots__ = ("ids", "lengths", "_rows")
 
     def __init__(self, ids: List[str], lengths: np.ndarray) -> None:
         self.ids = ids
-        self.rows: Dict[str, int] = dict(zip(ids, range(len(ids))))
         self.lengths = lengths
+        self._rows: Optional[Dict[str, int]] = None
 
     def __len__(self) -> int:
         return len(self.ids)
+
+    @property
+    def rows(self) -> Dict[str, int]:
+        """doc_id -> row, built by the first call (concurrent first calls
+        may each build an equal map)."""
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = dict(zip(self.ids, range(len(self.ids))))
+        return rows
+
+    def row_of(self, doc_id: str) -> Optional[int]:
+        """``doc_id``'s row, or None when it is not in the space: a
+        bisection of ``ids``, which needs no ``rows`` map."""
+        row = bisect.bisect_left(self.ids, doc_id)
+        return row if row < len(self.ids) and self.ids[row] == doc_id else None
 
     def rows_of(self, doc_ids: Iterable[str]) -> np.ndarray:
         """The rows of ``doc_ids``, in their order."""
@@ -75,6 +93,17 @@ class RowSpace:
             return np.fromiter(map(self.rows.__getitem__, doc_ids), dtype=np.intp)
         except KeyError as error:
             raise UnknownDocumentError(f"no document with id {error.args[0]!r}") from None
+
+    def rows_of_sorted(self, doc_ids: Iterable[str]) -> np.ndarray:
+        """The rows of ``doc_ids``, which ascend: each is bisected from
+        the row of the one before, so no ``rows`` map is built."""
+        ids, found, row = self.ids, [], 0
+        for doc_id in doc_ids:
+            row = bisect.bisect_left(ids, doc_id, row)
+            if row == len(ids) or ids[row] != doc_id:
+                raise UnknownDocumentError(f"no document with id {doc_id!r}")
+            found.append(row)
+        return np.array(found, dtype=np.intp)
 
 
 #: A term's postings as arrays: intp rows of a :class:`RowSpace` and the
@@ -86,13 +115,14 @@ TermRows = Tuple[np.ndarray, np.ndarray]
 class ScoringView:
     """What a ranking function reads of one index state.
 
-    ``postings`` holds the arrays of the analyzed terms it was built
-    for.  Rows, statistics and postings all come from the same state,
-    so no write can land between them.
+    ``total_terms`` is the analyzed length of all its documents (the
+    rows give their count), and ``postings`` holds the arrays of the
+    analyzed terms it was built for.  Rows, lengths and postings all
+    come from the same state, so no write can land between them.
     """
 
     space: RowSpace
-    stats: IndexStats
+    total_terms: int
     postings: Dict[str, TermRows]
 
 
@@ -119,7 +149,7 @@ class InvertedIndex:
         self._doc_lengths: Dict[str, int] = {}
         self._corpus = Corpus()
         # Built by the first search after a change; see _arrays().
-        self._rows: Optional[Tuple[RowSpace, Dict[str, TermRows]]] = None
+        self._rows: Optional[Tuple[RowSpace, int, Dict[str, TermRows]]] = None
 
     # -- construction --------------------------------------------------
 
@@ -216,9 +246,9 @@ class InvertedIndex:
         return self._arrays()[0]
 
     def scoring_view(self, terms: Iterable[str]) -> ScoringView:
-        """Rows, statistics and the postings of ``terms`` as arrays; a
+        """Rows, total length and the postings of ``terms`` as arrays; a
         term's arrays are built once per row space."""
-        space, built = self._arrays()
+        space, total_terms, built = self._arrays()
         postings: Dict[str, TermRows] = {}
         for term in terms:
             arrays = built.get(term)
@@ -229,17 +259,18 @@ class InvertedIndex:
                     np.fromiter((p.term_frequency for p in found), np.int64, len(found)),
                 )
             postings[term] = arrays
-        return ScoringView(space, self.stats, postings)
+        return ScoringView(space, total_terms, postings)
 
-    def _arrays(self) -> Tuple[RowSpace, Dict[str, TermRows]]:
-        """The row space and the term arrays built over it so far, made
-        by the first call after a change.  Concurrent searchers may each
-        build one; every build is published whole, by one assignment."""
+    def _arrays(self) -> Tuple[RowSpace, int, Dict[str, TermRows]]:
+        """The row space, its total length and the term arrays built over
+        it so far, made by the first call after a change.  Concurrent
+        searchers may each build one; every build is published whole, by
+        one assignment."""
         arrays = self._rows
         if arrays is None:
             ids = sorted(self._doc_lengths)
             lengths = np.fromiter(map(self._doc_lengths.__getitem__, ids), dtype=np.int64)
-            arrays = self._rows = (RowSpace(ids, lengths), {})
+            arrays = self._rows = (RowSpace(ids, lengths), int(lengths.sum()), {})
         return arrays
 
     def document(self, doc_id: str) -> Document:

@@ -11,14 +11,18 @@ index directory:
   tokenizes queries identically and never re-analyzes a stored document.
 * **Lazy open** — opening is O(1); the first search loads the *read
   view*: the documents as a :class:`~repro.retrieval.index.RowSpace`
-  (doc ids in sorted order, their rows, their lengths), collection
-  statistics and, for a dense index, the vectors as per-dimension
-  postings: each hash dimension's (slots, values) of the vectors nonzero
-  there, so a dense query reads only its own few dimensions.  A term's
-  postings join the view as arrays the first time a search reads the
-  term (``counters["term_loads"]``).  A warm restart therefore serves
+  (doc ids in sorted order, their lengths), their total length and, for
+  a dense index, the vectors as per-dimension postings: each hash
+  dimension's (slots, values) of the vectors nonzero there, so a dense
+  query reads only its own few dimensions.  The vectors stream in a
+  block at a time; no dense matrix of them is built.  A term's postings
+  join the view as arrays the first time a search reads the term
+  (``counters["term_loads"]``).  A warm restart therefore serves
   byte-identical results with *zero* re-tokenization of unchanged
-  documents (``counters["doc_tokenizations"]`` proves it).
+  documents (``counters["doc_tokenizations"]`` proves it).  Scoring
+  never reads the vocabulary size: :attr:`SqliteIndex.stats` counts it
+  in its own snapshot, once per generation, and no write or load keeps
+  it.
 * **Incremental re-indexing** — :meth:`SqliteIndex.add` hashes document
   content; re-adding an unchanged document is a no-op, a changed one is
   atomically re-indexed (stale postings can never linger), and
@@ -29,9 +33,17 @@ index directory:
   its snapshot sees.  This handle's own writes record deltas (lengths,
   vectors, postings, old and new) that the next read folds into the
   view: only the loaded terms and the dimensions a written document
-  touches get new arrays.  A gap in that chain (another connection
-  wrote) or a bulk :meth:`add_many` means a cold load, with no terms
-  loaded.
+  touches get new arrays, and the changed documents' rows (like a
+  loaded term's) are found by bisecting the sorted ids, so a fold
+  builds no doc_id -> row map.  A delta holds the written documents'
+  contents and nothing about the rest of the index, such as a
+  vocabulary change.  A gap in that chain (another connection wrote)
+  or a bulk :meth:`add_many` means a cold load, with no terms loaded.
+* **Checked under the write lock** — a write reads the stored digest
+  inside its write transaction, so a document another handle or
+  process wrote or removed a moment before is updated, left unchanged
+  or reported missing, never inserted twice.  A lock-free check first
+  spots an unchanged document, so re-adding one takes no write lock.
 * **Concurrent readers, single writer** — WAL mode lets any number of
   reader connections (one per thread, or other processes such as a
   second ``rage serve`` worker) query a consistent snapshot while one
@@ -64,7 +76,18 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, TypeVar
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    TypeVar,
+)
 
 import numpy as np
 
@@ -130,14 +153,9 @@ CREATE TABLE vectors (
 );
 """
 
-#: How many of a document's terms no other document contains: run
-#: before deleting a document (terms that vanish) and after inserting
-#: one (terms that appear), inside the write transaction.
-_SOLE_TERMS = """
-SELECT COUNT(*) FROM postings AS p WHERE p.doc_id = ? AND NOT EXISTS (
-    SELECT 1 FROM postings AS q WHERE q.term = p.term AND q.doc_id <> p.doc_id
-)
-"""
+#: Vectors a cold load reads per block: the load holds one block of
+#: this many rows, never the whole documents x dimensions matrix.
+_LOAD_BLOCK = 512
 
 
 #: A term's postings in a view: (slots, int64 tf) arrays.
@@ -158,7 +176,6 @@ class _View:
     #: The documents as rows, in doc_id order, with their lengths.
     space: RowSpace
     total_terms: int
-    vocabulary_size: int
     #: Dense indexes only: hash dimension -> the (slots, float64 values)
     #: of the vectors nonzero there; every dimension has an entry.
     dimensions: Optional[Dict[int, DimensionEntries]]
@@ -170,10 +187,6 @@ class _View:
     #: Analyzed term -> its postings, loaded at this generation or folded
     #: forward from an older view.
     terms: Dict[str, _TermSlots] = field(default_factory=dict)
-
-    @property
-    def stats(self) -> IndexStats:
-        return IndexStats(len(self.space), self.total_terms, self.vocabulary_size)
 
 
 class _Doc(NamedTuple):
@@ -193,7 +206,6 @@ class _Delta:
     #: doc_id -> what it held before this write (length, vector and
     #: postings), for each document the write removed or replaced.
     dropped: Dict[str, _Doc] = field(default_factory=dict)
-    vocabulary: int = 0  # terms that appeared minus terms that vanished
 
 
 class _ThreadState(threading.local):
@@ -282,6 +294,8 @@ class SqliteIndex:
         # keyed by the generation each write started from.
         self._view: Optional[_View] = None
         self._deltas: Dict[int, _Delta] = {}
+        # (generation, vocabulary size) as ``stats`` last counted it.
+        self._vocabulary: Optional[Tuple[int, int]] = None
         self.counters: Dict[str, int] = {
             "added": 0,
             "updated": 0,
@@ -525,13 +539,11 @@ class SqliteIndex:
         # What each changed document holds in ``view``: what the first
         # write to touch it dropped.
         dropped: Dict[str, _Doc] = {}
-        vocabulary_size = view.vocabulary_size
         for delta in chain:
             for doc_id, doc in delta.dropped.items():
-                if doc_id in view.space.rows:
-                    dropped.setdefault(doc_id, doc)
+                if doc_id not in dropped and view.space.row_of(doc_id) is not None:
+                    dropped[doc_id] = doc
             changed.update(delta.docs)
-            vocabulary_size += delta.vocabulary
         stored = {doc_id: doc for doc_id, doc in changed.items() if doc is not None}
         total_terms = view.total_terms + sum(doc.length for doc in stored.values())
         total_terms -= sum(doc.length for doc in dropped.values())
@@ -545,17 +557,14 @@ class SqliteIndex:
                 dimensions, _vector_entries(dropped, slots), _vector_entries(stored, slots)
             )
         space, row_slots, slot_rows = _patch_rows(view, changed, slots)
-        return _View(
-            generation, space, total_terms, vocabulary_size, dimensions,
-            row_slots, slot_rows, terms,
-        )
+        return _View(generation, space, total_terms, dimensions, row_slots, slot_rows, terms)
 
     def _load(self, conn: sqlite3.Connection, generation: int) -> _View:
         """Build the view from ``conn``'s snapshot (pinned at ``generation``),
-        with each document in the slot of its row.  The vectors fill a
-        dimension-major block column by column from the cursor, then
-        split into per-dimension entries: at most one dense copy of the
-        vectors in memory, not a list of blobs plus a transposed copy.
+        with each document in the slot of its row.  The vectors stream
+        into per-dimension entries :data:`_LOAD_BLOCK` rows at a time, so
+        the load never holds a dense copy of them all.  The vocabulary is
+        not counted here: only :attr:`stats` reads it.
 
         SQLite orders TEXT by its UTF-8 bytes, which is Python's string
         order, so ``ORDER BY doc_id`` yields the row space's order."""
@@ -567,12 +576,6 @@ class SqliteIndex:
             ids = [doc_id for doc_id, _ in rows]
             space = RowSpace(ids, np.fromiter((n for _, n in rows), np.int64, len(rows)))
             del rows
-            # Not COUNT(DISTINCT term): SQLite plans that as a scan of
-            # postings_by_doc into a temporary B-tree, ~4x slower than
-            # this scan of the table in its (term, doc_id) key order.
-            vocabulary_size = conn.execute(
-                "SELECT COUNT(*) FROM (SELECT DISTINCT term FROM postings)"
-            ).fetchone()[0]
             if self.embedder is not None:
                 count = conn.execute("SELECT COUNT(*) FROM vectors").fetchone()[0]
                 if count != len(ids):
@@ -580,21 +583,36 @@ class SqliteIndex:
                         f"corrupt index database {self.path}: "
                         f"{count} vectors for {len(ids)} documents"
                     )
-                block = np.empty((self.embedder.dimensions, count), dtype=np.float64)
                 vectors = conn.execute("SELECT doc_id, vector FROM vectors ORDER BY doc_id")
-                for row, (doc_id, blob) in enumerate(vectors):
-                    if doc_id != ids[row]:
-                        raise RetrievalError(
-                            f"corrupt index database {self.path}: "
-                            f"vector rows stray from document rows at {doc_id!r}"
-                        )
-                    block[:, row] = np.frombuffer(blob, dtype=np.float64)
-                dimensions = by_dimension(block)
-                del block
+                dimensions = by_dimension(
+                    self._vector_blocks(vectors, ids), self.embedder.dimensions
+                )
         slots = np.arange(len(ids), dtype=np.intp)
-        return _View(
-            generation, space, int(space.lengths.sum()), vocabulary_size, dimensions, slots, slots
-        )
+        return _View(generation, space, int(space.lengths.sum()), dimensions, slots, slots)
+
+    def _vector_blocks(self, vectors: sqlite3.Cursor, ids: List[str]) -> Iterator[np.ndarray]:
+        """The (doc_id, blob) rows of ``vectors`` as float64 blocks of up
+        to :data:`_LOAD_BLOCK` vectors, checked against the row ids."""
+        width = self.embedder.dimensions * np.dtype(np.float64).itemsize
+        row = 0
+        while True:
+            fetched = vectors.fetchmany(_LOAD_BLOCK)
+            if not fetched:
+                return
+            for doc_id, blob in fetched:
+                if doc_id != ids[row]:
+                    raise RetrievalError(
+                        f"corrupt index database {self.path}: "
+                        f"vector rows stray from document rows at {doc_id!r}"
+                    )
+                if len(blob) != width:
+                    raise RetrievalError(
+                        f"corrupt index database {self.path}: "
+                        f"the vector of {doc_id!r} has {len(blob)} bytes, not {width}"
+                    )
+                row += 1
+            blobs = b"".join(blob for _, blob in fetched)
+            yield np.frombuffer(blobs, dtype=np.float64).reshape(len(fetched), -1)
 
     def _term_slots(self, conn: sqlite3.Connection, view: _View, term: str) -> _TermSlots:
         """``term``'s postings in ``view``; the first read loads them
@@ -607,7 +625,7 @@ class SqliteIndex:
                 "SELECT doc_id, tf FROM postings WHERE term = ? ORDER BY doc_id",
                 (term,),
             ).fetchall()
-        rows = view.space.rows_of([doc_id for doc_id, _ in postings])
+        rows = view.space.rows_of_sorted(doc_id for doc_id, _ in postings)
         tf = np.fromiter((tf for _, tf in postings), np.int64, len(postings))
         with self._lock:  # a fold may be copying view.terms
             self.counters["term_loads"] += 1
@@ -648,13 +666,20 @@ class SqliteIndex:
             digest = content_hash(doc)
             delta = _Delta()
             with self._guard():
-                stored = _stored_digest(conn, doc.doc_id)
-                if stored is None and must_exist:
-                    raise UnknownDocumentError(f"no document with id {doc.doc_id!r}")
-                if stored == digest:
+                # Checked first without the write lock, as add_many does:
+                # re-adding an unchanged document takes none.
+                if _stored_digest(conn, doc.doc_id) == digest:
                     self.counters["unchanged"] += 1
                     return "unchanged"
                 with _transaction(conn):
+                    # Read again under the write lock: another handle or
+                    # process may have written this document since.
+                    stored = _stored_digest(conn, doc.doc_id)
+                    if stored is None and must_exist:
+                        raise UnknownDocumentError(f"no document with id {doc.doc_id!r}")
+                    if stored == digest:
+                        self.counters["unchanged"] += 1
+                        return "unchanged"
                     before = _bump_generation(conn)
                     if stored is not None:
                         self._delete_rows(conn, doc.doc_id, delta)
@@ -668,36 +693,44 @@ class SqliteIndex:
         """Bulk :meth:`add` in one transaction; returns outcome counts.
 
         Unchanged documents are detected *before* the write transaction
-        opens, so a fully warm corpus sync takes zero write locks.  A
-        bulk write records no delta: the next read loads its view cold.
+        opens, so a fully warm corpus sync takes zero write locks; the
+        rest are checked again inside it.  A bulk write records no
+        delta: the next read loads its view cold.
         """
         outcome = {"added": 0, "updated": 0, "unchanged": 0}
         with self._lock:
             conn = self._conn()
             with self._guard():
-                pending: List[Tuple[Document, str, bool]] = []
-                # What this batch writes: a repeated doc_id acts as a later add().
-                batch: Dict[str, str] = {}
+                pending: List[Tuple[Document, str]] = []
+                # Ids already pending: a later copy of one is checked only
+                # inside the transaction, after the earlier copy is written.
+                sent: Set[str] = set()
                 for doc in documents:
                     digest = content_hash(doc)
-                    stored = batch.get(doc.doc_id) or _stored_digest(conn, doc.doc_id)
-                    if stored == digest:
+                    if doc.doc_id not in sent and _stored_digest(conn, doc.doc_id) == digest:
                         outcome["unchanged"] += 1
-                        self.counters["unchanged"] += 1
-                        continue
-                    pending.append((doc, digest, stored is not None))
-                    batch[doc.doc_id] = digest
-                if not pending:
-                    return outcome
-                with _transaction(conn):
-                    _bump_generation(conn)
-                    for doc, digest, existed in pending:
-                        if existed:
-                            self._delete_rows(conn, doc.doc_id)
-                        self._insert_document(conn, doc, digest)
-                        key = "updated" if existed else "added"
-                        outcome[key] += 1
-                        self.counters[key] += 1
+                    else:
+                        pending.append((doc, digest))
+                        sent.add(doc.doc_id)
+                if pending:
+                    with _transaction(conn):
+                        _bump_generation(conn)
+                        for doc, digest in pending:
+                            # Read again under the write lock and after this
+                            # batch's earlier writes: a repeated doc_id acts
+                            # as a later add(), and another handle may have
+                            # written the document since the check above.
+                            stored = _stored_digest(conn, doc.doc_id)
+                            if stored == digest:
+                                key = "unchanged"
+                            else:
+                                if stored is not None:
+                                    self._delete_rows(conn, doc.doc_id)
+                                self._insert_document(conn, doc, digest)
+                                key = "updated" if stored is not None else "added"
+                            outcome[key] += 1
+            for key, count in outcome.items():
+                self.counters[key] += count
         return outcome
 
     def remove(self, doc_id: str) -> None:
@@ -705,12 +738,11 @@ class SqliteIndex:
         with self._lock:
             conn = self._conn()
             delta = _Delta()
-            with self._guard():
-                if _stored_digest(conn, doc_id) is None:
+            with self._guard(), _transaction(conn):
+                if _stored_digest(conn, doc_id) is None:  # read under the write lock
                     raise UnknownDocumentError(f"no document with id {doc_id!r}")
-                with _transaction(conn):
-                    before = _bump_generation(conn)
-                    self._delete_rows(conn, doc_id, delta)
+                before = _bump_generation(conn)
+                self._delete_rows(conn, doc_id, delta)
             self.counters["removed"] += 1
             self._record(before, delta)
 
@@ -737,7 +769,6 @@ class SqliteIndex:
         self, conn: sqlite3.Connection, doc_id: str, delta: Optional[_Delta] = None
     ) -> None:
         if delta is not None:
-            delta.vocabulary -= conn.execute(_SOLE_TERMS, (doc_id,)).fetchone()[0]
             length, vector = conn.execute(
                 "SELECT d.doc_length, v.vector FROM documents AS d "
                 "LEFT JOIN vectors AS v ON v.doc_id = d.doc_id WHERE d.doc_id = ?",
@@ -789,7 +820,7 @@ class SqliteIndex:
                     term,
                     doc.doc_id,
                     len(positions),
-                    json.dumps(positions) if self.store_positions else "[]",
+                    _positions_text(positions) if self.store_positions else "[]",
                 )
                 for term, positions in occurrences.items()
             ),
@@ -802,7 +833,6 @@ class SqliteIndex:
                 (doc.doc_id, self.embedder.dimensions, blob),
             )
         if delta is not None:
-            delta.vocabulary += conn.execute(_SOLE_TERMS, (doc.doc_id,)).fetchone()[0]
             postings = [(term, len(positions)) for term, positions in occurrences.items()]
             delta.docs[doc.doc_id] = _Doc(len(terms), blob, postings)
 
@@ -818,7 +848,7 @@ class SqliteIndex:
                 if term not in postings:
                     slots, tf = self._term_slots(conn, view, term)
                     postings[term] = (view.slot_rows[slots], tf)
-        return ScoringView(view.space, view.stats, postings)
+        return ScoringView(view.space, view.total_terms, postings)
 
     def postings(self, term: str) -> List[Posting]:
         """Postings for an analyzed term, ordered by doc_id (empty when
@@ -864,7 +894,7 @@ class SqliteIndex:
     def doc_length(self, doc_id: str) -> int:
         """Analyzed token count of a document."""
         space = self._pinned().space
-        row = space.rows.get(doc_id)
+        row = space.row_of(doc_id)
         if row is None:
             raise UnknownDocumentError(f"no document with id {doc_id!r}")
         return int(space.lengths[row])
@@ -908,14 +938,34 @@ class SqliteIndex:
 
     @property
     def stats(self) -> IndexStats:
-        """Collection statistics at the current (or pinned) generation."""
-        return self._pinned().stats
+        """Collection statistics at the current (or pinned) generation.
+
+        The vocabulary is counted in that generation's snapshot, once per
+        generation (concurrent first calls may each count): no write or
+        load keeps it up to date, since scoring never reads it.  The
+        count holds no lock, so searches and writes go on meanwhile."""
+        with self.snapshot() as conn:
+            view = self._pinned()
+            counted = self._vocabulary
+            if counted is None or counted[0] != view.generation:
+                with self._guard():
+                    # Not COUNT(DISTINCT term): SQLite plans that as a scan
+                    # of postings_by_doc into a temporary B-tree, ~4x
+                    # slower than this scan in (term, doc_id) order.
+                    size = conn.execute(
+                        "SELECT COUNT(*) FROM (SELECT DISTINCT term FROM postings)"
+                    ).fetchone()[0]
+                counted = (view.generation, size)
+                with self._lock:  # only a newer count replaces the kept one
+                    if self._vocabulary is None or self._vocabulary[0] < view.generation:
+                        self._vocabulary = counted
+        return IndexStats(len(view.space), view.total_terms, counted[1])
 
     def __len__(self) -> int:
         return len(self._pinned().space)
 
     def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._pinned().space.rows
+        return self._pinned().space.row_of(doc_id) is not None
 
     def size_bytes(self) -> int:
         """On-disk footprint (database plus WAL side files)."""
@@ -1049,6 +1099,11 @@ def _transaction(conn: sqlite3.Connection) -> Iterator[None]:
         raise
 
 
+def _positions_text(positions: List[int]) -> str:
+    """``json.dumps(positions)``, byte for byte, for a list of ints."""
+    return "[" + ", ".join(map(str, positions)) + "]"
+
+
 def _stored_digest(conn: sqlite3.Connection, doc_id: str) -> Optional[str]:
     row = conn.execute(
         "SELECT content_hash FROM documents WHERE doc_id = ?", (doc_id,)
@@ -1075,8 +1130,11 @@ def _assign_slots(view: _View, changes: Dict[str, Optional[_Doc]]) -> Dict[str, 
     """Each changed document's slot: its slot in ``view`` if it had one
     (freed when ``changes`` removes it), else a free slot, else a new
     one."""
-    rows = view.space.rows
-    slots = {doc_id: int(view.row_slots[rows[doc_id]]) for doc_id in changes if doc_id in rows}
+    slots: Dict[str, int] = {}
+    for doc_id in changes:
+        row = view.space.row_of(doc_id)
+        if row is not None:
+            slots[doc_id] = int(view.row_slots[row])
     free = np.flatnonzero(view.slot_rows < 0).tolist()
     free += [slot for doc_id, slot in slots.items() if changes[doc_id] is None]
     fresh = itertools.count(len(view.slot_rows))

@@ -18,7 +18,13 @@ _WHITESPACE_RE = re.compile(r"\s+")
 
 
 def strip_accents(text: str) -> str:
-    """Return ``text`` with combining accents removed (NFKD fold)."""
+    """Return ``text`` with combining accents removed (NFKD fold).
+
+    ASCII text is returned as it is: NFKD maps every ASCII character to
+    itself and none is a combining mark.
+    """
+    if text.isascii():
+        return text
     decomposed = unicodedata.normalize("NFKD", text)
     return "".join(ch for ch in decomposed if not unicodedata.combining(ch))
 

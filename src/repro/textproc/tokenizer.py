@@ -5,7 +5,9 @@ Two tokenizers live here:
 * :class:`Tokenizer` — an analysis-chain tokenizer (lowercase, split on
   non-alphanumerics, optional stopword removal, optional Porter
   stemming).  It is what the inverted index and BM25 use, mirroring the
-  Lucene ``StandardAnalyzer`` that Pyserini configures.
+  Lucene ``StandardAnalyzer`` that Pyserini configures.  It yields the
+  terms of :func:`word_spans` without building a :class:`Span` per
+  token.
 * :func:`word_spans` — offset-preserving tokenization used by the claim
   extractor and the synthetic attention model, which need to know where
   in the raw source text each token sits.
@@ -83,18 +85,27 @@ class Tokenizer:
         self._stemmer = PorterStemmer()
 
     def tokenize(self, text: str) -> List[str]:
-        """Return the list of analyzed terms for ``text`` (order kept)."""
+        """Return the list of analyzed terms for ``text`` (order kept).
+
+        The terms of :func:`word_spans`, taken from the regex matches
+        directly: no :class:`Span` is built per token.
+        """
         if self.fold_accents:
             text = strip_accents(text)
         if self.lowercase:
             text = text.lower()
+        stopwords = STOPWORDS if self.remove_stopwords else ()
+        stem = self._stemmer if self.stem else None
         terms: List[str] = []
-        for span in word_spans(text):
-            term = span.text
-            if self.remove_stopwords and term in STOPWORDS:
+        for term in _TOKEN_RE.findall(text):
+            if "'" in term:
+                term = term.replace("'", "")
+                if not term:
+                    continue
+            if term in stopwords:
                 continue
-            if self.stem:
-                term = self._stemmer(term)
+            if stem is not None:
+                term = stem(term)
             terms.append(term)
         return terms
 

@@ -1,15 +1,22 @@
 """Property-based tests for the text-processing substrate."""
 
+import hashlib
+import itertools
+import json
 import string
+import unicodedata
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.retrieval.dense import _hashed_slot
+from repro.retrieval.sqlindex import _positions_text
 from repro.textproc import (
     STOPWORDS,
     Tokenizer,
     normalize_answer,
     stem,
+    strip_accents,
     word_spans,
 )
 
@@ -86,3 +93,79 @@ def test_tokenizer_subset_of_unfiltered(words):
     assert len(filtered) <= len(unfiltered)
     iterator = iter(unfiltered)
     assert all(term in iterator for term in filtered)  # order-preserving subsequence
+
+
+# ---------------------------------------------------------------------------
+# The analysis pass: the terms, folds, positions text and hash slots the
+# indexes store must equal the straightforward computations they replace.
+
+#: Pieces that exercise every analysis step: ASCII words and stopwords,
+#: apostrophe runs, accented letters, combining marks, ligatures and
+#: other compatibility characters, digits and separators.
+ANALYSIS_PIECES = [
+    "Quick", "foxes", "the", "and", "This", "was", "doing", "ands", "running", "2024", "x",
+    "'", "''", "'''", "it's", "o'''neill", "'tis'",
+    "\u00e9", "\u00c9", "\u015awi\u0105tek", "\u00df", "\u00f8", "\u0150", "\u0130",
+    "\u01c5", "\u03a9",
+    "\u0301", "\u0308", "\u0327", "e\u0301", "A\u030a",  # combining marks
+    "\ufb01", "\ufb00", "\ufb03",  # ligatures: fi, ff, ffi
+    "\uff21", "\u2460", "\u210c", "\u338f", "\u00bd",  # fullwidth A, circled 1, ...
+    " ", "  ", ".", "-", "\t", "\u2019",
+]
+analysis_texts = st.one_of(
+    st.lists(st.sampled_from(ANALYSIS_PIECES), max_size=30).map("".join),
+    text_strategy,
+)
+
+
+def _nfkd_fold(text):
+    decomposed = unicodedata.normalize("NFKD", text)
+    return "".join(ch for ch in decomposed if not unicodedata.combining(ch))
+
+
+def _reference_terms(tokenizer, text):
+    """The analysis chain over :func:`word_spans`, one span at a time."""
+    if tokenizer.fold_accents:
+        text = _nfkd_fold(text)
+    if tokenizer.lowercase:
+        text = text.lower()
+    terms = []
+    for span in word_spans(text):
+        if tokenizer.remove_stopwords and span.text in STOPWORDS:
+            continue
+        terms.append(stem(span.text) if tokenizer.stem else span.text)
+    return terms
+
+
+TOKENIZERS = [
+    Tokenizer(lowercase=a, remove_stopwords=b, stem=c, fold_accents=d)
+    for a, b, c, d in itertools.product([False, True], repeat=4)
+]
+
+
+@given(analysis_texts)
+@settings(max_examples=300)
+def test_tokenize_equals_the_word_spans_chain_under_every_flag(text):
+    for tokenizer in TOKENIZERS:
+        assert tokenizer.tokenize(text) == _reference_terms(tokenizer, text)
+
+
+@given(analysis_texts)
+@settings(max_examples=300)
+def test_strip_accents_is_the_nfkd_fold(text):
+    assert strip_accents(text) == _nfkd_fold(text)
+
+
+@given(st.lists(st.integers(min_value=0, max_value=10**9), min_size=1, max_size=50))
+def test_positions_text_is_json(positions):
+    assert _positions_text(positions) == json.dumps(positions)
+
+
+@given(analysis_texts, st.integers(min_value=1, max_value=4096))
+def test_memoized_hash_slot_is_the_blake2b_slot(term, dimensions):
+    value = int.from_bytes(
+        hashlib.blake2b(term.encode("utf-8"), digest_size=8).digest(), "big"
+    )
+    expected = (value % dimensions, 1.0 if value >> 63 else -1.0)
+    assert _hashed_slot(term, dimensions) == expected
+    assert _hashed_slot(term, dimensions) == expected  # a memo hit

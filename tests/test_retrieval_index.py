@@ -2,10 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.errors import UnknownDocumentError
 from repro.retrieval import Corpus, Document, InvertedIndex
+from repro.retrieval.index import RowSpace
 from repro.textproc import Tokenizer
 
 
@@ -163,3 +165,20 @@ def test_corpus_remove(tiny_corpus):
     assert "d1" not in corpus
     with pytest.raises(UnknownDocumentError):
         corpus.remove("d1")
+
+
+def test_row_space_finds_rows_with_or_without_its_map():
+    ids = ["a", "b", "bb", "c"]
+    space = RowSpace(ids, np.zeros(len(ids), dtype=np.int64))
+    probes = ids + ["", "ab", "bc", "d"]
+    bisected = [space.row_of(doc_id) for doc_id in probes]
+    assert space.rows_of_sorted(["a", "bb", "c"]).tolist() == [0, 2, 3]
+    assert space.rows_of_sorted([]).dtype == np.intp
+    for missing in (["ab"], ["b", "a"], ["c", "d"]):
+        with pytest.raises(UnknownDocumentError):
+            space.rows_of_sorted(missing)
+    assert space._rows is None  # both bisect; they build no map
+    assert space.rows == {"a": 0, "b": 1, "bb": 2, "c": 3}
+    assert space.rows_of(["a", "bb", "c"]).tolist() == [0, 2, 3]
+    assert [space.row_of(doc_id) for doc_id in probes] == bisected
+    assert bisected == [0, 1, 2, 3, None, None, None, None]

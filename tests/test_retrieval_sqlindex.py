@@ -4,6 +4,7 @@ concurrency, corruption, and hybrid scoring over it."""
 import sqlite3
 import sys
 import threading
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from repro.retrieval import (
     make_retrieval_scorer,
     open_index,
 )
+from repro.retrieval import sqlindex
 from repro.retrieval.sqlindex import SCHEMA_VERSION, content_hash
 from repro.textproc import Tokenizer
 
@@ -87,7 +89,10 @@ def test_scoring_view_holds_postings_without_positions(index, docs):
     for target in (index, mem):
         view = target.scoring_view(terms)
         assert view.space.ids == sorted(doc.doc_id for doc in docs)
-        assert view.stats == mem.stats
+        assert (len(view.space), view.total_terms) == (
+            mem.stats.num_documents, mem.stats.total_terms
+        )
+        assert target.stats == mem.stats
         for term in terms:
             expected = [(p.doc_id, p.term_frequency) for p in index.postings(term)]
             assert _postings_of(view, term) == expected
@@ -168,6 +173,110 @@ def test_add_many_repeating_a_doc_id_acts_as_successive_adds(tmp_path):
         assert outcome == {"added": 1, "updated": 1, "unchanged": 1}
         assert ix.document("d").text == "bravo"
         assert (len(ix), ix.stats.vocabulary_size) == (1, 1)
+        # A later copy is checked against the copy before it, not
+        # against what was stored before the batch.
+        outcome = ix.add_many([first, second])
+        assert outcome == {"added": 0, "updated": 2, "unchanged": 0}
+        assert ix.document("d").text == "bravo"
+
+
+def test_re_adding_an_unchanged_document_takes_no_write_lock(tmp_path, docs, monkeypatch):
+    with open_index(tmp_path / "ix") as ix:
+        ix.add_many(docs)
+
+        def locked(conn):
+            raise AssertionError("a write transaction was opened")
+
+        monkeypatch.setattr(sqlindex, "_transaction", locked)
+        assert ix.add(docs[0]) == "unchanged"
+        assert ix.update(docs[1]) == "unchanged"
+        assert ix.add_many(docs) == {"added": 0, "updated": 0, "unchanged": len(docs)}
+
+
+# ---------------------------------------------------------------------------
+# Another handle writing between a write's check and its write lock
+
+
+def _race_next_write(monkeypatch, root, write):
+    """The next write transaction any handle opens first lets another
+    handle on ``root`` run ``write``: what another process could do
+    between a write's look at the stored document and its lock."""
+    original = sqlindex._transaction
+    raced = []
+
+    @contextmanager
+    def racing(conn):
+        if not raced:
+            raced.append(True)
+            with open_index(root) as other:
+                write(other)
+        with original(conn):
+            yield
+
+    monkeypatch.setattr(sqlindex, "_transaction", racing)
+
+
+def _assert_equals_fresh(ix, root):
+    """``ix`` reads what a handle opened cold on its file reads."""
+    with open_index(root) as fresh:
+        assert (len(ix), ix.stats, ix.doc_ids()) == (len(fresh), fresh.stats, fresh.doc_ids())
+        for mode, fusion in (("bm25", "minmax"), ("hybrid", "minmax"), ("hybrid", "rrf")):
+            rankings = [
+                [
+                    (s.doc_id, s.score.hex())
+                    for s in SqliteSearcher(
+                        target, scorer=make_retrieval_scorer(target, mode=mode, fusion=fusion)
+                    ).search("quick brown fox dog", k=10).sources
+                ]
+                for target in (ix, fresh)
+            ]
+            assert rankings[0] == rankings[1]
+
+
+@pytest.fixture()
+def raced(tmp_path, docs):
+    """A dense handle with its view loaded, and its file's path."""
+    root = tmp_path / "ix"
+    with open_index(root, dense=True) as ix:
+        ix.add_many(docs)
+        _assert_equals_fresh(ix, root)
+        yield ix, root
+
+
+@pytest.mark.parametrize("text, outcome", [("quick fox", "unchanged"), ("lazy dog", "updated")])
+def test_add_after_a_concurrent_add_rereads_the_document(raced, monkeypatch, text, outcome):
+    ix, root = raced
+    _race_next_write(monkeypatch, root, lambda other: other.add(Document("d5", "quick fox")))
+    assert ix.add(Document("d5", text)) == outcome
+    assert ix.document("d5").text == text
+    _assert_equals_fresh(ix, root)
+
+
+@pytest.mark.parametrize("text, outcome", [("quick fox", "unchanged"), ("lazy dog", "updated")])
+def test_add_many_after_a_concurrent_add_rereads_the_document(raced, monkeypatch, text, outcome):
+    ix, root = raced
+    _race_next_write(monkeypatch, root, lambda other: other.add(Document("d5", "quick fox")))
+    counts = ix.add_many([Document("d5", text), Document("d6", "brown dogs")])
+    assert counts == {"added": 1, "updated": 0, "unchanged": 0, outcome: 1}
+    assert ix.document("d5").text == text
+    _assert_equals_fresh(ix, root)
+
+
+def test_update_after_a_concurrent_remove_finds_no_document(raced, monkeypatch):
+    ix, root = raced
+    _race_next_write(monkeypatch, root, lambda other: other.remove("d2"))
+    with pytest.raises(UnknownDocumentError):
+        ix.update(Document("d2", "lazy dog"))
+    _assert_equals_fresh(ix, root)
+
+
+def test_remove_after_a_concurrent_remove_finds_no_document(raced, monkeypatch):
+    ix, root = raced
+    _race_next_write(monkeypatch, root, lambda other: other.remove("d2"))
+    with pytest.raises(UnknownDocumentError):
+        ix.remove("d2")
+    assert "d2" not in ix
+    _assert_equals_fresh(ix, root)
 
 
 def test_content_hash_covers_title_and_metadata():
@@ -638,6 +747,76 @@ def test_a_run_of_writes_folds_once(tmp_path):
         assert len(ix) == 61
 
 
+def test_a_search_after_a_write_builds_no_row_map(tmp_path, docs):
+    """A fold finds the changed documents' rows by bisecting the sorted
+    ids, so no view a write leaves behind builds its doc_id -> row map."""
+    with open_index(tmp_path / "ix", dense=True) as ix:
+        ix.add_many(docs)
+        searcher = SqliteSearcher(ix, scorer=make_retrieval_scorer(ix, mode="hybrid"))
+        searcher.search("quick fox", k=3)
+        views = []
+        for write in (
+            lambda: ix.add(Document("d0", "quick quick fox")),
+            lambda: ix.update(Document("d2", "lazy fox")),
+            lambda: ix.remove("d3"),
+            lambda: ix.add(Document("d9", "brown dog")),
+        ):
+            write()
+            searcher.search("quick fox", k=3)
+            views.append(ix._view)
+        # A term no search read before joins the last folded view.
+        searcher.search("lazy dog", k=3)
+        assert ix._view is views[-1] and "lazi" in views[-1].terms
+        assert (ix.counters["view_loads"], ix.counters["view_folds"]) == (1, 4)
+        assert [view.space._rows for view in views] == [None] * 4
+
+
+def test_stats_counts_the_vocabulary_once_per_generation(tmp_path, docs):
+    """Writes, cold loads and folds count no vocabulary; ``stats``
+    counts it in its own snapshot, once per generation."""
+    added = Document("d5", "zebra quick")
+    with open_index(tmp_path / "ix", dense=True) as ix:
+        ix.add_many(docs)
+        counts = []
+        ix._conn().set_trace_callback(
+            lambda sql: counts.append(sql) if "DISTINCT term" in sql else None
+        )
+        searcher = SqliteSearcher(ix, scorer=make_retrieval_scorer(ix, mode="hybrid"))
+        searcher.search("quick fox", k=3)
+        ix.add(added)
+        searcher.search("quick fox", k=3)
+        assert (ix.counters["view_loads"], ix.counters["view_folds"], counts) == (1, 1, [])
+        assert ix.stats == InvertedIndex.build(docs + [added]).stats
+        assert ix.stats == InvertedIndex.build(docs + [added]).stats
+        assert len(counts) == 1
+        ix.remove("d5")
+        assert ix.stats == InvertedIndex.build(docs).stats
+        assert len(counts) == 2
+
+
+def test_stats_counts_the_vocabulary_without_the_handle_lock(tmp_path, docs):
+    """While ``stats`` counts, another thread can take the handle's
+    lock, so searches and writes on the handle need not wait."""
+    with open_index(tmp_path / "ix") as ix:
+        ix.add_many(docs)
+        taken = []
+
+        def take_lock():
+            taken.append(ix._lock.acquire(blocking=False))
+            if taken[-1]:
+                ix._lock.release()
+
+        def during_count(sql):
+            if "DISTINCT term" in sql:
+                other = threading.Thread(target=take_lock)
+                other.start()
+                other.join()
+
+        ix._conn().set_trace_callback(during_count)
+        assert ix.stats == InvertedIndex.build(docs).stats
+        assert taken == [True]
+
+
 def test_every_snapshot_reads_the_view_of_its_own_generation(tmp_path, docs):
     """Stress: six readers against a writer, switching threads often.
     In-memory reads inside a snapshot must agree with SQL counted in
@@ -657,8 +836,13 @@ def test_every_snapshot_reads_the_view_of_its_own_generation(tmp_path, docs):
                             count, total = conn.execute(
                                 "SELECT COUNT(*), SUM(doc_length) FROM documents"
                             ).fetchone()
+                            terms = conn.execute(
+                                "SELECT COUNT(DISTINCT term) FROM postings"
+                            ).fetchone()[0]
                             stats = ix.stats
-                            assert (stats.num_documents, stats.total_terms) == (count, total)
+                            assert (
+                                stats.num_documents, stats.total_terms, stats.vocabulary_size
+                            ) == (count, total, terms)
                             assert len(ix.dense_view().scores("quick")) == count
                 except Exception as error:  # pragma: no cover - failure path
                     errors.append(error)
@@ -774,6 +958,39 @@ def test_dense_vectors_persist(tmp_path, docs):
     with open_index(tmp_path / "ix") as warm:
         assert warm.embedder is not None  # reconstructed from stored meta
         assert warm.dense_view().scores("quick brown fox") == cold
+
+
+@pytest.mark.parametrize("block", [1, 3, 512])
+def test_a_cold_load_streams_vectors_in_blocks(tmp_path, docs, monkeypatch, block):
+    """Whatever the block size, a cold load's per-dimension entries are
+    each dimension's nonzero (slot, value) pairs over the stored
+    vectors in doc_id order."""
+    monkeypatch.setattr(sqlindex, "_LOAD_BLOCK", block)
+    extra = [Document(f"e{i}", f"extra words {i} quick") for i in range(5)]
+    with open_index(tmp_path / "ix", dense=True) as ix:
+        ix.add_many(docs + extra)
+        with ix.snapshot() as conn:
+            stored = conn.execute("SELECT vector FROM vectors ORDER BY doc_id").fetchall()
+        vectors = [np.frombuffer(blob, dtype=np.float64) for (blob,) in stored]
+        view = ix._pinned()
+    assert sorted(view.dimensions) == list(range(ix.embedder.dimensions))
+    for dimension, (slots, values) in view.dimensions.items():
+        assert (slots.dtype, values.dtype) == (np.intp, np.float64)
+        expected = [(s, v[dimension].hex()) for s, v in enumerate(vectors) if v[dimension]]
+        assert list(zip(slots.tolist(), [v.hex() for v in values.tolist()])) == expected
+
+
+def test_a_cold_load_rejects_a_vector_of_the_wrong_width(tmp_path, docs):
+    with open_index(tmp_path / "ix", dense=True) as ix:
+        ix.add_many(docs)
+        path = ix.path
+    conn = sqlite3.connect(str(path))
+    conn.execute("UPDATE vectors SET vector = zeroblob(8) WHERE doc_id = 'd2'")
+    conn.commit()
+    conn.close()
+    with open_index(tmp_path / "ix") as ix:
+        with pytest.raises(RetrievalError, match="'d2'"):
+            len(ix)
 
 
 def test_reopened_dense_index_embeds_with_its_stored_analyzer(tmp_path, docs):
