@@ -35,7 +35,7 @@ def test_e6_kbest_ch_scaling(benchmark, k):
     context, scores = _context_and_scores(k)
 
     def run():
-        return optimal_permutations(context, scores, s=S, method="ch")
+        return optimal_permutations(context, scores, s=S)
 
     placements = benchmark(run)
     assert len(placements) == S
@@ -75,7 +75,7 @@ def test_e6_scaling_table():
     for k in (8, 16, 32):
         context, scores = _context_and_scores(k, seed=99)
         start = time.perf_counter()
-        optimal_permutations(context, scores, s=S, method="ch")
+        optimal_permutations(context, scores, s=S)
         times[k] = time.perf_counter() - start
         print(f"  k={k:>3}: {times[k]:.4f}")
     # Growth from k=8 to k=32 (4x k) should be bounded by ~4^4 = 256x

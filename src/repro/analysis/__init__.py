@@ -23,14 +23,14 @@ rule                      invariant
 ``error-taxonomy``        library failures derive from ``repro.errors``
 ``test-network-isolation``  suites import no socket machinery outside
                           ``tests/fakes/``
-``determinism``           no ambient randomness/clocks in ``core/`` and
-                          ``combinatorics/``
+``determinism``           no ambient randomness/clocks in ``core/``,
+                          ``combinatorics/`` and ``retrieval/``
 ``swallowed-error``       no silent ``except: pass`` in library code
 ========================  ==================================================
 
-Run it with ``rage lint [paths]`` or ``python -m repro.analysis``
-(``--jobs N`` fans file scanning over a process pool); suppress a
-deliberate exception inline with ``# repro: disable=RULE -- why``.
+Run it with ``rage lint [paths]`` or ``python -m repro.analysis``;
+suppress a deliberate exception inline with
+``# repro: disable=RULE -- why``.
 The dynamic twin of ``lock-order`` lives in
 :mod:`repro.analysis.watchdog` (``RAGE_LOCK_WATCHDOG=1``).
 """

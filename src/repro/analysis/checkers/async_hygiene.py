@@ -29,13 +29,12 @@ import ast
 from typing import Dict, Iterable, Optional
 
 from ..model import Checker, Finding, register
-from ..source import SourceFile, resolve_call_target
-
-#: Exact call targets that block the loop.
-_BLOCKING_CALLS = frozenset({"time.sleep"})
-
-#: Dotted prefixes whose calls mean synchronous network I/O.
-_BLOCKING_PREFIXES = ("urllib.request.", "http.client.", "socket.")
+from ..source import (
+    BLOCKING_CALLS,
+    BLOCKING_PREFIXES,
+    SourceFile,
+    resolve_call_target,
+)
 
 #: Model entry points with async twins.
 _SYNC_MODEL_CALLS = frozenset({"generate", "generate_batch"})
@@ -81,18 +80,17 @@ class AsyncHygieneChecker(Checker):
     ) -> Optional[str]:
         target = resolve_call_target(call, imports)
         if target is not None:
-            if target in _BLOCKING_CALLS:
+            if target in BLOCKING_CALLS:
                 return (
                     f"`{target}(...)` blocks the event loop — use "
                     "`await asyncio.sleep(...)`"
                 )
-            for prefix in _BLOCKING_PREFIXES:
-                if target.startswith(prefix):
-                    return (
-                        f"synchronous network call `{target}(...)` inside "
-                        "`async def` — use the async transport "
-                        "(`arequest`) or `asyncio.to_thread`"
-                    )
+            if target.startswith(BLOCKING_PREFIXES):
+                return (
+                    f"synchronous network call `{target}(...)` inside "
+                    "`async def` — use the async transport "
+                    "(`arequest`) or `asyncio.to_thread`"
+                )
         func = call.func
         if isinstance(func, ast.Attribute):
             if func.attr == "acquire" and not _nonblocking_acquire(call):

@@ -26,10 +26,7 @@ from typing import Iterable
 
 from ..graph import LockModel
 from ..model import Finding, ProjectChecker, register
-
-
-def _in_library(path: str) -> bool:
-    return path.startswith("src/repro/") or path.startswith("repro/")
+from ..source import library_path
 
 
 def _waits_on_held_condition(model, func, site, held) -> bool:
@@ -65,7 +62,7 @@ class HeldCallChecker(ProjectChecker):
         model = LockModel(index)
         for qualname in sorted(index.functions):
             func = index.functions[qualname]
-            if not _in_library(func.path):
+            if library_path(func.path) is None:
                 continue
             for site in func.calls:
                 if site.blocking is None or not site.held:

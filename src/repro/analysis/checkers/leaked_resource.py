@@ -35,15 +35,12 @@ from typing import Dict, Iterable, Set
 
 from ..graph import CallGraph
 from ..model import Finding, ProjectChecker, register
+from ..source import library_path
 
 #: Claim kind -> the release call that squares it.
 _RELEASE_FOR = {"reserve": "cancel", "open": "close", "fdopen": "close"}
 
 _RELEASE_LEAVES = frozenset(_RELEASE_FOR.values())
-
-
-def _in_library(path: str) -> bool:
-    return path.startswith("src/repro/") or path.startswith("repro/")
 
 
 def _releases_anywhere(index, graph: CallGraph) -> Dict[str, Set[str]]:
@@ -81,7 +78,7 @@ class LeakedResourceChecker(ProjectChecker):
         anywhere = _releases_anywhere(index, graph)
         for qualname in sorted(index.functions):
             func = index.functions[qualname]
-            if not func.claims or not _in_library(func.path):
+            if not func.claims or library_path(func.path) is None:
                 continue
             protected: Set[str] = set(func.cleanup_releases)
             for resolved in graph.calls.get(qualname, ()):

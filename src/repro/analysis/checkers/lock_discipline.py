@@ -33,15 +33,10 @@ read-modify-write is a bug.
 from __future__ import annotations
 
 import ast
-from typing import Iterable, List, Set
+from typing import Dict, Iterable, List, Optional, Set
 
 from ..model import Checker, Finding, register
-from ..source import SourceFile
-from .common import (
-    dotted_name,
-    is_lock_factory,
-    self_attribute_root,
-)
+from ..source import SourceFile, dotted_name, resolve_call_target
 
 #: Methods that run before the instance can be shared across threads.
 _CONSTRUCTION_METHODS = frozenset(
@@ -70,13 +65,36 @@ _MUTATORS = frozenset(
 )
 
 
+def _self_attribute_root(node: ast.AST) -> Optional[str]:
+    """For an attribute chain rooted at ``self``, the first attribute.
+
+    ``self.stats.hits`` -> ``stats``; ``self.calls`` -> ``calls``;
+    anything not rooted at ``self`` -> ``None``.
+    """
+    chain: List[str] = []
+    while isinstance(node, ast.Attribute):
+        chain.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name) and node.id == "self" and chain:
+        return chain[-1]
+    return None
+
+
+def _is_lock_factory(value: ast.AST, imports: Dict[str, str]) -> bool:
+    """Whether ``value`` constructs a mutual-exclusion lock."""
+    if not isinstance(value, ast.Call):
+        return False
+    target = resolve_call_target(value, imports)
+    return target in ("threading.Lock", "threading.RLock", "Lock", "RLock")
+
+
 def _class_lock_attrs(cls: ast.ClassDef, imports) -> Set[str]:
     """Attribute names the class binds to a freshly-built lock."""
     locks: Set[str] = set()
     for node in ast.walk(cls):
-        if isinstance(node, ast.Assign) and is_lock_factory(node.value, imports):
+        if isinstance(node, ast.Assign) and _is_lock_factory(node.value, imports):
             for target in node.targets:
-                attr = self_attribute_root(target)
+                attr = _self_attribute_root(target)
                 if attr is not None and isinstance(target, ast.Attribute):
                     locks.add(target.attr)
                 elif isinstance(target, ast.Name):
@@ -143,7 +161,7 @@ class LockDisciplineChecker(Checker):
     ) -> Iterable[Finding]:
         shown = sorted(locks)[0]
         if isinstance(child, ast.AugAssign):
-            attr = self_attribute_root(_subscript_value(child.target))
+            attr = _self_attribute_root(_subscript_value(child.target))
             if attr is not None:
                 target = dotted_name(child.target) or f"self.{attr}"
                 yield self.finding(
@@ -157,7 +175,7 @@ class LockDisciplineChecker(Checker):
             for target in _flat_targets(child.targets):
                 if not isinstance(target, ast.Subscript):
                     continue
-                attr = self_attribute_root(target.value)
+                attr = _self_attribute_root(target.value)
                 if attr is not None:
                     yield self.finding(
                         source,
@@ -170,7 +188,7 @@ class LockDisciplineChecker(Checker):
             for target in child.targets:
                 if not isinstance(target, ast.Subscript):
                     continue
-                attr = self_attribute_root(target.value)
+                attr = _self_attribute_root(target.value)
                 if attr is not None:
                     yield self.finding(
                         source,
@@ -186,7 +204,7 @@ class LockDisciplineChecker(Checker):
                 and func.attr in _MUTATORS
                 and isinstance(func.value, ast.Attribute)
             ):
-                attr = self_attribute_root(func.value)
+                attr = _self_attribute_root(func.value)
                 if attr is not None:
                     yield self.finding(
                         source,

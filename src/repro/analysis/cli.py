@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -49,14 +48,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="RULE_ID",
         help="run only this rule (repeatable)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for the per-file scan (default: all "
-        "CPUs; 1 disables the pool; output is identical either way)",
     )
     parser.add_argument(
         "--root",
@@ -110,8 +101,7 @@ def run_lint(args: argparse.Namespace) -> int:
     checkers = (
         checkers_for_rules(args.rule) if args.rule else None
     )
-    jobs = args.jobs if args.jobs and args.jobs > 0 else (os.cpu_count() or 1)
-    result = analyze_paths(args.paths, root=root, checkers=checkers, jobs=jobs)
+    result = analyze_paths(args.paths, root=root, checkers=checkers)
     reported = result.sorted_findings()
 
     rendered = (

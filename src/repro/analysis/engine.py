@@ -2,32 +2,29 @@
 
 :func:`analyze_paths` is the CLI's workhorse; :func:`analyze_source` /
 :func:`analyze_sources` check in-memory snippets (the fixture tests'
-entry points).  All return findings **after** inline suppressions.
+entry points).  All three feed the same loop and return findings
+**after** inline suppressions.
 
 Two phases per run:
 
-1. **per-file** — every file-scoped checker over every file.  With
-   ``jobs > 1`` this phase fans out across a process pool: workers
-   return plain picklable ``(findings, suppressed, module summary)``
-   triples, and because results are merged in submission order and
-   findings are sorted at the end, output is byte-identical to a
-   single-process run.
+1. **per-file** — every file-scoped checker over each file in turn,
+   recording the file's :class:`~repro.analysis.graph.symbols.
+   ModuleSummary` when a project rule is selected;
 2. **project** — :class:`~repro.analysis.model.ProjectChecker` rules
-   run once in the parent over the :class:`~repro.analysis.graph.
-   symbols.ProjectIndex` assembled from the workers' summaries.
-   Inline suppressions apply through the summaries' recorded tables.
+   run once over the :class:`~repro.analysis.graph.symbols.
+   ProjectIndex` assembled from those summaries.  Inline suppressions
+   apply through the summaries' recorded tables.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigError
 from .graph.symbols import ModuleSummary, ProjectIndex, summarize
-from .model import Checker, Finding, all_checkers, checkers_for_rules
+from .model import Checker, Finding, all_checkers
 from .source import SourceFile
 
 #: Rule id for files the engine cannot parse (not a registered checker:
@@ -36,9 +33,6 @@ PARSE_ERROR_RULE = "parse-error"
 
 #: Directory names never descended into.
 _SKIPPED_DIRS = frozenset({"__pycache__", ".git", ".venv", "node_modules"})
-
-#: Below this many files the pool costs more than it saves.
-MIN_FILES_FOR_POOL = 8
 
 
 @dataclass
@@ -85,90 +79,60 @@ def _relative(path: Path, root: Path) -> str:
         return path.as_posix()
 
 
-def _split_checkers(
-    checkers: Sequence[Checker],
-) -> Tuple[List[Checker], List[Checker]]:
-    """``(file_checkers, project_checkers)`` preserving order."""
-    file_checkers = [c for c in checkers if not c.project]
-    project_checkers = [c for c in checkers if c.project]
-    return file_checkers, project_checkers
+def _check_file(
+    source: SourceFile, checkers: Sequence[Checker], total: AnalysisResult
+) -> bool:
+    """Run file-scoped ``checkers`` over one file into ``total``.
 
-
-def check_source(
-    source: SourceFile, checkers: Optional[Sequence[Checker]] = None
-) -> AnalysisResult:
-    """Run file-scoped ``checkers`` over one file, folding suppressions.
-
-    Project checkers in ``checkers`` are skipped — they need the whole
-    index and run in :func:`analyze_paths` / :func:`analyze_sources`.
+    Returns whether the file parsed; one that does not is reported as a
+    :data:`PARSE_ERROR_RULE` finding and checked no further.
     """
-    selected, _ = _split_checkers(
-        list(checkers) if checkers is not None else all_checkers()
-    )
-    result = AnalysisResult(files=1)
+    total.files += 1
     try:
         source.tree
     except SyntaxError as error:
-        line = error.lineno if error.lineno is not None else 1
-        result.findings.append(
+        total.findings.append(
             Finding(
                 path=source.rel,
-                line=line,
+                line=error.lineno if error.lineno is not None else 1,
                 rule=PARSE_ERROR_RULE,
                 message=f"file does not parse: {error.msg}",
             )
         )
-        return result
-    for checker in selected:
+        return False
+    for checker in checkers:
         if not checker.applies(source):
             continue
         for finding in checker.check(source):
             if source.suppressed(finding.rule, finding.line):
-                result.suppressed += 1
-            else:
-                result.findings.append(finding)
-    return result
-
-
-def _summarize_safe(source: SourceFile) -> Optional[ModuleSummary]:
-    try:
-        return summarize(source)
-    except SyntaxError:
-        return None  # already reported as a parse-error finding
-
-
-def _run_project_checkers(
-    project_checkers: Sequence[Checker],
-    summaries: List[ModuleSummary],
-    total: AnalysisResult,
-) -> None:
-    """Phase 2: whole-program rules over the assembled index."""
-    if not project_checkers:
-        return
-    index = ProjectIndex(summaries)
-    for checker in project_checkers:
-        for finding in checker.check_project(index):
-            if index.suppressed(finding.path, finding.rule, finding.line):
                 total.suppressed += 1
             else:
                 total.findings.append(finding)
+    return True
 
 
-def _scan_worker(
-    task: Tuple[str, str, Optional[List[str]], bool]
-) -> Tuple[List[Finding], int, Optional[ModuleSummary]]:
-    """One file scan, shaped for ``ProcessPoolExecutor.map``.
-
-    Takes only picklable primitives (checker instances may not cross
-    the process boundary — rule ids are re-resolved from the registry
-    the worker builds by import) and returns only picklable results.
-    """
-    path_str, rel, rules, need_summary = task
-    source = SourceFile.read(Path(path_str), rel)
-    selected = checkers_for_rules(rules) if rules is not None else None
-    result = check_source(source, selected)
-    summary = _summarize_safe(source) if need_summary else None
-    return result.findings, result.suppressed, summary
+def _analyze(
+    sources: Iterable[SourceFile], checkers: Optional[Sequence[Checker]]
+) -> AnalysisResult:
+    """Both phases over ``sources``, one file at a time."""
+    selected = list(checkers) if checkers is not None else all_checkers()
+    file_checkers = [c for c in selected if not c.project]
+    project_checkers = [c for c in selected if c.project]
+    total = AnalysisResult()
+    summaries: List[ModuleSummary] = []
+    for source in sources:
+        if _check_file(source, file_checkers, total) and project_checkers:
+            summaries.append(summarize(source))
+    if project_checkers:
+        index = ProjectIndex(summaries)
+        for checker in project_checkers:
+            for finding in checker.check_project(index):
+                if index.suppressed(finding.path, finding.rule, finding.line):
+                    total.suppressed += 1
+                else:
+                    total.findings.append(finding)
+    total.findings.sort()
+    return total
 
 
 def analyze_source(
@@ -190,62 +154,18 @@ def analyze_sources(
     hazards only exist *between* files, so the suite hands this a
     little synthetic tree.
     """
-    selected = list(checkers) if checkers is not None else all_checkers()
-    file_checkers, project_checkers = _split_checkers(selected)
-    total = AnalysisResult()
-    summaries: List[ModuleSummary] = []
-    for rel, text in items:
-        source = SourceFile(rel, text)
-        result = check_source(source, file_checkers)
-        total.findings.extend(result.findings)
-        total.suppressed += result.suppressed
-        total.files += 1
-        if project_checkers:
-            summary = _summarize_safe(source)
-            if summary is not None:
-                summaries.append(summary)
-    _run_project_checkers(project_checkers, summaries, total)
-    total.findings.sort()
-    return total
+    return _analyze((SourceFile(rel, text) for rel, text in items), checkers)
 
 
 def analyze_paths(
     paths: Sequence[str],
     root: Optional[Path] = None,
     checkers: Optional[Sequence[Checker]] = None,
-    jobs: int = 1,
 ) -> AnalysisResult:
-    """Analyze every Python file under ``paths`` (repo-relative).
-
-    ``jobs`` > 1 fans the per-file phase out across a process pool
-    (skipped below :data:`MIN_FILES_FOR_POOL` files, where fork/import
-    overhead dominates).  Findings are merged in submission order and
-    sorted, so output does not depend on ``jobs``.
-    """
+    """Analyze every Python file under ``paths`` (repo-relative)."""
     base = (root or Path.cwd()).resolve()
-    selected = list(checkers) if checkers is not None else all_checkers()
-    _, project_checkers = _split_checkers(selected)
-    rules = [c.rule for c in selected] if checkers is not None else None
-    need_summary = bool(project_checkers)
-    tasks = [
-        (str(path), _relative(path, base), rules, need_summary)
-        for path in iter_python_files([Path(p) for p in paths], base)
-    ]
-    effective_jobs = max(1, jobs)
-    if effective_jobs > 1 and len(tasks) >= MIN_FILES_FOR_POOL:
-        chunk = max(1, len(tasks) // (effective_jobs * 4))
-        with ProcessPoolExecutor(max_workers=effective_jobs) as pool:
-            outcomes = list(pool.map(_scan_worker, tasks, chunksize=chunk))
-    else:
-        outcomes = [_scan_worker(task) for task in tasks]
-    total = AnalysisResult()
-    summaries: List[ModuleSummary] = []
-    for findings, suppressed, summary in outcomes:
-        total.findings.extend(findings)
-        total.suppressed += suppressed
-        total.files += 1
-        if summary is not None:
-            summaries.append(summary)
-    _run_project_checkers(project_checkers, summaries, total)
-    total.findings.sort()
-    return total
+    files = list(iter_python_files([Path(p) for p in paths], base))
+    return _analyze(
+        (SourceFile.read(path, _relative(path, base)) for path in files),
+        checkers,
+    )

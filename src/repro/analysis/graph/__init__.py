@@ -6,8 +6,7 @@ function and module boundaries:
 
 * :mod:`~repro.analysis.graph.symbols` — a project-wide symbol table
   (modules, classes with bases and attribute types, functions with
-  per-call-site facts) built from plain picklable summaries, so
-  extraction parallelizes across a process pool;
+  per-call-site facts) built from plain-data per-module summaries;
 * :mod:`~repro.analysis.graph.callgraph` — conservative call-graph
   construction over those summaries: direct calls, ``self.``/``cls.``
   method dispatch through the known class hierarchy, module-qualified

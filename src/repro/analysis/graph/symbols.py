@@ -1,15 +1,13 @@
 """Project-wide symbol table over the :class:`SourceFile` walker.
 
 One pass per file produces a :class:`ModuleSummary` — a plain-data
-(picklable) digest of everything the whole-program layer needs:
-classes with their bases, lock attributes and attribute types;
-functions with per-call-site facts (what is called, on which line,
-which locks are lexically held at that moment, whether the call sits
-on a cleanup path); acquisition sites; resource claims.  Extraction is
-deliberately AST-free in its *output* so ``rage lint --jobs N`` can
-fan file scans out across a process pool and ship summaries back to
-the parent, where :class:`ProjectIndex` stitches them into one
-project-wide view.
+digest of everything the whole-program layer needs: classes with their
+bases, lock attributes and attribute types; functions with per-call-site
+facts (what is called, on which line, which locks are lexically held at
+that moment, whether the call sits on a cleanup path); acquisition
+sites; resource claims.  A summary holds no AST, so the engine drops
+each file's tree once its summary is taken, and :class:`ProjectIndex`
+stitches the summaries into one project-wide view.
 
 Identity conventions
 --------------------
@@ -31,7 +29,13 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
-from ..source import SourceFile, dotted_name, resolve_call_target
+from ..source import (
+    BLOCKING_CALLS,
+    BLOCKING_PREFIXES,
+    SourceFile,
+    dotted_name,
+    resolve_call_target,
+)
 
 #: Pseudo-function name holding a module's top-level statements.
 MODULE_BODY = "<body>"
@@ -43,12 +47,6 @@ _LOCK_FACTORIES = {
     "threading.RLock": "rlock",
     "threading.Condition": "condition",
 }
-
-#: Canonical dotted calls that block the calling thread.
-_BLOCKING_CALLS = frozenset({"time.sleep"})
-
-#: Dotted prefixes whose calls mean synchronous network I/O.
-_BLOCKING_PREFIXES = ("urllib.request.", "http.client.", "socket.")
 
 #: Attribute calls that dispatch a model generation or an execution
 #: backend run (real I/O at the bottom of the stack for every
@@ -363,11 +361,10 @@ class _FunctionWalker:
         """Why this call blocks the thread, if the target is known to."""
         resolved = resolve_call_target(call, self.imports)
         if resolved is not None:
-            if resolved in _BLOCKING_CALLS:
+            if resolved in BLOCKING_CALLS:
                 return f"`{resolved}(...)` sleeps"
-            for prefix in _BLOCKING_PREFIXES:
-                if resolved.startswith(prefix):
-                    return f"`{resolved}(...)` performs synchronous network I/O"
+            if resolved.startswith(BLOCKING_PREFIXES):
+                return f"`{resolved}(...)` performs synchronous network I/O"
         parts = raw_name.split(".")
         if len(parts) >= 2 and parts[-1] in _MODEL_CALLS:
             return f"`.{parts[-1]}(...)` dispatches a generation/backend run"

@@ -153,6 +153,28 @@ def iter_imported_modules(tree: ast.Module) -> Iterator[Tuple[int, str]]:
                     yield node.lineno, f"{node.module}.{alias.name}"
 
 
+# -- lint policy shared by several rules ----------------------------------
+
+#: Canonical dotted calls that block the calling thread (the
+#: ``async-hygiene`` and ``held-call`` rules both flag them).
+BLOCKING_CALLS = frozenset({"time.sleep"})
+
+#: Dotted prefixes whose calls mean synchronous network I/O.
+BLOCKING_PREFIXES = ("urllib.request.", "http.client.", "socket.")
+
+
+def library_path(rel: str) -> Optional[str]:
+    """Path inside the ``repro`` package, or ``None`` outside it.
+
+    Recognizes both the in-repo layout (``src/repro/...``) and a flat
+    checkout (``repro/...``).
+    """
+    for prefix in ("src/repro/", "repro/"):
+        if rel.startswith(prefix):
+            return rel[len(prefix):]
+    return None
+
+
 def _parse_directive(comment: str) -> Optional[Set[str]]:
     """The rule ids named by a ``# repro: disable=`` comment, if any."""
     match = _DIRECTIVE.search(comment)
@@ -227,15 +249,8 @@ class SourceFile:
 
     @property
     def library_path(self) -> Optional[str]:
-        """Path inside the ``repro`` package, or ``None`` outside it.
-
-        Recognizes both the in-repo layout (``src/repro/...``) and a
-        flat checkout (``repro/...``).
-        """
-        for prefix in ("src/repro/", "repro/"):
-            if self.rel.startswith(prefix):
-                return self.rel[len(prefix):]
-        return None
+        """Path inside the ``repro`` package (see :func:`library_path`)."""
+        return library_path(self.rel)
 
     @property
     def in_library(self) -> bool:
@@ -266,6 +281,11 @@ class SourceFile:
         return rules is not None and (rule in rules or ALL_RULES in rules)
 
     def _collect_suppressions(self) -> Dict[int, FrozenSet[str]]:
+        # Any directive comment is a substring of the text that matches
+        # the directive pattern, so a file with no match needs no
+        # tokenizing (most files hold none).
+        if _DIRECTIVE.search(self.text) is None:
+            return {}
         directives: Dict[int, Set[str]] = {}
         standalone: List[tuple] = []  # (comment line, rules)
         code_lines: Set[int] = set()

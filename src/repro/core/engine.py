@@ -485,7 +485,6 @@ class Rage:
         query: str,
         context: Optional[Context] = None,
         s: int = 5,
-        method: str = "ch",
     ) -> List[OptimalPermutation]:
         """Top-s placements of sources into high-attention positions."""
         context = context or self.retrieve(query)
@@ -495,7 +494,6 @@ class Rage:
             s=s,
             prior=self.config.expected_prior,
             depth=self.config.expected_depth,
-            method=method,
         )
 
     def source_salience(

@@ -22,10 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..attention.positional import PositionPrior, position_weights
-from ..combinatorics.kbest import (
-    kbest_assignments_ch,
-    kbest_assignments_murty,
-)
+from ..combinatorics.kbest import kbest_assignments_ch
 from ..errors import ConfigError
 from .context import Context, PermutationPerturbation
 
@@ -66,7 +63,6 @@ def optimal_permutations(
     prior: PositionPrior | str = PositionPrior.V_SHAPED,
     depth: float = 0.8,
     attention_weights: Optional[Sequence[float]] = None,
-    method: str = "ch",
 ) -> List[OptimalPermutation]:
     """The s orderings maximizing total relevance x attention.
 
@@ -83,8 +79,8 @@ def optimal_permutations(
         user-calibrated "predefined V-shaped distribution").
     attention_weights:
         Explicit per-position weights; overrides ``prior``/``depth``.
-    method:
-        ``"ch"`` (Chegireddy–Hamacher, O(sk^3)) or ``"murty"``.
+
+    The s best assignments come from Chegireddy–Hamacher, O(sk^3).
     """
     if s <= 0:
         raise ConfigError(f"s must be positive, got {s}")
@@ -94,12 +90,7 @@ def optimal_permutations(
         attention_weights = position_weights(prior, context.k, depth=depth)
     benefits = benefit_matrix(context, relevance_scores, attention_weights)
     costs = [[-value for value in row] for row in benefits]
-    if method == "ch":
-        ranked = kbest_assignments_ch(costs, s)
-    elif method == "murty":
-        ranked = kbest_assignments_murty(costs, s)
-    else:
-        raise ConfigError(f"unknown method {method!r}; use 'ch' or 'murty'")
+    ranked = kbest_assignments_ch(costs, s)
     doc_ids = context.doc_ids()
     results: List[OptimalPermutation] = []
     for solution in ranked:

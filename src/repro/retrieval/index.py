@@ -2,8 +2,9 @@
 
 The index stores, per analyzed term, a postings list of
 ``(doc_id, term_frequency, positions)`` plus per-document lengths and
-collection statistics.  This is everything BM25 and TF-IDF need, and the
-positions support phrase-level diagnostics in the claim extractor tests.
+collection statistics.  BM25 and TF-IDF need the frequencies and
+lengths.  No scorer reads the within-document positions; only the
+indexes' ``postings`` lookups return them.
 
 Ranking runs over a :class:`ScoringView`: the indexed documents as
 array rows in doc_id order (a :class:`RowSpace`), their total analyzed
@@ -134,17 +135,10 @@ class InvertedIndex:
     tokenizer:
         The analysis chain; defaults to the package-wide configuration
         (lowercase, stopwords removed, Porter-stemmed).
-    store_positions:
-        Keep within-document token positions in each posting.
     """
 
-    def __init__(
-        self,
-        tokenizer: Optional[Tokenizer] = None,
-        store_positions: bool = True,
-    ) -> None:
+    def __init__(self, tokenizer: Optional[Tokenizer] = None) -> None:
         self.tokenizer = tokenizer or Tokenizer()
-        self.store_positions = store_positions
         self._postings: Dict[str, List[Posting]] = {}
         self._doc_lengths: Dict[str, int] = {}
         self._corpus = Corpus()
@@ -165,7 +159,7 @@ class InvertedIndex:
             posting = Posting(
                 doc_id=doc.doc_id,
                 term_frequency=len(positions),
-                positions=tuple(positions) if self.store_positions else (),
+                positions=tuple(positions),
             )
             self._postings.setdefault(term, []).append(posting)
         self._rows = None
@@ -216,10 +210,9 @@ class InvertedIndex:
         cls,
         documents: Iterable[Document],
         tokenizer: Optional[Tokenizer] = None,
-        store_positions: bool = True,
     ) -> "InvertedIndex":
         """Index every document in ``documents`` and return the index."""
-        index = cls(tokenizer=tokenizer, store_positions=store_positions)
+        index = cls(tokenizer=tokenizer)
         for doc in documents:
             index.add_document(doc)
         return index

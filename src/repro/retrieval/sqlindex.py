@@ -226,7 +226,6 @@ def open_index(
     index_dir: str | Path,
     tokenizer: Optional[Tokenizer] = None,
     embedder: Optional[HashedEmbedder] = None,
-    store_positions: bool = True,
     dense: bool = False,
 ) -> "SqliteIndex":
     """Open (creating if needed) the persistent index in ``index_dir``.
@@ -246,7 +245,6 @@ def open_index(
         root / DB_NAME,
         tokenizer=tokenizer,
         embedder=embedder,
-        store_positions=store_positions,
         dense=dense,
     )
 
@@ -270,8 +268,6 @@ class SqliteIndex:
         dense index reconstructs the embedder from the stored
         dimensions; passing one to a sparse-only index (or with the
         wrong dimensions, or an analyzer other than the index's) raises.
-    store_positions:
-        Keep within-document token positions (new indexes only).
     dense:
         Equip a *new* index with the default embedder over its analyzer
         when ``embedder`` is None.
@@ -282,7 +278,6 @@ class SqliteIndex:
         path: str | Path,
         tokenizer: Optional[Tokenizer] = None,
         embedder: Optional[HashedEmbedder] = None,
-        store_positions: bool = True,
         dense: bool = False,
     ) -> None:
         self.path = Path(path).expanduser()
@@ -309,7 +304,6 @@ class SqliteIndex:
         }
         self.tokenizer = tokenizer
         self.embedder = embedder
-        self.store_positions = store_positions
         conn = self._conn()
         with self._lock:
             self._initialize(conn, dense)
@@ -379,7 +373,9 @@ class SqliteIndex:
         meta = {
             "schema_version": str(SCHEMA_VERSION),
             "tokenizer": json.dumps(_tokenizer_config(self.tokenizer)),
-            "store_positions": "1" if self.store_positions else "0",
+            # Positions are always stored; the key tells builds that
+            # still read it to store them too.
+            "store_positions": "1",
             "embedder_dimensions": (
                 str(self.embedder.dimensions) if self.embedder is not None else ""
             ),
@@ -422,7 +418,6 @@ class SqliteIndex:
                 f"index {self.path} was built with analyzer {stored_tok}; "
                 "reopen with a matching tokenizer (or None to adopt it)"
             )
-        self.store_positions = meta.get("store_positions") == "1"
         stored_dims = meta.get("embedder_dimensions") or ""
         if not stored_dims:
             if self.embedder is not None:
@@ -820,7 +815,7 @@ class SqliteIndex:
                     term,
                     doc.doc_id,
                     len(positions),
-                    _positions_text(positions) if self.store_positions else "[]",
+                    _positions_text(positions),
                 )
                 for term, positions in occurrences.items()
             ),

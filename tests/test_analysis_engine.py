@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import json
 import textwrap
+import tokenize
 
 import pytest
 
 from repro.analysis import analyze_paths, analyze_source, all_checkers
 from repro.analysis.cli import main as lint_main
-from repro.analysis.engine import PARSE_ERROR_RULE
+from repro.analysis.engine import PARSE_ERROR_RULE, analyze_sources
 from repro.analysis.model import checkers_for_rules
 from repro.analysis.source import SourceFile
 from repro.app.cli import main as rage_main
@@ -72,6 +73,25 @@ def test_disable_all_and_comma_lists():
     assert source.suppressed("anything", 1)
     assert source.suppressed("determinism", 2)
     assert not source.suppressed("lock-discipline", 2)
+
+
+def test_file_without_directive_is_not_tokenized(monkeypatch):
+    def no_tokenizing(readline):
+        raise AssertionError("tokenized a file that holds no directive")
+
+    monkeypatch.setattr(tokenize, "generate_tokens", no_tokenizing)
+    source = SourceFile(LIB, 'def f():\n    raise ValueError("x")  # plain\n')
+    assert source.suppressions == {}
+    result = analyze_source(source.text, rel=LIB)
+    assert [f.rule for f in result.findings] == ["error-taxonomy"]
+    assert result.suppressed == 0
+
+
+def test_directive_in_a_string_is_not_a_suppression():
+    # The text matches the directive pattern, so the file is tokenized;
+    # only a comment token suppresses.
+    source = SourceFile(LIB, 'x = "# repro: disable=all"\ny = 1\n')
+    assert source.suppressions == {}
 
 
 def test_suppressed_findings_are_counted_not_reported():
@@ -137,6 +157,14 @@ def test_cli_missing_path_exits_2(tmp_path, capsys):
     assert "no such path" in capsys.readouterr().err
 
 
+def test_cli_has_no_jobs_option(tmp_path, capsys):
+    _write_pkg(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        lint_main(["--root", str(tmp_path), "src", "--jobs", "2"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
+
 def test_cli_unknown_rule_exits_2(tmp_path, capsys):
     _write_pkg(tmp_path)
     assert lint_main(["--root", str(tmp_path), "src", "--rule", "bogus"]) == 2
@@ -194,3 +222,100 @@ def test_analyze_paths_deduplicates_overlapping_paths(tmp_path):
     result = analyze_paths(["src", "src/repro"], root=tmp_path)
     assert result.files == 1
     assert len(result.findings) == 1
+
+
+# ---------------------------------------------------------------------------
+# One pipeline: trees on disk and in-memory snippets
+
+#: Two locks taken in both orders by two methods: one lock-order cycle,
+#: reported once per edge.
+CYCLE_SNIPPET = """\
+import threading
+
+class Store:
+    def __init__(self):
+        self._a = threading.Lock()
+        self._b = threading.Lock()
+
+    def put(self):
+        with self._a:
+            with self._b:
+                pass
+
+    def clear(self):
+        with self._b:
+            with self._a:
+                pass
+"""
+
+
+CLEAN_TEMPLATE = """\
+def fine_{n}(value):
+    return value + {n}
+"""
+
+#: Trips error-taxonomy once.
+DIRTY_TEMPLATE = """\
+def check_{n}(value):
+    if value < 0:
+        raise ValueError("bad value {n}")
+    return value
+"""
+
+
+def _write_tree(root, files):
+    for rel, text in files.items():
+        target = root / rel
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(text, encoding="utf-8")
+
+
+def _modules(count, dirty=True):
+    """``count`` library modules; with ``dirty``, every odd one is dirty."""
+    return {
+        f"src/repro/pkg/mod_{n:02d}.py": (
+            DIRTY_TEMPLATE if dirty and n % 2 else CLEAN_TEMPLATE
+        ).format(n=n)
+        for n in range(count)
+    }
+
+
+def test_cli_reports_project_findings_from_an_on_disk_tree(tmp_path, capsys):
+    files = _modules(8, dirty=False)
+    files["src/repro/pkg/store.py"] = CYCLE_SNIPPET
+    _write_tree(tmp_path, files)
+    code = lint_main(["--root", str(tmp_path), "src", "--rule", "lock-order"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.count("[lock-order]") == 2
+    assert f"across {len(files)} files" in out
+
+
+def test_json_findings_come_out_in_sorted_path_order(tmp_path, capsys):
+    _write_tree(tmp_path, _modules(12))
+    code = lint_main(["--root", str(tmp_path), "src", "--json"])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().out)
+    paths = [finding["path"] for finding in payload["findings"]]
+    assert paths == sorted(paths)
+    assert len(set(paths)) == 6
+    assert payload["counts"]["reported"] == 6
+    assert payload["files"] == 12
+
+
+def test_analyze_paths_equals_analyze_sources(tmp_path):
+    files = _modules(4)
+    files["src/repro/pkg/store.py"] = CYCLE_SNIPPET
+    files["src/repro/pkg/broken.py"] = "def broken(:\n    pass\n"
+    files["src/repro/pkg/waived.py"] = (
+        "def f():\n"
+        "    raise ValueError('x')  # repro: disable=error-taxonomy -- fixture\n"
+    )
+    _write_tree(tmp_path, files)
+    on_disk = analyze_paths(["src"], root=tmp_path)
+    in_memory = analyze_sources(sorted(files.items()))
+    assert on_disk == in_memory
+    assert on_disk.files == len(files)
+    assert on_disk.suppressed == 1
+    rules = sorted({finding.rule for finding in on_disk.findings})
+    assert rules == ["error-taxonomy", "lock-order", PARSE_ERROR_RULE]

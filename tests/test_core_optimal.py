@@ -6,6 +6,7 @@ import random
 import pytest
 
 from repro.attention import PositionPrior, position_weights
+from repro.combinatorics.kbest import kbest_assignments_murty
 from repro.core import naive_optimal_permutations, optimal_permutations
 from repro.core.context import Context
 from repro.core.optimal import benefit_matrix
@@ -65,9 +66,16 @@ def test_matches_naive_enumeration():
 def test_ch_and_murty_methods_agree():
     context = _context(6)
     scores = _scores(6, seed=4)
-    ch = optimal_permutations(context, scores, s=8, method="ch")
-    murty = optimal_permutations(context, scores, s=8, method="murty")
-    assert [round(p.score, 9) for p in ch] == [round(p.score, 9) for p in murty]
+    weights = position_weights(PositionPrior.V_SHAPED, 6, depth=0.8)
+    ch = optimal_permutations(context, scores, s=8, attention_weights=weights)
+    costs = [
+        [-value for value in row]
+        for row in benefit_matrix(context, scores, weights)
+    ]
+    murty = kbest_assignments_murty(costs, 8)
+    assert [round(p.score, 9) for p in ch] == [
+        round(-solution.cost, 9) for solution in murty
+    ]
 
 
 def test_scores_nonincreasing():
@@ -114,8 +122,6 @@ def test_uniform_prior_all_orders_tie():
 def test_invalid_inputs():
     with pytest.raises(ConfigError):
         optimal_permutations(_context(3), _scores(3), s=0)
-    with pytest.raises(ConfigError):
-        optimal_permutations(_context(3), _scores(3), s=1, method="bogus")
 
 
 def test_s_larger_than_space():

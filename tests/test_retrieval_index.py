@@ -101,11 +101,6 @@ def test_index_contains_and_documents(tiny_index):
     assert [d.doc_id for d in tiny_index.documents()] == ["d1", "d2", "d3", "d4"]
 
 
-def test_index_without_positions(tiny_corpus):
-    index = InvertedIndex.build(tiny_corpus, store_positions=False)
-    assert all(p.positions == () for p in index.postings("quick"))
-
-
 def test_index_custom_tokenizer(tiny_corpus):
     index = InvertedIndex.build(tiny_corpus, tokenizer=Tokenizer(stem=False))
     assert index.document_frequency("foxes") == 1

@@ -357,6 +357,23 @@ def test_schema_version_mismatch_rejected(tmp_path):
         open_index(tmp_path / "ix")
 
 
+def test_positions_are_stored_whatever_the_meta_key_says(tmp_path):
+    with open_index(tmp_path / "ix") as ix:
+        ix.add(Document(doc_id="a", text="quick quick fox"))
+        path = ix.path
+    conn = sqlite3.connect(str(path))
+    written = dict(conn.execute("SELECT key, value FROM meta"))["store_positions"]
+    # A file an older build made without positions.
+    conn.execute("UPDATE meta SET value = '0' WHERE key = 'store_positions'")
+    conn.commit()
+    conn.close()
+    with open_index(tmp_path / "ix") as ix:
+        ix.add(Document(doc_id="b", text="fox quick"))
+        positions = {p.doc_id: p.positions for p in ix.postings("quick")}
+    assert written == "1"
+    assert positions == {"a": (0, 1), "b": (1,)}
+
+
 # ---------------------------------------------------------------------------
 # Corruption and lifecycle
 
