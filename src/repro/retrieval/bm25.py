@@ -8,21 +8,23 @@ benchmarks.  Both satisfy the :class:`Scorer` protocol consumed by
 
 Both read one :class:`~repro.retrieval.index.ScoringView` per query:
 rows, total length and each term's postings as ``(rows, tf)`` arrays,
-all from one index state.  Scores are computed into float64 arrays over its
-:class:`~repro.retrieval.index.RowSpace` (:class:`RowScores`), and
-:func:`top_k` turns only the winners into Python objects.
+all from one index state.  A query's postings are joined in query order
+(repeated terms kept, terms of idf 0 skipped) and summed by row in one
+accumulation (:meth:`RowScores.summed`), into a float64 array over the
+view's :class:`~repro.retrieval.index.RowSpace`.  :func:`top_k` turns
+only the winners into Python objects.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from typing import Iterator, List, Optional, Protocol, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import ConfigError, UnscoredDocumentError
-from .index import InvertedIndex, RowSpace
+from .index import InvertedIndex, RowSpace, ScoringView
 
 
 class Scorer(Protocol):
@@ -42,8 +44,9 @@ class Scorer(Protocol):
 
 
 class RowScores(Mapping):
-    """Scores over a row space: ``array[row]`` wherever ``matched[row]``,
-    0.0 on every other row.
+    """Scores over a row space: ``array[row]`` is a document's score
+    wherever ``matched[row]`` is set.  What the array holds on any other
+    row is no score, and no reader looks at it.
 
     As a mapping it is ``{doc_id: score}`` of the matched documents, in
     row (doc_id) order.
@@ -74,10 +77,17 @@ class RowScores(Mapping):
     def __len__(self) -> int:
         return int(np.count_nonzero(self.matched))
 
-    def add(self, rows: np.ndarray, contributions: np.ndarray) -> None:
-        """Add ``contributions`` to ``rows`` (each row named at most once)."""
-        self.array[rows] += contributions
-        self.matched[rows] = True
+    @classmethod
+    def summed(cls, space: RowSpace, rows: np.ndarray, weights: np.ndarray) -> "RowScores":
+        """Each of ``rows`` scored the sum of its ``weights``, matched.
+
+        One ``np.bincount`` adds the weights in input order, from 0.0: the
+        same additions, in the same order, as adding them one by one into
+        a zeroed array.  ``rows`` must be an integer array.
+        """
+        matched = np.zeros(len(space), dtype=bool)
+        matched[rows] = True
+        return cls(space, np.bincount(rows, weights, minlength=len(space)), matched)
 
     def ranked(self, k: Optional[int] = None) -> np.ndarray:
         """The matched rows, best score first, ties in row (doc_id) order:
@@ -103,10 +113,8 @@ def on_rows(scores: Mapping[str, float], space: Optional[RowSpace] = None) -> Ro
         return scores
     if space is None:
         space = RowSpace(sorted(scores), np.zeros(len(scores), dtype=np.int64))
-    placed = RowScores(space)
-    if scores:
-        placed.add(space.rows_of(scores.keys()), np.fromiter(scores.values(), np.float64))
-    return placed
+    values = np.fromiter(scores.values(), np.float64, len(scores))
+    return RowScores.summed(space, space.rows_of(scores.keys()), values)
 
 
 class BM25Scorer:
@@ -142,21 +150,13 @@ class BM25Scorer:
     def score_query(self, index: InvertedIndex, query_terms: Sequence[str]) -> RowScores:
         view = index.scoring_view(query_terms)
         space = view.space
-        scores = RowScores(space)
-        n = len(space)
-        if n == 0:
-            return scores
-        avgdl = view.total_terms / n or 1.0
-        # Query order, one term at a time: the same additions, in the
-        # same order, as summing each document's terms one by one.
-        for term in query_terms:
-            rows, tf = view.postings[term]
-            idf = _robertson_idf(n, len(rows))
-            if idf == 0.0:
-                continue
-            denom = tf + self.k1 * (1.0 - self.b + self.b * space.lengths[rows] / avgdl)
-            scores.add(rows, idf * tf * (self.k1 + 1.0) / denom)
-        return scores
+        joined = _joined_postings(view, query_terms, _robertson_idf)
+        if joined is None:
+            return RowScores(space)
+        rows, tf, idf = joined
+        avgdl = view.total_terms / len(space) or 1.0
+        denom = tf + self.k1 * (1.0 - self.b + self.b * space.lengths[rows] / avgdl)
+        return RowScores.summed(space, rows, idf * tf * (self.k1 + 1.0) / denom)
 
 
 class TfIdfScorer:
@@ -173,20 +173,39 @@ class TfIdfScorer:
     def score_query(self, index: InvertedIndex, query_terms: Sequence[str]) -> RowScores:
         view = index.scoring_view(query_terms)
         space = view.space
-        scores = RowScores(space)
-        n = len(space)
-        for term in query_terms:
-            rows, tf = view.postings[term]
-            idf = _log_idf(n, len(rows))
-            if idf == 0.0:
-                continue
-            # math.log, not np.log: the two differ in the last bit for
-            # some tf values.
-            logs = np.fromiter(map(math.log, tf.tolist()), np.float64, len(tf))
-            scores.add(rows, (1.0 + logs) * idf)
-        lengths = space.lengths[scores.matched]
-        scores.array[scores.matched] /= np.where(lengths > 0, np.sqrt(lengths), 1.0)
+        joined = _joined_postings(view, query_terms, _log_idf)
+        if joined is None:
+            return RowScores(space)
+        rows, tf, idf = joined
+        # math.log, not np.log: the two differ in the last bit for some
+        # tf values.
+        logs = np.fromiter(map(math.log, tf.tolist()), np.float64, len(tf))
+        scores = RowScores.summed(space, rows, (1.0 + logs) * idf)
+        matched = np.flatnonzero(scores.matched)
+        lengths = space.lengths[matched]
+        scores.array[matched] /= np.where(lengths > 0, np.sqrt(lengths), 1.0)
         return scores
+
+
+def _joined_postings(
+    view: ScoringView, query_terms: Sequence[str], idf_of: Callable[[int, int], float]
+) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The postings of ``query_terms`` joined in query order, a repeated
+    term once per repeat and a term of idf 0.0 not at all: their rows,
+    their tf and each one's term idf, or None when nothing is left.
+    Summed by row in this order, they add into each document's score
+    term by term, as a loop over the query terms would."""
+    n = len(view.space)
+    kept = []
+    for term in query_terms:
+        rows, tf = view.postings[term]
+        idf = idf_of(n, len(rows))
+        if idf != 0.0:
+            kept.append((rows, tf, idf))
+    if not kept:
+        return None
+    rows, tf, idf = zip(*kept)
+    return np.concatenate(rows), np.concatenate(tf), np.repeat(idf, [len(r) for r in rows])
 
 
 def _robertson_idf(n: int, df: int) -> float:

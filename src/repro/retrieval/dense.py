@@ -14,12 +14,13 @@ without external model weights:
 * :class:`DenseIndex` — exact nearest-neighbour search over normalized
   document vectors, held as per-dimension postings: each hash dimension
   maps to the vectors nonzero there, so a query reads only its own
-  nonzero dimensions (:func:`dense_scores`, shared with the persistent
-  index).
+  nonzero dimensions, joined in ascending order and summed by row in one
+  accumulation (:func:`dense_scores`, shared with the persistent index).
 * :class:`DenseScorer` — the :class:`~repro.retrieval.bm25.Scorer`
   protocol over a dense index, so :class:`Searcher` can rank with it.
 * :class:`HybridScorer` — min-max-normalized linear fusion of a sparse
-  and a dense scorer (Pyserini's standard hybrid).
+  and a dense scorer (Pyserini's standard hybrid), computed over the
+  rows each side matched and no others.
 """
 
 from __future__ import annotations
@@ -128,16 +129,19 @@ def dense_scores(
     """The dot product of ``query`` with every vector, by row: the vector
     in slot ``s`` scores into row ``slot_rows[s]``.
 
-    Only the query's nonzero dimensions are read, in ascending order, so
-    each score is the ascending-dimension sum of ``q[j] * v[j]`` over
-    the dimensions where both are nonzero, whatever the row or slot of
-    its vector: an index that moves vectors ranks float for float alike.
+    Only the query's nonzero dimensions are read.  Their entries are
+    joined in ascending dimension order and one ``np.bincount`` sums the
+    products ``q[j] * v[j]`` by row, in that order, from 0.0: each score
+    is the ascending-dimension sum over the dimensions where both are
+    nonzero, whatever the row or slot of its vector, so an index that
+    moves vectors ranks float for float alike.
     """
-    scores = np.zeros(num_rows)
-    for dimension in np.flatnonzero(query).tolist():
-        slots, values = dimensions[dimension]
-        scores[slot_rows[slots]] += query[dimension] * values
-    return scores
+    nonzero = np.flatnonzero(query)
+    if len(nonzero) == 0:
+        return np.zeros(num_rows)
+    slots, values = zip(*map(dimensions.__getitem__, nonzero.tolist()))
+    products = np.repeat(query[nonzero], [len(s) for s in slots]) * np.concatenate(values)
+    return np.bincount(slot_rows[np.concatenate(slots)], products, minlength=num_rows)
 
 
 class DenseIndex:
@@ -210,8 +214,7 @@ class DenseScorer:
             similarities = on_rows({d: s for d, s in pairs if d in space.rows}, space).array
         # Only docs with positive affinity count as matched, mirroring
         # sparse behaviour where non-matching docs are unscored.
-        matched = similarities > 0.0
-        return RowScores(space, np.where(matched, similarities, 0.0), matched)
+        return RowScores(space, similarities, similarities > 0.0)
 
 
 class ReciprocalRankFusionScorer:
@@ -258,40 +261,51 @@ class ReciprocalRankFusionScorer:
 
     def score_query(self, index: InvertedIndex, query_terms: Sequence[str]) -> RowScores:
         space = index.row_space()
-        fused = RowScores(space)
+        rows, weights = [], []
         for weight, scorer in zip(self.weights, self.scorers):
             ranked = on_rows(scorer.score_query(index, query_terms), space).ranked()
-            fused.add(ranked, weight / (self.k0 + np.arange(1, len(ranked) + 1)))
-        return fused
+            rows.append(ranked)
+            weights.append(weight / (self.k0 + np.arange(1, len(ranked) + 1)))
+        # Signal by signal, in scorer order: each row names one rank per signal.
+        return RowScores.summed(space, np.concatenate(rows), np.concatenate(weights))
 
 
 class HybridScorer:
-    """Min-max-normalized linear fusion: alpha*sparse + (1-alpha)*dense."""
+    """Min-max-normalized linear fusion: alpha*sparse + (1-alpha)*dense.
+
+    Each side is normalized over the rows it matched, and a side that
+    did not match a row adds nothing to it: the same floats as
+    ``alpha * s + (1 - alpha) * d`` with 0.0 for the unmatched side.
+    """
 
     def __init__(self, sparse: Scorer, dense: Scorer, alpha: float = 0.5) -> None:
         if not 0.0 <= alpha <= 1.0:
             raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
         self.sparse = sparse
         self.dense = dense
-        self.alpha = alpha
-
-    @staticmethod
-    def _normalize(scores: RowScores) -> RowScores:
-        matched = scores.matched
-        if not matched.any():
-            return scores
-        present = scores.array[matched]
-        low = float(present.min())
-        high = float(present.max())
-        if math.isclose(low, high):
-            return RowScores(scores.space, matched.astype(np.float64), matched)
-        values = np.where(matched, (scores.array - low) / (high - low), 0.0)
-        return RowScores(scores.space, values, matched)
+        # + 0.0 turns -0.0 into 0.0: then no fused score is -0.0, as
+        # alpha * s + (1 - alpha) * 0.0 never is.
+        self.alpha = alpha + 0.0
 
     def score_query(self, index: InvertedIndex, query_terms: Sequence[str]) -> RowScores:
         space = index.row_space()
-        sparse = self._normalize(on_rows(self.sparse.score_query(index, query_terms), space))
-        dense = self._normalize(on_rows(self.dense.score_query(index, query_terms), space))
-        # An unmatched side contributes alpha * 0.0 (or (1 - alpha) * 0.0).
-        values = self.alpha * sparse.array + (1.0 - self.alpha) * dense.array
+        sparse = on_rows(self.sparse.score_query(index, query_terms), space)
+        dense = on_rows(self.dense.score_query(index, query_terms), space)
+        values = np.zeros(len(space))
+        rows = np.flatnonzero(sparse.matched)
+        values[rows] = self.alpha * _min_max(sparse.array[rows])
+        rows = np.flatnonzero(dense.matched)
+        values[rows] += (1.0 - self.alpha) * _min_max(dense.array[rows])
         return RowScores(space, values, sparse.matched | dense.matched)
+
+
+def _min_max(scores: np.ndarray) -> np.ndarray:
+    """``scores`` mapped linearly onto [0, 1]; all 1.0 when their lowest
+    and highest are close."""
+    if len(scores) == 0:
+        return scores
+    low = float(scores.min())
+    high = float(scores.max())
+    if math.isclose(low, high):
+        return np.ones(len(scores))
+    return (scores - low) / (high - low)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -269,6 +269,16 @@ class InvertedIndex:
     def document(self, doc_id: str) -> Document:
         """Return the stored document."""
         return self._corpus.get(doc_id)
+
+    def fetch_documents(self, doc_ids: Sequence[str]) -> List[Document]:
+        """The stored documents of ``doc_ids``, in that order.
+
+        Raises
+        ------
+        UnknownDocumentError
+            When an id names no indexed document.
+        """
+        return [self._corpus.get(doc_id) for doc_id in doc_ids]
 
     def documents(self) -> List[Document]:
         """All indexed documents in insertion order."""

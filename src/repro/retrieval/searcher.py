@@ -8,7 +8,10 @@ scores that serve as one of the two relevance methods ``S``.
 
 Scoring runs over arrays in the index's doc_id row order; only the
 ``k`` winners become :class:`RetrievedSource` objects, and ties still
-break by doc_id.
+break by doc_id.  The winners' documents come from the index in one
+read (:meth:`~repro.retrieval.index.InvertedIndex.fetch_documents`; one
+SQL statement on a :class:`~repro.retrieval.sqlindex.SqliteIndex`),
+not one read per result.
 """
 
 from __future__ import annotations
@@ -73,7 +76,7 @@ class Searcher:
         The scorer fills float64 arrays over the index's rows (or returns
         a plain ``{doc_id: score}`` mapping, placed on rows of its own);
         :func:`~repro.retrieval.bm25.top_k` picks the ``k`` best, ties by
-        doc_id.
+        doc_id, and one ``fetch_documents`` call reads their documents.
 
         Raises
         ------
@@ -87,9 +90,10 @@ class Searcher:
             raise EmptyIndexError("cannot search an empty index")
         query_terms = self.index.tokenizer.tokenize(query)
         ranked = top_k(self.scorer.score_query(self.index, query_terms), k)
+        documents = self.index.fetch_documents([doc_id for doc_id, _ in ranked])
         sources = [
-            RetrievedSource(document=self.index.document(doc_id), rank=rank, score=score)
-            for rank, (doc_id, score) in enumerate(ranked, start=1)
+            RetrievedSource(document=document, rank=rank, score=score)
+            for rank, (document, (_, score)) in enumerate(zip(documents, ranked), start=1)
         ]
         return RetrievalResult(query=query, sources=sources)
 

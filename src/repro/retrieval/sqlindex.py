@@ -62,7 +62,8 @@ The class exposes the same read protocol the scorers consume
 ``tokenizer``), so :class:`~repro.retrieval.bm25.BM25Scorer` and friends
 run against it unchanged; :class:`SqliteSearcher` wraps
 :class:`~repro.retrieval.searcher.Searcher` with the snapshot
-transaction.
+transaction, and reads a search's winners with one statement
+(:meth:`SqliteIndex.fetch_documents`).
 """
 
 from __future__ import annotations
@@ -156,6 +157,10 @@ CREATE TABLE vectors (
 #: Vectors a cold load reads per block: the load holds one block of
 #: this many rows, never the whole documents x dimensions matrix.
 _LOAD_BLOCK = 512
+
+#: Ids one statement of :meth:`SqliteIndex.fetch_documents` binds.
+#: SQLite before 3.32 allows at most 999 bound parameters per statement.
+_FETCH_CHUNK = 900
 
 
 #: A term's postings in a view: (slots, int64 tf) arrays.
@@ -896,15 +901,31 @@ class SqliteIndex:
 
     def document(self, doc_id: str) -> Document:
         """Return the stored document."""
-        conn = self._conn()
-        with self._guard():
-            row = conn.execute(
-                "SELECT doc_id, title, text, metadata FROM documents WHERE doc_id = ?",
-                (doc_id,),
-            ).fetchone()
-        if row is None:
-            raise UnknownDocumentError(f"no document with id {doc_id!r}")
-        return _row_to_document(row)
+        return self.fetch_documents([doc_id])[0]
+
+    def fetch_documents(self, doc_ids: Sequence[str]) -> List[Document]:
+        """The stored documents of ``doc_ids``, in that order, read in one
+        snapshot by one statement per :data:`_FETCH_CHUNK` ids.
+
+        Raises
+        ------
+        UnknownDocumentError
+            When an id names no stored document.
+        """
+        found: Dict[str, Document] = {}
+        with self.snapshot() as conn, self._guard():
+            for start in range(0, len(doc_ids), _FETCH_CHUNK):
+                chunk = doc_ids[start : start + _FETCH_CHUNK]
+                rows = conn.execute(
+                    "SELECT doc_id, title, text, metadata FROM documents "
+                    f"WHERE doc_id IN ({', '.join('?' * len(chunk))})",
+                    chunk,
+                ).fetchall()
+                found.update((row[0], _row_to_document(row)) for row in rows)
+        try:
+            return [found[doc_id] for doc_id in doc_ids]
+        except KeyError as error:
+            raise UnknownDocumentError(f"no document with id {error.args[0]!r}") from None
 
     def documents(self) -> List[Document]:
         """All indexed documents in first-indexed order."""

@@ -205,11 +205,25 @@ def test_hybrid_alpha_validation(dense_index):
 
 
 def test_hybrid_normalization_constant_scores():
-    from repro.retrieval.bm25 import on_rows
-
-    scores = HybridScorer._normalize(on_rows({"a": 2.0, "b": 2.0}))
-    assert scores == {"a": 1.0, "b": 1.0}
-    assert HybridScorer._normalize(on_rows({})) == {}
+    """Through ``score_query`` (the canned scorers and ``ABC`` are below)."""
+    constant = HybridScorer(_FixedScorer({"a": 2.0, "b": 2.0}), _FixedScorer({}), alpha=1.0)
+    assert constant.score_query(ABC, ["q"]) == {"a": 1.0, "b": 1.0}
+    nothing = HybridScorer(_FixedScorer({}), _FixedScorer({}))
+    assert nothing.score_query(ABC, ["q"]) == {}
+    # One side matches a and b, the other only c: each row adds 0.0 for
+    # the side that missed it, bit for bit (-0.0 alpha included).
+    for alpha in (0.3, 0.0, -0.0, 1.0):
+        fused = HybridScorer(
+            _FixedScorer({"a": 3.0, "b": 1.0}), _FixedScorer({"c": 0.4}), alpha=alpha
+        ).score_query(ABC, ["q"])
+        expected = {
+            "a": alpha * 1.0 + (1.0 - alpha) * 0.0,
+            "b": alpha * 0.0 + (1.0 - alpha) * 0.0,
+            "c": alpha * 0.0 + (1.0 - alpha) * 1.0,
+        }
+        assert {d: s.hex() for d, s in fused.items()} == {
+            d: s.hex() for d, s in expected.items()
+        }, alpha
 
 
 def test_dense_engine_integration(dense_index):

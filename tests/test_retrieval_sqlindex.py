@@ -26,6 +26,7 @@ from repro.retrieval import (
     TfIdfScorer,
     make_retrieval_scorer,
     open_index,
+    top_k,
 )
 from repro.retrieval import sqlindex
 from repro.retrieval.sqlindex import SCHEMA_VERSION, content_hash
@@ -56,6 +57,8 @@ def test_read_protocol_matches_inverted_index(index, docs):
         assert doc.doc_id in index
         assert index.doc_length(doc.doc_id) == mem.doc_length(doc.doc_id)
         assert index.document(doc.doc_id) == mem.document(doc.doc_id)
+    ids = [doc.doc_id for doc in reversed(docs)]
+    assert index.fetch_documents(ids) == mem.fetch_documents(ids) == docs[::-1]
     for term in mem.vocabulary():
         assert index.document_frequency(term) == mem.document_frequency(term)
         assert sorted(index.postings(term), key=lambda p: p.doc_id) == sorted(
@@ -409,6 +412,7 @@ def test_every_read_of_a_damaged_file_raises_retrieval_error(tmp_path, docs):
         path = ix.path
     document_reads = [
         lambda ix: ix.document("d1"),
+        lambda ix: ix.fetch_documents(["d1"]),
         lambda ix: ix.documents(),
         lambda ix: ix.doc_ids(),
         lambda ix: len(ix),
@@ -1116,3 +1120,73 @@ def test_search_counter_increments(index):
     searcher.search("quick", k=2)
     searcher.search("fox", k=2)
     assert index.counters["searches"] == 2
+
+
+# ---------------------------------------------------------------------------
+# A search reads its winners' documents with one statement
+
+
+#: What the statement reading a search's winners says.
+_FETCH = "FROM documents WHERE doc_id IN"
+
+
+@contextmanager
+def _statements_on(conn):
+    """The SQL ``conn`` runs inside the block, one string per statement."""
+    statements = []
+    conn.set_trace_callback(statements.append)
+    try:
+        yield statements
+    finally:
+        conn.set_trace_callback(None)
+
+
+def test_a_search_costs_the_same_statements_whatever_k(tmp_path):
+    """After a warm-up search of the same query has loaded its terms, a
+    search runs as many statements at k=1 as at k=20, one of them the
+    read of its winners."""
+    docs = [Document(f"d{i:02d}", f"shared term filler {i}") for i in range(30)]
+    with open_index(tmp_path / "ix", dense=True) as ix:
+        ix.add_many(docs)
+        searcher = SqliteSearcher(ix, scorer=make_retrieval_scorer(ix, mode="hybrid"))
+        searcher.search("shared term", k=20)
+        counts, fetches = {}, {}
+        for k in (1, 20):
+            with _statements_on(ix._conn()) as statements:
+                assert len(searcher.search("shared term", k=k)) == k
+            counts[k] = len(statements)
+            fetches[k] = sum(_FETCH in sql for sql in statements)
+        assert counts[1] == counts[20]
+        assert fetches == {1: 1, 20: 1}
+
+
+def test_search_all_reads_every_winner_as_document_does(tmp_path):
+    """More documents than one fetch statement binds: ``search_all``
+    returns each winner's id, rank, score and document exactly as
+    ranking alone and one ``document()`` call per winner give them, in
+    rank order; a fetch of an id the index does not hold raises."""
+    count = sqlindex._FETCH_CHUNK + 60
+    docs = [
+        Document(f"d{i:04d}", f"common word{i % 7} text {i}", f"t{i % 3}", {"i": str(i)})
+        for i in range(count)
+    ]
+    with open_index(tmp_path / "ix") as ix:
+        ix.add_many(docs)
+        searcher = SqliteSearcher(ix, scorer=BM25Scorer())
+        with _statements_on(ix._conn()) as statements:
+            sources = searcher.search_all("common word3").sources
+        assert sum(_FETCH in sql for sql in statements) == 2
+        terms = ix.tokenizer.tokenize("common word3")
+        ranked = top_k(BM25Scorer().score_query(ix, terms), count)
+        assert [(s.doc_id, s.rank, s.score.hex(), s.document) for s in sources] == [
+            (doc_id, rank, score.hex(), ix.document(doc_id))
+            for rank, (doc_id, score) in enumerate(ranked, start=1)
+        ]
+        assert len(sources) == count
+        assert sorted((s.document for s in sources), key=lambda d: d.doc_id) == docs
+        some = [docs[5].doc_id, docs[-1].doc_id, docs[5].doc_id, docs[0].doc_id]
+        assert ix.fetch_documents(some) == [ix.document(doc_id) for doc_id in some]
+        assert ix.fetch_documents([]) == []
+        for missing in (["missing"], [d.doc_id for d in docs] + ["missing"]):
+            with pytest.raises(UnknownDocumentError):
+                ix.fetch_documents(missing)
