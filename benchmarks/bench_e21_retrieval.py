@@ -15,9 +15,10 @@ vectors in one WAL database, loaded lazily on open.  Shapes asserted:
    corpus writes nothing (every document hashes as ``unchanged``), and
    a single-document edit re-tokenizes exactly one document.
 3. **The write path is reported** — per tier, the median latency of a
-   single-document update and of the first hybrid search after it
-   (the search that folds the write into the read view), next to a
-   plain search.  Recorded, not asserted.
+   single-document update and of an add of a new document, each with
+   the first hybrid search after it (the search that folds the write
+   into the read view), next to a plain search.  An update keeps its
+   document's row; an add inserts a row.  Recorded, not asserted.
 4. **Fusion beats its parts honestly** — on the planted-relevant
    synthetic corpus, min-max and reciprocal-rank hybrid fusion match
    or beat BM25-only precision, and on the demo worlds both fusion
@@ -63,7 +64,7 @@ TIERS = [
 #: Queries timed per tier (averaged for the per-query latency column).
 QUERY_ROUNDS = 20
 
-#: Single-document updates timed per tier on the write-path index.
+#: Single-document updates, and adds, timed per tier on the write-path index.
 WRITE_ROUNDS = 20
 
 RESULTS: list = []
@@ -180,10 +181,10 @@ def test_e21_incremental_sync_is_change_driven(tier_indexes):
 
 
 def test_e21_write_path_latency(tmp_path):
-    """Per tier: median update latency, and the first hybrid search
-    after each update against a plain one.  Each tier writes into a
-    dense index of its own, so the other checks keep reading the index
-    they built."""
+    """Per tier: median latency of an update and of an add of a new
+    document, each with the first hybrid search after it, against a
+    plain search.  Each tier writes into a dense index of its own, so
+    the other checks keep reading the index they built."""
     rng = random.Random(0)
     rows = []
     for size in TIERS:
@@ -192,24 +193,31 @@ def test_e21_write_path_latency(tmp_path):
             index.add_many(docs)
             searcher = SqliteSearcher(index, scorer=make_retrieval_scorer(index, mode="hybrid"))
             searcher.search(QUERY, k=20)  # the cold load
-            updates, after_write, plain = [], [], []
+            timings = {key: [] for key in ("update", "after_update", "add", "after_add", "plain")}
             for round_ in range(WRITE_ROUNDS):
                 target = docs[rng.randrange(size)]
                 edited = dataclasses.replace(target, text=f"{target.text} edit{round_}")
-                updates.append(timed(index.update, edited)[1])
-                after_write.append(timed(searcher.search, QUERY, k=20)[1])
-                plain.append(timed(searcher.search, QUERY, k=20)[1])
-            assert index.counters["view_folds"] == WRITE_ROUNDS  # no cold reload
+                timings["update"].append(timed(index.update, edited)[1])
+                timings["after_update"].append(timed(searcher.search, QUERY, k=20)[1])
+                added = dataclasses.replace(target, doc_id=f"{target.doc_id}-add{round_}")
+                timings["add"].append(timed(index.add, added)[1])
+                timings["after_add"].append(timed(searcher.search, QUERY, k=20)[1])
+                timings["plain"].append(timed(searcher.search, QUERY, k=20)[1])
+            # Every write, update or add, folded in; no cold reload.
+            assert index.counters["view_folds"] == 2 * WRITE_ROUNDS
+        medians = {key: round(statistics.median(t) * 1000, 3) for key, t in timings.items()}
         rows.append(
             {
                 "label": f"write-path:{size}",
-                "update_ms": round(statistics.median(updates) * 1000, 3),
-                "search_after_write_ms": round(statistics.median(after_write) * 1000, 3),
-                "search_ms": round(statistics.median(plain) * 1000, 3),
+                "update_ms": medians["update"],
+                "search_after_update_ms": medians["after_update"],
+                "add_ms": medians["add"],
+                "search_after_add_ms": medians["after_add"],
+                "search_ms": medians["plain"],
             }
         )
     RESULTS.extend(rows)
-    print_rows("E21 write path (update, then the search that folds it in)", rows)
+    print_rows("E21 write path (a write, then the search that folds it in)", rows)
 
 
 def test_e21_hybrid_vs_bm25_quality(tmp_path):

@@ -11,8 +11,9 @@ rows, total length and each term's postings as ``(rows, tf)`` arrays,
 all from one index state.  A query's postings are joined in query order
 (repeated terms kept, terms of idf 0 skipped) and summed by row in one
 accumulation (:meth:`RowScores.summed`), into a float64 array over the
-view's :class:`~repro.retrieval.index.RowSpace`.  :func:`top_k` turns
-only the winners into Python objects.
+view's :class:`~repro.retrieval.index.RowSpace`; a posting at the row
+past the last document names none, and what it adds is dropped.
+:func:`top_k` turns only the winners into Python objects.
 """
 
 from __future__ import annotations
@@ -83,11 +84,13 @@ class RowScores(Mapping):
 
         One ``np.bincount`` adds the weights in input order, from 0.0: the
         same additions, in the same order, as adding them one by one into
-        a zeroed array.  ``rows`` must be an integer array.
+        a zeroed array.  ``rows`` must be an integer array; the weights of
+        row ``len(space)``, which names no document, are dropped.
         """
-        matched = np.zeros(len(space), dtype=bool)
+        n = len(space)
+        matched = np.zeros(n + 1, dtype=bool)
         matched[rows] = True
-        return cls(space, np.bincount(rows, weights, minlength=len(space)), matched)
+        return cls(space, np.bincount(rows, weights, minlength=n)[:n], matched[:n])
 
     def ranked(self, k: Optional[int] = None) -> np.ndarray:
         """The matched rows, best score first, ties in row (doc_id) order:
@@ -145,7 +148,7 @@ class BM25Scorer:
     def idf(self, index: InvertedIndex, term: str) -> float:
         """Robertson IDF of an analyzed term (0 for absent terms)."""
         view = index.scoring_view([term])
-        return _robertson_idf(len(view.space), len(view.postings[term][0]))
+        return _robertson_idf(len(view.space), view.frequency(term))
 
     def score_query(self, index: InvertedIndex, query_terms: Sequence[str]) -> RowScores:
         view = index.scoring_view(query_terms)
@@ -155,7 +158,10 @@ class BM25Scorer:
             return RowScores(space)
         rows, tf, idf = joined
         avgdl = view.total_terms / len(space) or 1.0
-        denom = tf + self.k1 * (1.0 - self.b + self.b * space.lengths[rows] / avgdl)
+        # A row past the last document reads the last length: its weight
+        # is dropped whatever it is.
+        lengths = space.lengths.take(rows, mode="clip")
+        denom = tf + self.k1 * (1.0 - self.b + self.b * lengths / avgdl)
         return RowScores.summed(space, rows, idf * tf * (self.k1 + 1.0) / denom)
 
 
@@ -168,7 +174,7 @@ class TfIdfScorer:
 
     def idf(self, index: InvertedIndex, term: str) -> float:
         view = index.scoring_view([term])
-        return _log_idf(len(view.space), len(view.postings[term][0]))
+        return _log_idf(len(view.space), view.frequency(term))
 
     def score_query(self, index: InvertedIndex, query_terms: Sequence[str]) -> RowScores:
         view = index.scoring_view(query_terms)
@@ -194,12 +200,13 @@ def _joined_postings(
     term once per repeat and a term of idf 0.0 not at all: their rows,
     their tf and each one's term idf, or None when nothing is left.
     Summed by row in this order, they add into each document's score
-    term by term, as a loop over the query terms would."""
+    term by term, as a loop over the query terms would.  The idf counts
+    only the postings that name a document."""
     n = len(view.space)
     kept = []
     for term in query_terms:
         rows, tf = view.postings[term]
-        idf = idf_of(n, len(rows))
+        idf = idf_of(n, view.frequency(term))
         if idf != 0.0:
             kept.append((rows, tf, idf))
     if not kept:

@@ -127,21 +127,24 @@ def dense_scores(
     num_rows: int,
 ) -> np.ndarray:
     """The dot product of ``query`` with every vector, by row: the vector
-    in slot ``s`` scores into row ``slot_rows[s]``.
+    in slot ``s`` scores into row ``slot_rows[s]``, and a slot whose row
+    is ``num_rows`` (a vector no document holds any more) scores nowhere.
 
     Only the query's nonzero dimensions are read.  Their entries are
     joined in ascending dimension order and one ``np.bincount`` sums the
     products ``q[j] * v[j]`` by row, in that order, from 0.0: each score
     is the ascending-dimension sum over the dimensions where both are
     nonzero, whatever the row or slot of its vector, so an index that
-    moves vectors ranks float for float alike.
+    moves vectors ranks float for float alike.  The products of row
+    ``num_rows`` land in the one bin past the rows, which is cut off.
     """
     nonzero = np.flatnonzero(query)
     if len(nonzero) == 0:
         return np.zeros(num_rows)
     slots, values = zip(*map(dimensions.__getitem__, nonzero.tolist()))
     products = np.repeat(query[nonzero], [len(s) for s in slots]) * np.concatenate(values)
-    return np.bincount(slot_rows[np.concatenate(slots)], products, minlength=num_rows)
+    rows = slot_rows[np.concatenate(slots)]
+    return np.bincount(rows, products, minlength=num_rows)[:num_rows]
 
 
 class DenseIndex:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -118,13 +118,25 @@ class ScoringView:
 
     ``total_terms`` is the analyzed length of all its documents (the
     rows give their count), and ``postings`` holds the arrays of the
-    analyzed terms it was built for.  Rows, lengths and postings all
-    come from the same state, so no write can land between them.
+    analyzed terms it was built for.  A posting may also sit at row
+    ``len(space)``, past the last document: an entry an index keeps for
+    content it no longer holds, which names no document and must score
+    nowhere.  ``retired`` counts each term's such entries, so a term's
+    document frequency is :meth:`frequency`.  Rows, lengths and
+    postings all come from the same state, so no write can land
+    between them.
     """
 
     space: RowSpace
     total_terms: int
     postings: Dict[str, TermRows]
+    #: Term -> how many of its postings sit at row ``len(space)``; a term
+    #: not here has none.
+    retired: Mapping[str, int] = field(default_factory=dict)
+
+    def frequency(self, term: str) -> int:
+        """How many documents ``term``'s postings name."""
+        return len(self.postings[term][0]) - self.retired.get(term, 0)
 
 
 class InvertedIndex:

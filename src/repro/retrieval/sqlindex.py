@@ -30,15 +30,23 @@ index directory:
   whole corpus in with per-document change detection.
 * **One view per generation** — every write transaction bumps a
   ``generation`` stamp in ``meta``; a read uses the view at the stamp
-  its snapshot sees.  This handle's own writes record deltas (lengths,
-  vectors, postings, old and new) that the next read folds into the
-  view: only the loaded terms and the dimensions a written document
-  touches get new arrays, and the changed documents' rows (like a
-  loaded term's) are found by bisecting the sorted ids, so a fold
-  builds no doc_id -> row map.  A delta holds the written documents'
-  contents and nothing about the rest of the index, such as a
-  vocabulary change.  A gap in that chain (another connection wrote)
-  or a bulk :meth:`add_many` means a cold load, with no terms loaded.
+  its snapshot sees.  This handle's own writes record deltas (each
+  written document's new length, vector and postings) that the next
+  read folds into the view at the cost of the written document alone.
+  Stored content always takes a fresh slot, and its entries are
+  appended to the loaded terms and dimensions it touches, past the end
+  of every older view's arrays (in place while the key's buffer has
+  room).  The slot an update or removal drops is retired, not cleaned
+  out: its entries stay, scoring drops what they add and a per-term
+  count of them keeps document frequencies exact, so a fold writes into
+  no key of a dropped document.  The changed documents' rows are found
+  by bisecting the sorted ids, so a fold builds no doc_id -> row map.
+  A fold that would leave more than one retired slot per 32 live
+  documents compacts the loaded keys in memory instead.  A delta holds
+  the written documents' contents and nothing about the rest of the
+  index, such as a vocabulary change.  A gap in that chain (another
+  connection wrote) or a bulk :meth:`add_many` means a cold load, with
+  no terms loaded.
 * **Checked under the write lock** — a write reads the stored digest
   inside its write transaction, so a document another handle or
   process wrote or removed a moment before is updated, left unchanged
@@ -78,6 +86,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
+    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -163,19 +172,76 @@ _LOAD_BLOCK = 512
 _FETCH_CHUNK = 900
 
 
+#: A key's entries sit in a buffer with room for this many times as
+#: many (and one more): a fold appends in place until the buffer is
+#: full, then copies it into a new one, so a key is copied once per
+#: quarter it grows by.
+_GROWTH = 1.25
+
+#: A fold that would leave more than one retired slot per this many live
+#: documents compacts the loaded keys instead.  Scoring reads the entries
+#: at retired slots and drops what they add, so this keeps them to about
+#: 3% of what it reads, while a compaction, one pass over every loaded
+#: key, comes once per that many retirements.
+_LIVE_PER_RETIRED = 32
+
 #: A term's postings in a view: (slots, int64 tf) arrays.
 _TermSlots = Tuple[np.ndarray, np.ndarray]
 
 #: A key of a slot-keyed map: an analyzed term or a hash dimension.
 _Key = TypeVar("_Key")
 
+#: A slot-keyed map: key -> aligned (slots, values) arrays.
+_SlotMap = Dict[_Key, Tuple[np.ndarray, np.ndarray]]
+
+
+class _Buffer:
+    """One key's entries, with room to append: a view reads a prefix of
+    ``slots`` and ``values`` as its exact-length arrays, and ``filled``
+    says how far any fold has written.  A fold appends past ``filled``
+    only when the view it folds reads exactly that far, so no view ever
+    sees an entry change below its own length."""
+
+    __slots__ = ("slots", "values", "filled")
+
+    def __init__(self, slots: np.ndarray, values: np.ndarray) -> None:
+        """A copy of aligned ``slots`` and ``values`` with room for
+        :data:`_GROWTH` times as many entries (and one more)."""
+        self.filled = len(slots)
+        capacity = int(_GROWTH * (self.filled + 1))
+        self.slots = np.empty(capacity, dtype=np.intp)
+        self.values = np.empty(capacity, dtype=values.dtype)
+        self.slots[: self.filled] = slots
+        self.values[: self.filled] = values
+
+    def entries(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The filled prefix, as exact-length arrays."""
+        return self.slots[: self.filled], self.values[: self.filled]
+
+    def extends(self, slots: np.ndarray) -> bool:
+        """Whether ``slots`` is this buffer's filled prefix, with room
+        left after it: then an entry can be appended in place."""
+        return slots.base is self.slots and self.filled == len(slots) < len(self.slots)
+
+    def appended(self, slot: int, value: object) -> Tuple[np.ndarray, np.ndarray]:
+        """The filled prefix with one more entry, written past its end."""
+        filled = self.filled
+        self.slots[filled] = slot
+        self.values[filled] = value
+        self.filled = filled = filled + 1
+        return self.slots[:filled], self.values[:filled]
+
 
 @dataclass(frozen=True)
 class _View:
     """What reads take from memory, as of one database generation.  Only
-    ``terms`` grows, each term filled once and never replaced, and no
-    array is ever written into: a reader pinned to the view may outlive
-    its installation."""
+    ``terms`` grows, each term filled once and never replaced.  A key's
+    arrays may be a prefix of a buffer that newer views extend, but a
+    fold only appends past the end of every older view's arrays and
+    never writes below it, so a reader pinned to the view may outlive
+    its installation.  Entries at retired slots (``slot_rows`` equal to
+    ``len(space)``) belong to no document: scoring drops what they add,
+    and ``term_retired`` keeps them out of every document frequency."""
 
     generation: int
     #: The documents as rows, in doc_id order, with their lengths.
@@ -184,33 +250,31 @@ class _View:
     #: Dense indexes only: hash dimension -> the (slots, float64 values)
     #: of the vectors nonzero there; every dimension has an entry.
     dimensions: Optional[Dict[int, DimensionEntries]]
-    #: Each row's slot.  A document keeps its slot for as long as it
-    #: lives, so the writes that move rows leave loaded postings in place.
+    #: Each row's slot.  A document keeps its slot until its content
+    #: changes, so the writes that move rows leave loaded postings in place.
     row_slots: np.ndarray
-    #: Each slot's row, -1 when free: the inverse of ``row_slots``.
+    #: Each slot's row, ``len(space)`` when retired: the inverse of
+    #: ``row_slots``.
     slot_rows: np.ndarray
     #: Analyzed term -> its postings, loaded at this generation or folded
     #: forward from an older view.
     terms: Dict[str, _TermSlots] = field(default_factory=dict)
+    #: Loaded term -> how many of its entries sit at retired slots; a
+    #: term not here has none.  Never changed once the view is built.
+    term_retired: Dict[str, int] = field(default_factory=dict)
 
 
 class _Doc(NamedTuple):
-    """What one write stored for a document, or what it dropped."""
+    """What one write stored for a document."""
 
     length: int
     vector: Optional[bytes]  # None when the index is sparse
     postings: List[Tuple[str, int]]  # (term, tf)
 
 
-@dataclass
-class _Delta:
-    """What one single-document write transaction changed."""
-
-    #: doc_id -> what it holds now; None: removed.
-    docs: Dict[str, Optional[_Doc]] = field(default_factory=dict)
-    #: doc_id -> what it held before this write (length, vector and
-    #: postings), for each document the write removed or replaced.
-    dropped: Dict[str, _Doc] = field(default_factory=dict)
+#: What one single-document write transaction changed: doc_id -> what
+#: it holds now, None when removed.
+_Delta = Dict[str, Optional[_Doc]]
 
 
 class _ThreadState(threading.local):
@@ -294,6 +358,14 @@ class SqliteIndex:
         # keyed by the generation each write started from.
         self._view: Optional[_View] = None
         self._deltas: Dict[int, _Delta] = {}
+        # The buffers the installed view's keys are prefixes of, terms
+        # (str) and dimensions (int) alike: the next fold appends there.
+        # A key no fold has appended to since the view was loaded or
+        # compacted has none, unless it is a term loaded since.
+        self._buffers: Dict[object, _Buffer] = {}
+        # Slot -> the terms loaded in the installed view with an entry
+        # there: what a fold that retires the slot counts as retired.
+        self._slot_terms: Dict[int, List[str]] = {}
         # (generation, vocabulary size) as ``stats`` last counted it.
         self._vocabulary: Optional[Tuple[int, int]] = None
         self.counters: Dict[str, int] = {
@@ -497,11 +569,13 @@ class SqliteIndex:
     def _pinned(self) -> _View:
         """The view at this thread's snapshot generation; a read outside
         a snapshot opens one for itself."""
-        view = self._local.view
-        if view is None:
-            with self.snapshot() as conn:
-                view = self._local.view = self._view_at(conn, self._local.generation)
-        return view
+        local = self._local
+        if local.view is None:
+            if local.generation is None:
+                with self.snapshot():
+                    return self._pinned()
+            local.view = self._view_at(self._conn(), local.generation)
+        return local.view
 
     def _view_at(self, conn: sqlite3.Connection, generation: int) -> _View:
         """The view at ``generation`` (``conn``'s snapshot): the installed
@@ -520,6 +594,9 @@ class SqliteIndex:
                     self._view = None  # it can never fold this far; free it first
                 view = self._load(conn, generation)
                 self.counters["view_loads"] += 1
+                if self._view is None:  # installed below, with no term yet
+                    self._buffers.clear()
+                    self._slot_terms.clear()
             if self._view is None or self._view.generation < generation:
                 self._view = view
                 for start in [g for g in self._deltas if g < generation]:
@@ -529,35 +606,66 @@ class SqliteIndex:
     def _fold(self, view: Optional[_View], generation: int) -> Optional[_View]:
         """``view`` patched forward to ``generation``, or None when a
         write in between left no delta (another connection's, or a bulk
-        :meth:`add_many`)."""
+        :meth:`add_many`).  Each stored document takes a fresh slot past
+        the view's last and its entries are appended to the loaded keys;
+        what a changed document held in ``view`` keeps its entries, at a
+        slot the fold retires.  A fold that would leave more retired
+        slots than :data:`_LIVE_PER_RETIRED` allows compacts instead.
+        Only the installed view is folded, and the result is installed."""
         if view is None or view.generation > generation:
             return None
         chain = [self._deltas.get(g) for g in range(view.generation, generation)]
         if any(delta is None for delta in chain):
             return None
-        changed: Dict[str, Optional[_Doc]] = {}
-        # What each changed document holds in ``view``: what the first
-        # write to touch it dropped.
-        dropped: Dict[str, _Doc] = {}
+        changed: _Delta = {}
         for delta in chain:
-            for doc_id, doc in delta.dropped.items():
-                if doc_id not in dropped and view.space.row_of(doc_id) is not None:
-                    dropped[doc_id] = doc
-            changed.update(delta.docs)
+            changed.update(delta)
         stored = {doc_id: doc for doc_id, doc in changed.items() if doc is not None}
+        slots = dict(zip(stored, itertools.count(len(view.slot_rows))))
         total_terms = view.total_terms + sum(doc.length for doc in stored.values())
-        total_terms -= sum(doc.length for doc in dropped.values())
-        slots = _assign_slots(view, changed)
-        terms = _patch_slots(
-            view.terms, _posting_entries(dropped, slots), _posting_entries(stored, slots)
-        )
-        dimensions = view.dimensions
-        if dimensions is not None:
-            dimensions = _patch_slots(
-                dimensions, _vector_entries(dropped, slots), _vector_entries(stored, slots)
+        with self._lock:  # re-entrant: _view_at folds under it
+            term_retired = view.term_retired
+            for doc_id in changed:
+                row = view.space.row_of(doc_id)
+                if row is not None:  # its slot in ``view`` retires
+                    total_terms -= int(view.space.lengths[row])
+                    dropped = self._slot_terms.get(int(view.row_slots[row]), ())
+                    if dropped and term_retired is view.term_retired:
+                        term_retired = dict(term_retired)
+                    for term in dropped:
+                        term_retired[term] = term_retired.get(term, 0) + 1
+            added = [(slots[doc_id], doc) for doc_id, doc in stored.items()]
+            terms = _appended(view.terms, self._buffers, [(s, d.postings) for s, d in added])
+            for slot, doc in added:
+                self._slot_terms[slot] = [term for term, _ in doc.postings if term in terms]
+            dimensions = view.dimensions
+            if dimensions is not None:
+                dimensions = _appended(
+                    dimensions, self._buffers, [(s, _vector_entries(d.vector)) for s, d in added]
+                )
+            space, row_slots, slot_rows = _moved_rows(view, changed, slots)
+            folded = _View(
+                generation,
+                space,
+                total_terms,
+                dimensions,
+                row_slots,
+                slot_rows,
+                terms,
+                term_retired,
             )
-        space, row_slots, slot_rows = _patch_rows(view, changed, slots)
-        return _View(generation, space, total_terms, dimensions, row_slots, slot_rows, terms)
+            if (len(slot_rows) - len(space)) * _LIVE_PER_RETIRED > len(space):
+                # Slots are renumbered to rows: the terms at each live slot
+                # move with it, and no buffer holds the compacted arrays.
+                slot_terms = self._slot_terms
+                self._slot_terms = {
+                    row: slot_terms[slot]
+                    for row, slot in enumerate(row_slots.tolist())
+                    if slot in slot_terms
+                }
+                self._buffers.clear()
+                return _compacted(folded)
+            return folded
 
     def _load(self, conn: sqlite3.Connection, generation: int) -> _View:
         """Build the view from ``conn``'s snapshot (pinned at ``generation``),
@@ -627,9 +735,16 @@ class SqliteIndex:
             ).fetchall()
         rows = view.space.rows_of_sorted(doc_id for doc_id, _ in postings)
         tf = np.fromiter((tf for _, tf in postings), np.int64, len(postings))
+        buffer = _Buffer(view.row_slots[rows], tf)
         with self._lock:  # a fold may be copying view.terms
             self.counters["term_loads"] += 1
-            return view.terms.setdefault(term, (view.row_slots[rows], tf))
+            if term not in view.terms:  # else another reader loaded it first
+                view.terms[term] = buffer.entries()
+                if view is self._view:  # the next fold appends to it
+                    self._buffers[term] = buffer
+                    for slot in buffer.entries()[0].tolist():
+                        self._slot_terms.setdefault(slot, []).append(term)
+            return view.terms[term]
 
     def _record(self, before: int, delta: _Delta) -> None:
         """Keep one own write's delta for the next read to fold in."""
@@ -664,7 +779,7 @@ class SqliteIndex:
         with self._lock:
             conn = self._conn()
             digest = content_hash(doc)
-            delta = _Delta()
+            delta: _Delta = {}
             with self._guard():
                 # Checked first without the write lock, as add_many does:
                 # re-adding an unchanged document takes none.
@@ -682,7 +797,7 @@ class SqliteIndex:
                         return "unchanged"
                     before = _bump_generation(conn)
                     if stored is not None:
-                        self._delete_rows(conn, doc.doc_id, delta)
+                        self._delete_rows(conn, doc.doc_id)
                     self._insert_document(conn, doc, digest, delta)
             outcome = "updated" if stored is not None else "added"
             self.counters[outcome] += 1
@@ -737,14 +852,13 @@ class SqliteIndex:
         """Withdraw a document and every posting it contributed."""
         with self._lock:
             conn = self._conn()
-            delta = _Delta()
             with self._guard(), _transaction(conn):
                 if _stored_digest(conn, doc_id) is None:  # read under the write lock
                     raise UnknownDocumentError(f"no document with id {doc_id!r}")
                 before = _bump_generation(conn)
-                self._delete_rows(conn, doc_id, delta)
+                self._delete_rows(conn, doc_id)
             self.counters["removed"] += 1
-            self._record(before, delta)
+            self._record(before, {doc_id: None})
 
     def sync(self, documents: Iterable[Document], remove_missing: bool = False) -> Dict[str, int]:
         """Fold a corpus in incrementally; optionally drop absent docs.
@@ -765,20 +879,7 @@ class SqliteIndex:
                         outcome["removed"] += 1
         return outcome
 
-    def _delete_rows(
-        self, conn: sqlite3.Connection, doc_id: str, delta: Optional[_Delta] = None
-    ) -> None:
-        if delta is not None:
-            length, vector = conn.execute(
-                "SELECT d.doc_length, v.vector FROM documents AS d "
-                "LEFT JOIN vectors AS v ON v.doc_id = d.doc_id WHERE d.doc_id = ?",
-                (doc_id,),
-            ).fetchone()
-            postings = conn.execute(
-                "SELECT term, tf FROM postings WHERE doc_id = ?", (doc_id,)
-            ).fetchall()
-            delta.dropped[doc_id] = _Doc(length, vector, postings)
-            delta.docs[doc_id] = None
+    def _delete_rows(self, conn: sqlite3.Connection, doc_id: str) -> None:
         conn.execute("DELETE FROM postings WHERE doc_id = ?", (doc_id,))
         conn.execute("DELETE FROM vectors WHERE doc_id = ?", (doc_id,))
         conn.execute("DELETE FROM documents WHERE doc_id = ?", (doc_id,))
@@ -834,21 +935,26 @@ class SqliteIndex:
             )
         if delta is not None:
             postings = [(term, len(positions)) for term, positions in occurrences.items()]
-            delta.docs[doc.doc_id] = _Doc(len(terms), blob, postings)
+            delta[doc.doc_id] = _Doc(len(terms), blob, postings)
 
     # -- the scorer-facing read protocol -----------------------------------
 
     def scoring_view(self, terms: Iterable[str]) -> ScoringView:
         """Rows, statistics and the postings of ``terms`` as arrays, all
-        at one generation: the open snapshot's, or the current one."""
-        with self.snapshot() as conn:
-            view = self._pinned()
-            postings: Dict[str, TermRows] = {}
-            for term in terms:
-                if term not in postings:
-                    slots, tf = self._term_slots(conn, view, term)
-                    postings[term] = (view.slot_rows[slots], tf)
-        return ScoringView(view.space, view.total_terms, postings)
+        at one generation: the open snapshot's, or the current one.  An
+        entry at a retired slot sits at row ``len(space)``, and the
+        view's counts of them keep it out of each term's frequency."""
+        if self._local.generation is None:
+            with self.snapshot():
+                return self.scoring_view(terms)
+        conn = self._conn()
+        view = self._pinned()
+        postings: Dict[str, TermRows] = {}
+        for term in terms:
+            if term not in postings:
+                slots, tf = self._term_slots(conn, view, term)
+                postings[term] = (view.slot_rows[slots], tf)
+        return ScoringView(view.space, view.total_terms, postings, view.term_retired)
 
     def postings(self, term: str) -> List[Posting]:
         """Postings for an analyzed term, ordered by doc_id (empty when
@@ -912,8 +1018,12 @@ class SqliteIndex:
         UnknownDocumentError
             When an id names no stored document.
         """
+        if self._local.generation is None:
+            with self.snapshot():
+                return self.fetch_documents(doc_ids)
+        conn = self._conn()
         found: Dict[str, Document] = {}
-        with self.snapshot() as conn, self._guard():
+        with self._guard():
             for start in range(0, len(doc_ids), _FETCH_CHUNK):
                 chunk = doc_ids[start : start + _FETCH_CHUNK]
                 rows = conn.execute(
@@ -1142,115 +1252,98 @@ def _bump_generation(conn: sqlite3.Connection) -> int:
     return before
 
 
-def _assign_slots(view: _View, changes: Dict[str, Optional[_Doc]]) -> Dict[str, int]:
-    """Each changed document's slot: its slot in ``view`` if it had one
-    (freed when ``changes`` removes it), else a free slot, else a new
-    one."""
-    slots: Dict[str, int] = {}
-    for doc_id in changes:
-        row = view.space.row_of(doc_id)
-        if row is not None:
-            slots[doc_id] = int(view.row_slots[row])
-    free = np.flatnonzero(view.slot_rows < 0).tolist()
-    free += [slot for doc_id, slot in slots.items() if changes[doc_id] is None]
-    fresh = itertools.count(len(view.slot_rows))
-    for doc_id, doc in changes.items():
-        if doc is not None and doc_id not in slots:
-            slots[doc_id] = free.pop() if free else next(fresh)
-    return slots
+def _vector_entries(vector: bytes) -> Iterator[Tuple[int, float]]:
+    """(dimension, value) for each nonzero dimension of a stored vector."""
+    values = np.frombuffer(vector, dtype=np.float64)
+    dimensions = np.flatnonzero(values)
+    return zip(dimensions.tolist(), values[dimensions].tolist())
 
 
-def _posting_entries(
-    docs: Dict[str, _Doc], slots: Dict[str, int]
-) -> Iterator[Tuple[str, int, int]]:
-    """(term, slot, tf) for each posting of each document in ``docs``."""
-    for doc_id, doc in docs.items():
-        for term, tf in doc.postings:
-            yield term, slots[doc_id], tf
+def _appended(
+    entries: _SlotMap, buffers: Dict[object, _Buffer], added: Iterable[Tuple[int, Iterable]]
+) -> _SlotMap:
+    """A copy of a slot-keyed map with each document's (key, value)
+    entries appended at its slot, for the keys the map holds; ``added``
+    holds (slot, entries) per document.  A key's new arrays are a longer
+    prefix of its buffer in ``buffers``: written in place when that
+    buffer :meth:`~_Buffer.extends` the key's arrays, else into a copy
+    with room to grow, which replaces it there.  Only the keys a
+    document touches get new arrays and nothing below an old array's end
+    is written, so a reader of ``entries`` keeps reading what it read."""
+    entries = dict(entries)
+    for slot, pairs in added:
+        for key, value in pairs:
+            arrays = entries.get(key)
+            if arrays is None:
+                continue  # a term no search has loaded
+            buffer = buffers.get(key)
+            if buffer is None or not buffer.extends(arrays[0]):
+                buffer = buffers[key] = _Buffer(*arrays)
+            entries[key] = buffer.appended(slot, value)
+    return entries
 
 
-def _vector_entries(
-    docs: Dict[str, _Doc], slots: Dict[str, int]
-) -> Iterator[Tuple[int, int, float]]:
-    """(dimension, slot, value) for each nonzero dimension of each
-    vector in ``docs``."""
-    for doc_id, doc in docs.items():
-        vector = np.frombuffer(doc.vector, dtype=np.float64)
-        for dimension in np.flatnonzero(vector).tolist():
-            yield dimension, slots[doc_id], vector[dimension]
-
-
-def _patch_slots(
-    entries: Dict[_Key, Tuple[np.ndarray, np.ndarray]],
-    gone: Iterable[Tuple[_Key, int, object]],
-    put: Iterable[Tuple[_Key, int, object]],
-) -> Dict[_Key, Tuple[np.ndarray, np.ndarray]]:
-    """A slot-keyed map (key -> aligned (slots, values) arrays) with the
-    ``gone`` (key, slot, _) entries taken out and the ``put`` (key,
-    slot, value) entries added, for the keys the map holds.  Only the
-    keys a change touches get new arrays and no array is written into,
-    so a reader of ``entries`` keeps reading what it read; rows moving
-    costs nothing here."""
-    patched = dict(entries)
-    if not patched:
-        return patched
-    removed: Dict[_Key, List[int]] = {}
-    for key, slot, _ in gone:
-        if key in patched:
-            removed.setdefault(key, []).append(slot)
-    added: Dict[_Key, List[Tuple[int, object]]] = {}
-    for key, slot, value in put:
-        if key in patched:
-            added.setdefault(key, []).append((slot, value))
-    for key in removed.keys() | added.keys():
-        slots, values = patched[key]
-        if key in removed:
-            first, *others = removed[key]
-            keep = slots != first
-            for slot in others:
-                keep &= slots != slot
-            slots, values = slots[keep], values[keep]
-        if key in added:
-            new_slots, new_values = zip(*added[key])
-            slots = np.concatenate([slots, np.array(new_slots, dtype=np.intp)])
-            values = np.concatenate([values, np.array(new_values, dtype=values.dtype)])
-        patched[key] = (slots, values)
-    return patched
-
-
-def _patch_rows(
-    view: _View, changes: Dict[str, Optional[_Doc]], slots: Dict[str, int]
+def _moved_rows(
+    view: _View, changed: _Delta, slots: Dict[str, int]
 ) -> Tuple[RowSpace, np.ndarray, np.ndarray]:
-    """Apply ``changes`` (None drops a document) to ``view``'s row space
-    and row slots, in one sorted merge; ``slots`` names each stored
-    document's slot.  Returns the space, the row slots and their
-    inverse.  The rows are what a cold load builds, in doc_id order;
-    the slots need not be, since every score is computed by slot and
-    placed through ``slot_rows``."""
-    space, row_slots = view.space, view.row_slots
+    """Apply ``changed`` (None drops a document) to ``view``'s row space
+    and row slots; ``slots`` names each stored document's fresh slot.
+    Returns the space, the row slots and their inverse, in which a slot
+    no row holds is retired: its row is the number of rows.  The rows are what a cold load builds,
+    in doc_id order: a document new to the view takes a row, a removed
+    one gives its row up, and one stored anew keeps its row under its
+    fresh slot.  Each array is copied once; the ids only when a row
+    comes or goes."""
+    space = view.space
     ids = space.ids
-    new_ids: List[str] = []
-    lengths: List[np.ndarray] = []
-    slot_blocks: List[np.ndarray] = []
+    # (row, whether it holds the document, doc_id), rows ascending.
+    edits: List[Tuple[int, bool, str]] = []
     start = 0
-    for doc_id in sorted(changes):
+    for doc_id in sorted(changed):
         at = bisect.bisect_left(ids, doc_id, start)
-        new_ids.extend(ids[start:at])
-        lengths.append(space.lengths[start:at])
-        slot_blocks.append(row_slots[start:at])
-        doc = changes[doc_id]
-        if doc is not None:
-            new_ids.append(doc_id)
-            lengths.append(np.array([doc.length], dtype=np.int64))
-            slot_blocks.append(np.array([slots[doc_id]], dtype=np.intp))
-        start = at + 1 if at < len(ids) and ids[at] == doc_id else at
-    new_ids.extend(ids[start:])
-    lengths.append(space.lengths[start:])
-    slot_blocks.append(row_slots[start:])
-    patched_space = RowSpace(new_ids, np.concatenate(lengths))
-    patched_slots = np.concatenate(slot_blocks)
-    slot_rows = np.full(
-        max(len(view.slot_rows), max(slots.values(), default=-1) + 1), -1, dtype=np.intp
+        present = at < len(ids) and ids[at] == doc_id
+        if present or doc_id in slots:
+            edits.append((at, present, doc_id))
+        start = at + present
+
+    def spliced(old: np.ndarray, new: Callable[[str], int]) -> np.ndarray:
+        pieces, start = [], 0
+        for at, present, doc_id in edits:
+            pieces.append(old[start:at])
+            if doc_id in slots:
+                pieces.append([new(doc_id)])
+            start = at + present
+        pieces.append(old[start:])
+        return np.concatenate(pieces, dtype=old.dtype)
+
+    lengths = spliced(space.lengths, lambda doc_id: changed[doc_id].length)
+    row_slots = spliced(view.row_slots, slots.__getitem__)
+    new_ids = ids
+    if any(present != (doc_id in slots) for _, present, doc_id in edits):
+        new_ids = ids.copy()
+        for at, present, doc_id in reversed(edits):
+            new_ids[at : at + present] = [doc_id] if doc_id in slots else []
+    slot_rows = np.full(len(view.slot_rows) + len(slots), len(row_slots), dtype=np.intp)
+    slot_rows[row_slots] = np.arange(len(row_slots))
+    return RowSpace(new_ids, lengths), row_slots, slot_rows
+
+
+def _compacted(view: _View) -> _View:
+    """``view`` with each document's slot renumbered to its row, as a
+    cold load numbers them, and each loaded key's entries at retired
+    slots dropped: a compaction in memory, which loads nothing."""
+    retired = len(view.space)
+
+    def live(entries: _SlotMap) -> _SlotMap:
+        compacted = {}
+        for key, (slots, values) in entries.items():
+            rows = view.slot_rows[slots]
+            kept = rows != retired
+            compacted[key] = (rows[kept], values[kept])
+        return compacted
+
+    rows = np.arange(retired, dtype=np.intp)
+    dimensions = None if view.dimensions is None else live(view.dimensions)
+    return _View(
+        view.generation, view.space, view.total_terms, dimensions, rows, rows, live(view.terms)
     )
-    slot_rows[patched_slots] = np.arange(len(patched_slots))
-    return patched_space, patched_slots, slot_rows

@@ -1,8 +1,13 @@
 """The in-flight bound: ``asyncio:N`` and ``threaded:N`` keep exactly N
 calls in flight, whatever entry points the model exposes.
 
-Each case runs a per-prompt batch of 2N calls that each wait 50 ms and
-reads the peak concurrency the model (or, over HTTP, the server) saw.
+Each case runs a per-prompt batch of 2N calls and reads the peak
+concurrency the model (or, over HTTP, the server) saw.  A model call
+waits for the rest of its wave of N before its 50 ms, so a bound of N
+peaks at exactly N however slowly the backend starts its threads (under
+``python -X dev`` and the lock watchdog a wave of 40 threads took longer
+than 50 ms to start); a looser bound peaks above N, and a tighter one
+never completes a wave.
 The three shapes are the ones the engine meets: a ``generate``-only
 model, an ``agenerate`` that waits in a worker thread (the shape of
 ``RemoteLLM``'s transport), and ``RemoteLLM`` itself against the
@@ -30,20 +35,23 @@ BACKENDS = {"asyncio": AsyncioBackend, "threaded": ThreadedBackend}
 
 
 class GenerateOnly:
-    """Per-prompt ``generate`` behind a wait, recording peak concurrency."""
+    """Per-prompt ``generate`` behind a wait, recording peak concurrency;
+    each call first waits until ``width`` calls are in it."""
 
     name = "generate-only"
 
-    def __init__(self) -> None:
+    def __init__(self, width: int) -> None:
         self.inflight = 0
         self.peak = 0
         self._lock = threading.Lock()
+        self._wave = threading.Barrier(width, timeout=10)
 
     def generate(self, prompt: str) -> GenerationResult:
         with self._lock:
             self.inflight += 1
             self.peak = max(self.peak, self.inflight)
         try:
+            self._wave.wait()
             time.sleep(WAIT)
             return GenerationResult(answer="ok", prompt=prompt)
         finally:
@@ -71,7 +79,7 @@ def _prompts(n):
     ids=["generate-only", "threaded-wait"],
 )
 def test_backend_keeps_exactly_width_calls_in_flight(kind, model_cls, width):
-    model = model_cls()
+    model = model_cls(width)
     results = BACKENDS[kind](width).run(model, _prompts(2 * width))
     assert len(results) == 2 * width
     assert model.peak == width
@@ -93,6 +101,6 @@ def test_plain_asyncio_applies_the_default_bound(monkeypatch):
     import repro.exec.backend as backend
 
     monkeypatch.setattr(backend, "DEFAULT_MAX_INFLIGHT", 12)
-    model = GenerateOnly()
+    model = GenerateOnly(12)
     AsyncioBackend().run(model, _prompts(24))
     assert model.peak == 12

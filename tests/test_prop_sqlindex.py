@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.retrieval import Document, SqliteSearcher, make_retrieval_scorer, open_index
+from repro.retrieval import sqlindex
 from tests.test_retrieval_sqlindex import _loaded_postings
 
 # "the" is a stopword: a document of only "the" has no terms at all.
@@ -82,12 +83,18 @@ def _rankings(ix, modes=MODES, queries=QUERIES):
 
 
 def _dimension_entries(view):
-    """Each document's (dimension, value) vector entries in ``view``."""
+    """Each document's (dimension, value) vector entries in ``view``, read
+    at live slots only (an entry at a retired slot belongs to no
+    document)."""
+    retired = len(view.space)  # the row of every retired slot
+    # A fold that would leave more than one retired slot per
+    # _LIVE_PER_RETIRED live documents compacts instead.
+    assert (len(view.slot_rows) - retired) * sqlindex._LIVE_PER_RETIRED <= retired
     entries = {}
     for dimension, (slots, values) in sorted(view.dimensions.items()):
         rows = view.slot_rows[slots]
-        assert (rows >= 0).all()  # no entry left at a freed slot
-        for row, value in zip(rows.tolist(), values.tolist()):
+        live = rows != retired
+        for row, value in zip(rows[live].tolist(), values[live].tolist()):
             entries.setdefault(view.space.ids[row], []).append((dimension, value.hex()))
     return entries
 
@@ -118,6 +125,31 @@ def test_long_lived_index_equals_a_fresh_one(runs):
         root = Path(tmp) / "ix"
         contents = {}
         with open_index(root, dense=True) as ix:
+            for run in runs:
+                for op in run:
+                    _apply(ix, root, contents, op)
+                _assert_matches_fresh(ix, root)
+            assert sorted(ix.doc_ids()) == sorted(contents)
+
+
+#: Documents in words no query holds, two compaction bounds' worth:
+#: with them, up to two retired slots stay, entries and all.
+PADDING = [Document(f"pad{i:03d}", f"padding words {i}") for i in range(64)]
+
+
+@given(steps)
+@settings(max_examples=40, deadline=None)
+def test_a_long_lived_index_with_retired_slots_equals_a_fresh_one(runs):
+    """The same histories over an index padded with documents no step
+    touches: with that many live documents an update or removal leaves
+    its old slot retired, entries and all, until a later fold passes the
+    bound and compacts, so every check above also runs against views
+    holding retired slots."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "ix"
+        contents = {doc.doc_id: doc.text for doc in PADDING}
+        with open_index(root, dense=True) as ix:
+            ix.add_many(PADDING)
             for run in runs:
                 for op in run:
                     _apply(ix, root, contents, op)

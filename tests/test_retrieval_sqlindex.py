@@ -80,10 +80,15 @@ def test_bm25_rankings_match_inverted_index(index, docs):
 
 
 def _postings_of(view, term):
-    """A scoring view's arrays for ``term`` as sorted (doc_id, tf) pairs."""
+    """A scoring view's arrays for ``term`` as sorted (doc_id, tf) pairs,
+    skipping its postings at row ``len(view.space)``, which name no
+    document; their count must be the one the view reports."""
     rows, tf = view.postings[term]
     assert (rows.dtype, tf.dtype) == (np.intp, np.int64)
-    return sorted(zip([view.space.ids[row] for row in rows.tolist()], tf.tolist()))
+    named = rows < len(view.space)
+    assert len(rows) - np.count_nonzero(named) == view.retired.get(term, 0)
+    assert np.count_nonzero(named) == view.frequency(term)
+    return sorted(zip([view.space.ids[row] for row in rows[named].tolist()], tf[named].tolist()))
 
 
 def test_scoring_view_holds_postings_without_positions(index, docs):
@@ -699,14 +704,17 @@ def test_own_writes_patch_the_view_instead_of_reloading(tmp_path, docs):
 
 
 def _loaded_postings(ix):
-    """Every term the installed view holds, as sorted (doc_id, tf) pairs."""
+    """Every term the installed view holds, as sorted (doc_id, tf) pairs
+    of its entries at live slots (an entry at a retired slot belongs to
+    no document)."""
     view = ix._pinned()
-    return {
-        term: sorted(
-            zip([view.space.ids[row] for row in view.slot_rows[slots].tolist()], tf.tolist())
-        )
-        for term, (slots, tf) in view.terms.items()
-    }
+    postings = {}
+    for term, (slots, tf) in view.terms.items():
+        rows = view.slot_rows[slots]
+        live = rows < len(view.space)
+        ids = [view.space.ids[row] for row in rows[live].tolist()]
+        postings[term] = sorted(zip(ids, tf[live].tolist()))
+    return postings
 
 
 def test_loaded_terms_fold_forward_with_own_writes(tmp_path, docs):
@@ -739,6 +747,62 @@ def test_loaded_terms_fold_forward_with_own_writes(tmp_path, docs):
             assert _loaded_postings(ix) == expected
         assert ix.counters["term_loads"] == loads
         assert (ix.counters["view_loads"], ix.counters["view_folds"]) == (1, len(steps))
+
+
+#: Every retrieval mode and fusion a persistent index serves.
+_MODES = [("bm25", "minmax"), ("dense", "minmax"), ("hybrid", "minmax"), ("hybrid", "rrf")]
+
+
+def _rankings_in_every_mode(ix, query):
+    """``query``'s ranking in each of :data:`_MODES`, scores by ``float.hex``."""
+    rankings = []
+    for mode, fusion in _MODES:
+        searcher = SqliteSearcher(ix, scorer=make_retrieval_scorer(ix, mode=mode, fusion=fusion))
+        rankings.append([(s.doc_id, s.score.hex()) for s in searcher.search(query, k=10).sources])
+    return rankings
+
+
+def test_a_fold_past_the_retired_slot_bound_compacts_in_memory(tmp_path):
+    """Each update retires its document's old slot and leaves its
+    entries there, which the view counts per loaded term.  The fold
+    that would leave more retired slots than the bound allows (one per
+    32 live documents) compacts the loaded keys in memory instead: no
+    retired slot or count is left, every slot is its document's row,
+    and nothing loads again, neither the view nor a term.  Rankings in
+    every mode equal a fresh index's by ``float.hex``, before and
+    after."""
+    words = ["alpha", "bravo", "charlie", "delta", "echo"]
+    docs = [
+        Document(f"d{i:02d}", " ".join(words[i % 5 :] + words[: i % 5 + i % 3]))
+        for i in range(2 * sqlindex._LIVE_PER_RETIRED)
+    ]
+    query = "alpha bravo charlie"
+    with open_index(tmp_path / "ix", dense=True) as ix:
+        ix.add_many(docs)
+
+        def assert_ranks_as_fresh():
+            with open_index(tmp_path / "ix") as fresh:
+                assert _rankings_in_every_mode(ix, query) == _rankings_in_every_mode(fresh, query)
+
+        assert_ranks_as_fresh()  # loads the view and the query's terms
+        loads = ix.counters["term_loads"]
+        for retired, doc in enumerate(docs[:2], start=1):  # as many as the bound allows
+            ix.update(Document(doc.doc_id, f"alpha echo {' bravo' * retired}"))
+            assert_ranks_as_fresh()
+            view = ix._pinned()
+            assert np.count_nonzero(view.slot_rows == len(view.space)) == retired
+            for term, (slots, _) in view.terms.items():
+                at_retired = np.count_nonzero(view.slot_rows[slots] == len(view.space))
+                assert view.term_retired.get(term, 0) == at_retired
+            assert sum(view.term_retired.values()) > 0
+        ix.update(Document(docs[2].doc_id, "bravo delta charlie"))
+        assert_ranks_as_fresh()
+        view = ix._pinned()
+        assert view.term_retired == {}
+        assert np.array_equal(view.slot_rows, np.arange(len(view.space)))
+        assert np.array_equal(view.row_slots, np.arange(len(view.space)))
+        assert (ix.counters["view_loads"], ix.counters["term_loads"]) == (1, loads)
+        assert ix.counters["view_folds"] == 3
 
 
 def test_a_run_of_writes_folds_once(tmp_path):
@@ -838,12 +902,28 @@ def test_stats_counts_the_vocabulary_without_the_handle_lock(tmp_path, docs):
         assert taken == [True]
 
 
+def _padding(retirements):
+    """Enough documents, in words no test queries, that ``retirements``
+    retired slots stay within the compaction bound: the folds then
+    retire slots, and reads skip them, instead of compacting."""
+    count = retirements * sqlindex._LIVE_PER_RETIRED
+    return [Document(f"pad{i:04d}", f"padding words {i}") for i in range(count)]
+
+
 def test_every_snapshot_reads_the_view_of_its_own_generation(tmp_path, docs):
-    """Stress: six readers against a writer, switching threads often.
-    In-memory reads inside a snapshot must agree with SQL counted in
-    that same snapshot; a view from any other generation would not."""
+    """Stress: six readers against a writer that adds, updates and
+    removes documents, switching threads often.  In-memory reads inside
+    a snapshot (statistics, dense scores and two loaded terms' postings)
+    must agree with SQL counted in that same snapshot; a view from any
+    other generation, or an append below an older view's end, would
+    not.  The writer retires entries of "quick", which reads must not
+    count, and only adds to "filler", whose buffer its folds append to
+    in place and outgrow.  Some of the writer's folds compact; the
+    others leave retired slots."""
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
+    watched = ["quick", "filler"]
+    docs = docs + _padding(4)
     try:
         with open_index(tmp_path / "ix", dense=True) as ix:
             ix.add_many(docs)
@@ -865,24 +945,47 @@ def test_every_snapshot_reads_the_view_of_its_own_generation(tmp_path, docs):
                                 stats.num_documents, stats.total_terms, stats.vocabulary_size
                             ) == (count, total, terms)
                             assert len(ix.dense_view().scores("quick")) == count
+                            view = ix.scoring_view(watched)
+                            for term in watched:
+                                assert _postings_of(view, term) == conn.execute(
+                                    "SELECT doc_id, tf FROM postings WHERE term = ? "
+                                    "ORDER BY doc_id",
+                                    (term,),
+                                ).fetchall()
                 except Exception as error:  # pragma: no cover - failure path
                     errors.append(error)
 
             threads = [threading.Thread(target=reader) for _ in range(6)]
             for thread in threads:
                 thread.start()
+            grown = []  # "filler"'s buffer, its fill and capacity, after every fold
             try:
                 for i in range(30):
-                    ix.add(Document(doc_id=f"x{i}", text=f"quick filler number {i}"))
+                    ix.add(Document(doc_id=f"x{i}", text=f"quick number {i}"))
+                    ix.add(Document(doc_id=f"y{i}", text=f"filler number {i}"))
                     if i % 3 == 2:
                         ix.remove(f"x{i - 1}")
+                    if i % 3 == 0 and i:
+                        ix.update(Document(doc_id=f"x{i - 3}", text=f"quick revised {i} " * 2))
+                    if i % 5 == 4:
+                        ix.update(Document(doc_id="d2", text=f"quick survey revised {i}"))
+                    ix.scoring_view(watched)  # fold now: the deltas never pile up
+                    buffer = ix._buffers.get("filler")
+                    if buffer is not None:
+                        grown.append((buffer, buffer.filled, len(buffer.slots)))
             finally:
                 stop.set()
                 for thread in threads:
                     thread.join(timeout=10)
             assert not any(thread.is_alive() for thread in threads)
             assert not errors
-            assert len(ix) == len(docs) + 20
+            assert len(ix) == len(docs) + 50
+            steps = list(zip(grown, grown[1:]))
+            # One fold appended in place, past the end of the arrays the
+            # readers of the view before it read ...
+            assert any(new[0] is old[0] and new[1] > old[1] for old, new in steps)
+            # ... and the buffer, once full, gave way to a larger copy.
+            assert any(old[1] == old[2] and new[2] > old[2] for old, new in steps)
     finally:
         sys.setswitchinterval(interval)
 
@@ -911,22 +1014,29 @@ def test_pinned_reader_builds_its_own_view(tmp_path, docs):
 
 
 def test_folds_never_write_into_an_older_view(tmp_path, docs):
-    """A reader pinned to generation g keeps bit-identical dense scores
-    while the handle's own writes, from another thread, fold the view
-    forward past g: a fold builds new arrays and never writes into one
-    an older view can read."""
+    """A reader pinned to generation g keeps bit-identical dense and BM25
+    scores while the handle's own writes, from another thread, fold the
+    view forward past g: the folds append into the very buffers the
+    pinned view reads, past its end, and never write below it."""
     queries = [["quick", "fox"], ["lazi", "dog"], ["brown"]]
+
+    def bm25(terms):
+        scores = BM25Scorer().score_query(ix, terms)
+        return {doc_id: score.hex() for doc_id, score in scores.items()}
+
     with open_index(tmp_path / "ix", dense=True) as ix:
-        ix.add_many(docs)
+        ix.add_many(docs + _padding(3))  # the three folds below do not compact
         dense = ix.dense_view()
         with ix.snapshot():
             before = [dense.similarities(terms)[1].tobytes() for terms in queries]
+            sparse_before = [bm25(terms) for terms in queries]
             held = ix._pinned()
 
             def write_and_read():
-                # z0 takes d1's slot and the last row, so the first fold
-                # keeps the slot count and moves every row; the next
-                # grows it; the last only drops a document.
+                # d1's slot is retired and z0 takes a fresh one and the
+                # last row, so the first fold moves every row and appends
+                # to every queried term; the next retires d2's old slot;
+                # the last only drops a document.
                 ix.remove("d1")
                 ix.add(Document(doc_id="z0", text="quick brown fox lazy dogs"))
                 dense.similarities(queries[0])
@@ -942,8 +1052,38 @@ def test_folds_never_write_into_an_older_view(tmp_path, docs):
             assert not thread.is_alive()
             assert ix._view.generation == held.generation + 5
             after = [dense.similarities(terms)[1].tobytes() for terms in queries]
+            sparse_after = [bm25(terms) for terms in queries]
+            # The newest view's arrays for "quick" (z0 appended one entry)
+            # extend the buffer the held view reads: the fold appended
+            # where the held reader could see.
+            held_slots, held_tf = held.terms["quick"]
+            new_slots, new_tf = ix._view.terms["quick"]
+            assert len(new_slots) == len(held_slots) + 1
+            assert np.shares_memory(new_slots, held_slots) and np.shares_memory(new_tf, held_tf)
         assert after == before
+        assert sparse_after == sparse_before
         assert (ix.counters["view_loads"], ix.counters["view_folds"]) == (1, 3)
+
+
+def test_a_second_fold_of_one_view_copies_instead_of_appending():
+    """Folding a view whose buffer another fold already extended (one
+    that failed after appending, say) must not write where the first
+    fold's arrays read: the buffer is filled past the view's end, so
+    the second fold copies.  Arrays in no buffer are copied into one,
+    which the next fold of the view they are in extends in place."""
+    slots, values = np.arange(6), np.arange(10, 16)
+    entries, buffers = {"t": (slots, values)}, {}
+    first = sqlindex._appended(entries, buffers, [(7, [("t", 1)])])
+    second = sqlindex._appended(first, buffers, [(8, [("t", 2)])])
+    again = sqlindex._appended(first, buffers, [(9, [("t", 3)])])
+    assert [a.tolist()[5:] for a in first["t"]] == [[5, 7], [15, 1]]
+    assert [a.tolist()[5:] for a in second["t"]] == [[5, 7, 8], [15, 1, 2]]
+    assert [a.tolist()[5:] for a in again["t"]] == [[5, 7, 9], [15, 1, 3]]
+    assert [a.tolist()[5:] for a in first["t"]] == [[5, 7], [15, 1]]  # untouched
+    assert not np.shares_memory(first["t"][0], slots)  # copied into a buffer
+    assert np.shares_memory(second["t"][0], first["t"][0])  # appended in place
+    assert not np.shares_memory(again["t"][0], first["t"][0])  # copied
+    assert buffers["t"].extends(again["t"][0])  # the newest copy is kept
 
 
 def test_v1_file_upgrades_on_open_and_ranks_as_before(tmp_path, docs):
@@ -1158,6 +1298,32 @@ def test_a_search_costs_the_same_statements_whatever_k(tmp_path):
             fetches[k] = sum(_FETCH in sql for sql in statements)
         assert counts[1] == counts[20]
         assert fetches == {1: 1, 20: 1}
+
+
+@pytest.mark.parametrize("mode", ["bm25", "hybrid"])
+def test_a_search_enters_one_snapshot(tmp_path, monkeypatch, mode):
+    """Every read a search makes inside its snapshot (the view, the
+    scored postings, the winners' documents) uses the pinned connection
+    and view directly: a search enters ``snapshot`` once, before and
+    after a write."""
+    docs = [Document(f"d{i:02d}", f"shared term filler {i}") for i in range(30)]
+    with open_index(tmp_path / "ix", dense=True) as ix:
+        ix.add_many(docs)
+        searcher = SqliteSearcher(ix, scorer=make_retrieval_scorer(ix, mode=mode))
+        entries = []
+        snapshot = ix.snapshot
+
+        def counted():
+            entries.append(1)
+            return snapshot()
+
+        monkeypatch.setattr(ix, "snapshot", counted)
+        for query in ("shared term", "filler 7"):
+            assert searcher.search(query, k=5).sources
+        ix.add(Document("d99", "shared filler"))
+        assert searcher.search("shared filler", k=5).sources
+        assert len(entries) == 3
+        assert (ix.counters["view_loads"], ix.counters["view_folds"]) == (1, 1)
 
 
 def test_search_all_reads_every_winner_as_document_does(tmp_path):
