@@ -3,9 +3,10 @@
     "Surprisingly, RAGE reveals that moving the document to the second
     position altered the answer to Novak Djokovic."
 
-The search enumerates all k! orders, ranks them by decreasing Kendall's
-tau, and evaluates until the flip; the found flip is therefore the
-most-similar reordering that changes the answer.
+The search walks the orders by decreasing Kendall's tau, ties in
+lexicographic order by position (the paper's sort of all k! orders,
+generated lazily), and evaluates until the flip; the found flip is
+therefore the most-similar reordering that changes the answer.
 """
 
 from repro.core import ContextEvaluator, ranked_permutations

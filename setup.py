@@ -9,5 +9,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
+    # _moved_rows in retrieval/sqlindex.py passes dtype= to np.concatenate (1.20+).
+    install_requires=["numpy>=1.20"],
     entry_points={"console_scripts": ["rage=repro.app.cli:main"]},
 )

@@ -4,9 +4,6 @@ Hungarian algorithm, and k-best assignments (Chegireddy–Hamacher, Murty).
 
 from .combinations import (
     all_combinations,
-    combination_mask,
-    combinations_of_size,
-    complement,
     count_combinations,
     mask_combination,
     ordered_combinations,
@@ -34,26 +31,19 @@ from .inversions import (
 )
 from .kendall import (
     count_inversions,
-    kendall_distance,
     kendall_tau,
     kendall_tau_from_inversions,
     rank_map,
 )
 from .permutations import (
     all_permutations,
-    apply_permutation,
     fisher_yates_shuffle,
-    inversion_vector,
     naive_sample_permutations,
-    permutation_count,
     sample_permutations,
 )
 
 __all__ = [
     "all_combinations",
-    "combination_mask",
-    "combinations_of_size",
-    "complement",
     "count_combinations",
     "mask_combination",
     "ordered_combinations",
@@ -73,15 +63,11 @@ __all__ = [
     "permutations_by_inversions",
     "permutations_by_tau",
     "count_inversions",
-    "kendall_distance",
     "kendall_tau",
     "kendall_tau_from_inversions",
     "rank_map",
     "all_permutations",
-    "apply_permutation",
     "fisher_yates_shuffle",
-    "inversion_vector",
     "naive_sample_permutations",
-    "permutation_count",
     "sample_permutations",
 ]

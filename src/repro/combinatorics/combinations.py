@@ -11,42 +11,21 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigError
 
 
-def combination_mask(items: Sequence[str], combination: Iterable[str]) -> int:
-    """Bitmask of ``combination`` over the ``items`` universe.
-
-    Bit ``i`` is set when ``items[i]`` is a member.  The mask is the
-    canonical subset encoding shared by :func:`sample_combinations` and
-    :class:`repro.core.lattice.AnswerLattice`; unknown members raise
-    :class:`ConfigError`.
-    """
-    positions = {item: index for index, item in enumerate(items)}
-    mask = 0
-    for member in combination:
-        index = positions.get(member)
-        if index is None:
-            raise ConfigError(f"{member!r} is not in the item universe")
-        mask |= 1 << index
-    return mask
-
-
 def mask_combination(items: Sequence[str], mask: int) -> Tuple[str, ...]:
-    """Members of ``mask`` in ``items`` order (inverse of
-    :func:`combination_mask`)."""
+    """Members of ``mask`` in ``items`` order: bit ``i`` keeps ``items[i]``.
+
+    The subset decoding shared by :func:`sample_combinations` and
+    :meth:`repro.core.lattice.AnswerLattice.decode`; a negative mask, or
+    one with a bit beyond ``items``, raises :class:`ConfigError`.
+    """
     if mask < 0 or mask >> len(items):
         raise ConfigError(f"mask {mask:#x} out of range for {len(items)} items")
     return tuple(item for index, item in enumerate(items) if mask >> index & 1)
-
-
-def combinations_of_size(items: Sequence[str], size: int) -> Iterator[Tuple[str, ...]]:
-    """All size-``size`` combinations in lexicographic index order."""
-    if size < 0 or size > len(items):
-        return iter(())
-    return itertools.combinations(items, size)
 
 
 def all_combinations(
@@ -151,9 +130,3 @@ def sample_combinations(
         seen.add(mask)
         picks.append(mask_combination(items, mask))
     return picks
-
-
-def complement(items: Sequence[str], combination: Iterable[str]) -> Tuple[str, ...]:
-    """Sources of ``items`` not in ``combination`` (original order kept)."""
-    removed = set(combination)
-    return tuple(item for item in items if item not in removed)

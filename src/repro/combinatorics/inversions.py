@@ -2,24 +2,27 @@
 
 The paper's permutation counterfactual search "generates all length-k
 permutations ... then computes Kendall's Tau ... sorted and evaluated in
-decreasing order of similarity".  Materializing k! permutations caps the
-method at small k.  This module removes the cap: permutations are
-generated *directly* in order of increasing inversion count (which is
-exactly decreasing tau), so a budgeted search only ever constructs the
-orders it evaluates.
+decreasing order of similarity".  This module yields that exact order
+without materializing or sorting k! permutations, so a search only ever
+constructs the orders it evaluates.
 
-The construction uses inversion vectors (Lehmer-style): a permutation of
-k items corresponds uniquely to a vector ``(c_1, ..., c_{k-1})`` with
-``0 <= c_i <= i``, where ``c_i`` counts how many earlier (larger-index)
-placements item ``i`` jumps over; the total inversion count is
-``sum(c_i)``.  Enumerating vectors by total sum enumerates permutations
-by inversion count; within one count, vectors are generated in
-lexicographic order, giving a deterministic tie-break.
+The construction is the Lehmer code: an order of k items is built by
+picking, position by position, one of the items not yet placed.  The
+item of rank ``r`` among those left (ranks follow the original order)
+has ``r`` originally earlier items still to be placed after it, so
+picking it adds exactly ``r`` inversions, and an order's inversion count
+is the sum of its picked ranks.  For each inversion count in turn, the
+ranks are tried smallest first at every position, which is
+lexicographic order by original position.  Tau is a strictly decreasing
+function of the inversion count, so the stream is the paper's
+generate-all-then-sort order with ties kept in the lexicographic order
+of :func:`itertools.permutations`: the stable sort of every permutation
+by decreasing tau.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence, Tuple, TypeVar
+from typing import Iterator, Sequence, Tuple, TypeVar
 
 from ..errors import ConfigError
 from .kendall import kendall_tau_from_inversions
@@ -32,44 +35,19 @@ def max_inversions(k: int) -> int:
     return k * (k - 1) // 2
 
 
-def _inversion_vectors(k: int, total: int) -> Iterator[Tuple[int, ...]]:
-    """All vectors (c_1..c_{k-1}), 0 <= c_i <= i, summing to ``total``,
-    in lexicographic order."""
-    bounds = list(range(1, k))  # c_i <= i for i = 1..k-1
-    if total > sum(bounds):
+def _orders_with_inversions(left: Tuple[T, ...], total: int) -> Iterator[Tuple[T, ...]]:
+    """Every order of ``left`` with exactly ``total`` inversions, in
+    lexicographic order by position in ``left``."""
+    if not left:
+        yield ()
         return
-    vector: List[int] = [0] * len(bounds)
-
-    def fill(index: int, remaining: int) -> Iterator[Tuple[int, ...]]:
-        if index == len(bounds):
-            if remaining == 0:
-                yield tuple(vector)
-            return
-        # remaining must be coverable by the suffix bounds
-        suffix_capacity = sum(bounds[index:])
-        if remaining > suffix_capacity:
-            return
-        for value in range(0, min(bounds[index], remaining) + 1):
-            vector[index] = value
-            yield from fill(index + 1, remaining - value)
-        vector[index] = 0
-
-    yield from fill(0, total)
-
-
-def _permutation_from_vector(k: int, vector: Sequence[int]) -> List[int]:
-    """Build the permutation whose inversion vector is ``vector``.
-
-    ``vector[i-1] = c_i`` means element ``i`` (0-based identity index)
-    is inserted ``c_i`` positions from its sorted place toward the
-    front, jumping over exactly ``c_i`` smaller-indexed elements —
-    producing exactly ``sum(vector)`` inversions.
-    """
-    result: List[int] = [0]
-    for i in range(1, k):
-        c = vector[i - 1]
-        result.insert(len(result) - c, i)
-    return result
+    # The rank picked first adds that many inversions; the rest of the
+    # order can add at most max_inversions(len(left) - 1).
+    lowest = max(0, total - max_inversions(len(left) - 1))
+    for rank in range(lowest, min(total, len(left) - 1) + 1):
+        rest = left[:rank] + left[rank + 1:]
+        for tail in _orders_with_inversions(rest, total - rank):
+            yield (left[rank],) + tail
 
 
 def permutations_by_inversions(items: Sequence[T]) -> Iterator[Tuple[Tuple[T, ...], int]]:
@@ -77,20 +55,16 @@ def permutations_by_inversions(items: Sequence[T]) -> Iterator[Tuple[Tuple[T, ..
     order — i.e. decreasing Kendall tau to the original order.
 
     The identity (0 inversions) comes first; the full reversal comes
-    last.  Within one inversion count the order is deterministic
-    (lexicographic inversion vectors).  Generation is lazy: consuming
-    the first n permutations costs O(n * k), independent of k!.
+    last.  Within one inversion count, permutations come in
+    lexicographic order by position.  Generation is lazy: consuming the
+    first n permutations costs O(n * k^2), independent of k!.
     """
     k = len(items)
-    if k == 0:
-        yield (), 0
-        return
     if len(set(map(id, items))) != k and len(set(items)) != k:
         raise ConfigError("items must be unique to define permutations")
     for total in range(0, max_inversions(k) + 1):
-        for vector in _inversion_vectors(k, total):
-            order = _permutation_from_vector(k, vector)
-            yield tuple(items[index] for index in order), total
+        for order in _orders_with_inversions(tuple(items), total):
+            yield order, total
 
 
 def permutations_by_tau(

@@ -85,10 +85,3 @@ def kendall_tau(reference: Sequence[T], candidate: Sequence[T]) -> float:
     projected = [ranks[item] for item in candidate]
     inversions = count_inversions(projected)
     return kendall_tau_from_inversions(inversions, len(reference))
-
-
-def kendall_distance(reference: Sequence[T], candidate: Sequence[T]) -> int:
-    """Raw inversion (bubble-sort) distance between the two orderings."""
-    ranks = rank_map(reference)
-    projected = [ranks[item] for item in candidate]
-    return count_inversions(projected)

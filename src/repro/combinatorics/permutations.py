@@ -106,26 +106,3 @@ def naive_sample_permutations(
 def all_permutations(items: Sequence[T]) -> Iterator[Tuple[T, ...]]:
     """Every permutation in lexicographic index order (O(k!))."""
     return itertools.permutations(items)
-
-
-def permutation_count(k: int) -> int:
-    """k! — the size of the permutation search space."""
-    return math.factorial(k)
-
-
-def apply_permutation(items: Sequence[T], order: Sequence[int]) -> List[T]:
-    """Reorder ``items`` so position ``p`` holds ``items[order[p]]``.
-
-    ``order`` must be a permutation of ``range(len(items))``.
-    """
-    if sorted(order) != list(range(len(items))):
-        raise ConfigError("order is not a permutation of the item indices")
-    return [items[i] for i in order]
-
-
-def inversion_vector(perm: Sequence[int]) -> List[int]:
-    """Per-element inversion counts (diagnostic used in tests)."""
-    return [
-        sum(1 for j in range(i) if perm[j] > perm[i])
-        for i in range(len(perm))
-    ]

@@ -55,14 +55,13 @@ from .optimal import (
     optimal_permutations,
 )
 from .permutation_cf import (
-    MAX_EXHAUSTIVE_K,
     PermutationCounterfactual,
     PermutationSearchResult,
     ranked_permutations,
     search_permutation_counterfactual,
 )
 from .plan import EvaluationPlan, PlanStats
-from .sampling import select_combinations, select_permutations
+from .sampling import MAX_EXHAUSTIVE_K, select_combinations, select_permutations
 from .stability import (
     OrderStability,
     SalienceScore,
@@ -116,13 +115,13 @@ __all__ = [
     "benefit_matrix",
     "naive_optimal_permutations",
     "optimal_permutations",
-    "MAX_EXHAUSTIVE_K",
     "PermutationCounterfactual",
     "PermutationSearchResult",
     "ranked_permutations",
     "search_permutation_counterfactual",
     "EvaluationPlan",
     "PlanStats",
+    "MAX_EXHAUSTIVE_K",
     "select_combinations",
     "select_permutations",
     "OrderStability",

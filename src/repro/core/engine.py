@@ -58,20 +58,16 @@ from .insights import (
 )
 from .optimal import OptimalPermutation, optimal_permutations
 from .lattice import AnswerLattice
-from .permutation_cf import (
-    MAX_EXHAUSTIVE_K,
-    PermutationSearchResult,
-    search_permutation_counterfactual,
-)
+from .permutation_cf import PermutationSearchResult, search_permutation_counterfactual
 from .plan import EvaluationPlan, PlanStats
-from .sampling import select_combinations, select_permutations
+from .sampling import MAX_EXHAUSTIVE_K, select_combinations, select_permutations
 from .scoring import RelevanceMethod, make_scorer
 from .stability import OrderStability, order_stability as compute_order_stability
 
 #: Optimal permutations listed in an ``explain()`` report.
 REPORT_OPTIMAL_PERMUTATIONS = 3
 
-#: LLM calls the lazy permutation counterfactual search may spend in an
+#: LLM calls the permutation counterfactual search may spend in an
 #: ``explain()`` report on a context wider than ``MAX_EXHAUSTIVE_K``
 #: (still capped by ``max_evaluations``).
 WIDE_PERMUTATION_BUDGET = 200
@@ -565,9 +561,10 @@ class Rage:
         combination while sampling the k! orderings); ``None`` keeps
         the shared ``sample_size`` semantics.
 
-        Contexts wider than the exhaustive permutation cap run the lazy
-        decreasing-tau counterfactual search under
-        :data:`WIDE_PERMUTATION_BUDGET` LLM calls instead of skipping.
+        The permutation counterfactual search walks the same lazy
+        decreasing-tau stream at every k; only its budget differs: on
+        contexts wider than the exhaustive permutation cap it may spend
+        at most :data:`WIDE_PERMUTATION_BUDGET` LLM calls.
         The report lists :data:`REPORT_OPTIMAL_PERMUTATIONS` optimal
         permutations.
         """

@@ -19,7 +19,12 @@ from ..combinatorics.combinations import all_combinations, sample_combinations
 from ..combinatorics.permutations import all_permutations, sample_permutations
 from ..errors import ConfigError
 from .context import CombinationPerturbation, Context, PermutationPerturbation
-from .permutation_cf import MAX_EXHAUSTIVE_K
+
+#: The widest context whose k! orderings :func:`select_permutations`
+#: enumerates when no sample size is given (8! = 40320 orders); wider
+#: contexts must sample.  ``Rage.explain`` also gives its permutation
+#: counterfactual search a smaller budget above it.
+MAX_EXHAUSTIVE_K = 8
 
 
 def select_combinations(
@@ -57,8 +62,8 @@ def select_permutations(
 ) -> List[PermutationPerturbation]:
     """All permutations, or ``sample_size`` Fisher–Yates draws.
 
-    Exhaustive selection refuses absurd contexts (k > 8) the same way
-    the permutation search does; sampling has no such limit.  With
+    Exhaustive selection refuses contexts wider than
+    :data:`MAX_EXHAUSTIVE_K`; sampling has no such limit.  With
     ``include_identity=False`` the sampled path always returns exactly
     ``sample_size`` permutations (capped by k! - 1): the identity is
     rejected during the draw, never filtered out afterwards.

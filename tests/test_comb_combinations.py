@@ -7,8 +7,6 @@ import pytest
 
 from repro.combinatorics import (
     all_combinations,
-    combinations_of_size,
-    complement,
     count_combinations,
     ordered_combinations,
     sample_combinations,
@@ -16,12 +14,6 @@ from repro.combinatorics import (
 from repro.errors import ConfigError
 
 ITEMS = ["a", "b", "c", "d"]
-
-
-def test_combinations_of_size():
-    assert list(combinations_of_size(ITEMS, 2)) == list(itertools.combinations(ITEMS, 2))
-    assert list(combinations_of_size(ITEMS, 0)) == [()]
-    assert list(combinations_of_size(ITEMS, 5)) == []
 
 
 def test_all_combinations_size_major():
@@ -114,31 +106,6 @@ def test_sample_combinations_saturating_returns_all():
 def test_sample_combinations_invalid():
     with pytest.raises(ConfigError):
         sample_combinations(ITEMS, 0, random.Random(0))
-
-
-def test_complement():
-    assert complement(ITEMS, ("b", "d")) == ("a", "c")
-    assert complement(ITEMS, ()) == tuple(ITEMS)
-    assert complement(ITEMS, ITEMS) == ()
-
-
-def test_combination_mask_round_trip():
-    from repro.combinatorics import combination_mask, mask_combination
-
-    for combo in itertools.chain.from_iterable(
-        itertools.combinations(ITEMS, size) for size in range(len(ITEMS) + 1)
-    ):
-        mask = combination_mask(ITEMS, combo)
-        assert mask_combination(ITEMS, mask) == combo
-    assert combination_mask(ITEMS, ()) == 0
-    assert combination_mask(ITEMS, ITEMS) == (1 << len(ITEMS)) - 1
-
-
-def test_combination_mask_rejects_unknown_member():
-    from repro.combinatorics import combination_mask
-
-    with pytest.raises(ConfigError):
-        combination_mask(ITEMS, ("a", "zz"))
 
 
 def test_mask_combination_rejects_out_of_range():

@@ -7,7 +7,6 @@ from scipy.stats import kendalltau as scipy_kendalltau
 
 from repro.combinatorics import (
     count_inversions,
-    kendall_distance,
     kendall_tau,
     kendall_tau_from_inversions,
     rank_map,
@@ -75,13 +74,6 @@ def test_tau_validation():
         kendall_tau(["a", "b"], ["a", "a"])
     with pytest.raises(ConfigError):
         rank_map(["a", "a"])
-
-
-def test_kendall_distance():
-    items = ["a", "b", "c"]
-    assert kendall_distance(items, items) == 0
-    assert kendall_distance(items, ["c", "b", "a"]) == 3
-    assert kendall_distance(items, ["b", "a", "c"]) == 1
 
 
 def test_tau_from_inversions_bounds():

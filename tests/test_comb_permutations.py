@@ -9,11 +9,8 @@ import pytest
 
 from repro.combinatorics import (
     all_permutations,
-    apply_permutation,
     fisher_yates_shuffle,
-    inversion_vector,
     naive_sample_permutations,
-    permutation_count,
     sample_permutations,
 )
 from repro.errors import ConfigError
@@ -88,23 +85,6 @@ def test_all_permutations_lexicographic():
     perms = list(all_permutations([0, 1, 2]))
     assert perms == sorted(perms)
     assert len(perms) == 6
-
-
-def test_permutation_count():
-    assert permutation_count(0) == 1
-    assert permutation_count(5) == math.factorial(5)
-
-
-def test_apply_permutation():
-    assert apply_permutation(["a", "b", "c"], [2, 0, 1]) == ["c", "a", "b"]
-    with pytest.raises(ConfigError):
-        apply_permutation(["a", "b"], [0, 0])
-
-
-def test_inversion_vector():
-    assert inversion_vector([0, 1, 2]) == [0, 0, 0]
-    assert inversion_vector([2, 1, 0]) == [0, 1, 2]
-    assert sum(inversion_vector([1, 0, 2])) == 1
 
 
 def test_sample_permutations_exclude_rejects_during_draw():

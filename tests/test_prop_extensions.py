@@ -5,10 +5,16 @@ import itertools
 import random
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.combinatorics import kendall_tau, permutations_by_inversions
+from repro.combinatorics import (
+    count_inversions,
+    kendall_tau,
+    permutations_by_inversions,
+    permutations_by_tau,
+)
 from repro.core import (
     Context,
     ContextEvaluator,
@@ -27,29 +33,33 @@ from repro.retrieval.document import Document
 from repro.textproc import normalize_answer
 
 
-@given(st.integers(min_value=1, max_value=6))
-@settings(max_examples=6, deadline=None)
-def test_lazy_generation_matches_sorted_enumeration(k):
-    """The lazy stream yields the same multiset per inversion level as
-    sorting all k! permutations by tau."""
-    items = list(range(k))
-    lazy = list(permutations_by_inversions(items))
-    explicit = sorted(
-        itertools.permutations(items),
-        key=lambda perm: -kendall_tau(items, list(perm)),
-    )
-    assert len(lazy) == len(explicit)
-    by_level_lazy: dict = {}
-    for order, count in lazy:
-        by_level_lazy.setdefault(count, set()).add(order)
-    for order in explicit:
-        tau = kendall_tau(items, list(order))
-        matching_levels = [
-            level
-            for level, orders in by_level_lazy.items()
-            if order in orders
+def test_lazy_generation_matches_sorted_enumeration():
+    """The lazy stream is the paper's generate-all-then-sort order: the
+    stable sort of every non-identity permutation by decreasing tau,
+    element for element, with the same float taus."""
+    for k in range(8):
+        items = [f"d{i}" for i in range(k)]
+        explicit = sorted(
+            (
+                (perm, kendall_tau(items, perm))
+                for perm in itertools.permutations(items)
+                if perm != tuple(items)
+            ),
+            key=lambda candidate: -candidate[1],
+        )
+        lazy = list(permutations_by_tau(items))
+        assert [(order, tau.hex()) for order, tau in lazy] == [
+            (order, tau.hex()) for order, tau in explicit
         ]
-        assert len(matching_levels) == 1
+
+
+@pytest.mark.parametrize("k", [9, 10])
+def test_lazy_generation_orders_each_tau_level_by_position(k):
+    """Past the exhaustive cap, equal-tau candidates come in the order
+    k <= 8 uses: lexicographic by position within each inversion level."""
+    head = list(itertools.islice(permutations_by_inversions(list(range(k))), 200))
+    assert all(count_inversions(order) == count for order, count in head)
+    assert head == sorted(head, key=lambda candidate: (candidate[1], candidate[0]))
 
 
 @st.composite
