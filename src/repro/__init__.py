@@ -16,43 +16,43 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-versus-measured record.
 """
 
-from .core.context import (
-    CombinationPerturbation,
-    Context,
-    ContextSource,
-    PermutationPerturbation,
-)
-from .core.counterfactual import SearchDirection
-from .core.engine import AskResult, Rage, RageConfig, RageReport
-from .core.scoring import RelevanceMethod
-from .errors import RageError
-from .llm.knowledge import KBFact, KnowledgeBase
-from .llm.remote import RemoteLLM
-from .llm.router import RouterLLM
-from .llm.simulated import SimulatedLLM, SimulatedLLMConfig
-from .retrieval.document import Corpus, Document
+from importlib import import_module
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CombinationPerturbation",
-    "Context",
-    "ContextSource",
-    "PermutationPerturbation",
-    "SearchDirection",
-    "AskResult",
-    "Rage",
-    "RageConfig",
-    "RageReport",
-    "RelevanceMethod",
-    "RageError",
-    "KBFact",
-    "KnowledgeBase",
-    "RemoteLLM",
-    "RouterLLM",
-    "SimulatedLLM",
-    "SimulatedLLMConfig",
-    "Corpus",
-    "Document",
-    "__version__",
-]
+#: Each public name -> the module defining it, imported when the name is
+#: first read (PEP 562): importing one part of the package, such as the
+#: lint in ``repro.analysis``, loads neither the engine nor NumPy.
+_EXPORTS = {
+    "CombinationPerturbation": ".core.context",
+    "Context": ".core.context",
+    "ContextSource": ".core.context",
+    "PermutationPerturbation": ".core.context",
+    "SearchDirection": ".core.counterfactual",
+    "AskResult": ".core.engine",
+    "Rage": ".core.engine",
+    "RageConfig": ".core.engine",
+    "RageReport": ".core.engine",
+    "RelevanceMethod": ".core.scoring",
+    "RageError": ".errors",
+    "KBFact": ".llm.knowledge",
+    "KnowledgeBase": ".llm.knowledge",
+    "RemoteLLM": ".llm.remote",
+    "RouterLLM": ".llm.router",
+    "SimulatedLLM": ".llm.simulated",
+    "SimulatedLLMConfig": ".llm.simulated",
+    "Corpus": ".retrieval.document",
+    "Document": ".retrieval.document",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str) -> object:
+    """Import an export's module on first access and keep the name bound."""
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(module, __name__), name)
+    globals()[name] = value
+    return value

@@ -12,7 +12,7 @@ from .dense import (
     ReciprocalRankFusionScorer,
 )
 from .document import Corpus, Document
-from .index import IndexStats, InvertedIndex, Posting
+from .index import IndexStats, InvertedIndex
 from .metrics import (
     average_precision,
     ndcg_at_k,
@@ -40,7 +40,6 @@ __all__ = [
     "Document",
     "IndexStats",
     "InvertedIndex",
-    "Posting",
     "RetrievalResult",
     "RetrievedSource",
     "Searcher",

@@ -1,21 +1,29 @@
-"""Positional inverted index — the Lucene-index substitute.
+"""The in-memory index and the read protocol every ranking uses.
 
-The index stores, per analyzed term, a postings list of
-``(doc_id, term_frequency, positions)`` plus per-document lengths and
-collection statistics.  BM25 and TF-IDF need the frequencies and
-lengths.  No scorer reads the within-document positions; only the
-indexes' ``postings`` lookups return them.
+BM25, TF-IDF, dense cosine and their fusions read an index only through
+this protocol, which :class:`InvertedIndex` and
+:class:`~repro.retrieval.sqlindex.SqliteIndex` both provide:
 
-Ranking runs over a :class:`ScoringView`: the indexed documents as
-array rows in doc_id order (a :class:`RowSpace`), their total analyzed
-length and each query term's postings as arrays over those rows, all
-from one index state.  Both index classes provide it.  Scoring reads no
-vocabulary size; only an index's ``stats`` reports one.
+* ``tokenizer``: the analysis chain queries are analyzed with;
+* ``len(index)`` and ``doc_id in index``;
+* ``row_space()``: the indexed documents as rows (a :class:`RowSpace`:
+  doc ids in sorted order and their analyzed lengths);
+* ``scoring_view(terms)``: a :class:`ScoringView` of one index state,
+  the rows, their total length and each term's postings as
+  ``(rows, tf)`` arrays;
+* ``fetch_documents(doc_ids)``: the stored documents, in that order;
+* ``stats``: an :class:`IndexStats` (documents, total length,
+  vocabulary size), which scoring never reads.
+
+An index keeps, per analyzed term, the (doc_id, term frequency) pairs
+of its postings, and per document its analyzed length.  Nothing reads
+where in a document a term occurs, so no index keeps positions.
 """
 
 from __future__ import annotations
 
 import bisect
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -24,15 +32,6 @@ import numpy as np
 from ..errors import UnknownDocumentError
 from ..textproc import Tokenizer
 from .document import Corpus, Document
-
-
-@dataclass(frozen=True)
-class Posting:
-    """One document entry inside a term's postings list."""
-
-    doc_id: str
-    term_frequency: int
-    positions: Tuple[int, ...] = ()
 
 
 @dataclass
@@ -140,7 +139,12 @@ class ScoringView:
 
 
 class InvertedIndex:
-    """Term -> postings map built from a :class:`Corpus`.
+    """The read protocol over a corpus held in memory, built once.
+
+    :meth:`build` analyzes every document and keeps each term's
+    (doc_id, tf) pairs; a term's arrays are made by the first search
+    that reads it.  The documents never change: a changed corpus is
+    indexed anew.
 
     Parameters
     ----------
@@ -150,72 +154,15 @@ class InvertedIndex:
     """
 
     def __init__(self, tokenizer: Optional[Tokenizer] = None) -> None:
+        """An empty index; :meth:`build` makes one over a corpus."""
         self.tokenizer = tokenizer or Tokenizer()
-        self._postings: Dict[str, List[Posting]] = {}
-        self._doc_lengths: Dict[str, int] = {}
         self._corpus = Corpus()
-        # Built by the first search after a change; see _arrays().
-        self._rows: Optional[Tuple[RowSpace, int, Dict[str, TermRows]]] = None
-
-    # -- construction --------------------------------------------------
-
-    def add_document(self, doc: Document) -> None:
-        """Analyze and index one document."""
-        self._corpus.add(doc)
-        terms = self.tokenizer.tokenize(doc.text + " " + doc.title)
-        self._doc_lengths[doc.doc_id] = len(terms)
-        occurrences: Dict[str, List[int]] = {}
-        for position, term in enumerate(terms):
-            occurrences.setdefault(term, []).append(position)
-        for term, positions in occurrences.items():
-            posting = Posting(
-                doc_id=doc.doc_id,
-                term_frequency=len(positions),
-                positions=tuple(positions),
-            )
-            self._postings.setdefault(term, []).append(posting)
-        self._rows = None
-
-    def remove_document(self, doc_id: str) -> Document:
-        """Un-index a document, restoring pre-add statistics exactly.
-
-        Every posting the document contributed is withdrawn (terms whose
-        postings list empties disappear from the vocabulary, so
-        ``document_frequency`` never double-counts a removed document),
-        its length entry is dropped, and the stored document is returned.
-
-        Raises
-        ------
-        UnknownDocumentError
-            When ``doc_id`` was never indexed.
-        """
-        if doc_id not in self._doc_lengths:
-            raise UnknownDocumentError(f"no document with id {doc_id!r}")
-        document = self._corpus.get(doc_id)
-        self._corpus.remove(doc_id)
-        del self._doc_lengths[doc_id]
-        emptied: List[str] = []
-        for term, postings in self._postings.items():
-            kept = [posting for posting in postings if posting.doc_id != doc_id]
-            if len(kept) != len(postings):
-                if kept:
-                    self._postings[term] = kept
-                else:
-                    emptied.append(term)
-        for term in emptied:
-            del self._postings[term]
-        self._rows = None
-        return document
-
-    def update_document(self, doc: Document) -> None:
-        """Replace an indexed document with new content, atomically.
-
-        Equivalent to ``remove_document(doc.doc_id)`` + ``add_document``:
-        stale postings never linger, so an updated document is
-        indistinguishable from one indexed fresh.
-        """
-        self.remove_document(doc.doc_id)
-        self.add_document(doc)
+        self._postings: Dict[str, List[Tuple[str, int]]] = {}
+        self._space = RowSpace([], np.zeros(0, dtype=np.int64))
+        self._total_terms = 0
+        # Term -> its arrays over the rows, filled by the searches that
+        # read it (concurrent first reads may each build equal arrays).
+        self._arrays: Dict[str, TermRows] = {}
 
     @classmethod
     def build(
@@ -225,62 +172,36 @@ class InvertedIndex:
     ) -> "InvertedIndex":
         """Index every document in ``documents`` and return the index."""
         index = cls(tokenizer=tokenizer)
+        lengths: Dict[str, int] = {}
         for doc in documents:
-            index.add_document(doc)
+            index._corpus.add(doc)
+            terms = index.tokenizer.tokenize(doc.text + " " + doc.title)
+            lengths[doc.doc_id] = len(terms)
+            for term, tf in Counter(terms).items():
+                index._postings.setdefault(term, []).append((doc.doc_id, tf))
+        ids = sorted(lengths)
+        index._space = RowSpace(ids, np.fromiter(map(lengths.__getitem__, ids), np.int64, len(ids)))
+        index._total_terms = sum(lengths.values())
         return index
-
-    # -- lookups --------------------------------------------------------
-
-    def postings(self, term: str) -> List[Posting]:
-        """Postings list for an *analyzed* term (empty when absent)."""
-        return self._postings.get(term, [])
-
-    def document_frequency(self, term: str) -> int:
-        """Number of documents containing the analyzed term."""
-        return len(self._postings.get(term, ()))
-
-    def doc_length(self, doc_id: str) -> int:
-        """Analyzed token count of a document."""
-        try:
-            return self._doc_lengths[doc_id]
-        except KeyError:
-            raise UnknownDocumentError(f"no document with id {doc_id!r}") from None
 
     def row_space(self) -> RowSpace:
         """The indexed documents as rows."""
-        return self._arrays()[0]
+        return self._space
 
     def scoring_view(self, terms: Iterable[str]) -> ScoringView:
-        """Rows, total length and the postings of ``terms`` as arrays; a
-        term's arrays are built once per row space."""
-        space, total_terms, built = self._arrays()
+        """Rows, total length and the postings of ``terms`` as arrays."""
+        space, built = self._space, self._arrays
         postings: Dict[str, TermRows] = {}
         for term in terms:
             arrays = built.get(term)
             if arrays is None:
                 found = self._postings.get(term, ())
                 arrays = built[term] = (
-                    space.rows_of(p.doc_id for p in found),
-                    np.fromiter((p.term_frequency for p in found), np.int64, len(found)),
+                    space.rows_of(doc_id for doc_id, _ in found),
+                    np.fromiter((tf for _, tf in found), np.int64, len(found)),
                 )
             postings[term] = arrays
-        return ScoringView(space, total_terms, postings)
-
-    def _arrays(self) -> Tuple[RowSpace, int, Dict[str, TermRows]]:
-        """The row space, its total length and the term arrays built over
-        it so far, made by the first call after a change.  Concurrent
-        searchers may each build one; every build is published whole, by
-        one assignment."""
-        arrays = self._rows
-        if arrays is None:
-            ids = sorted(self._doc_lengths)
-            lengths = np.fromiter(map(self._doc_lengths.__getitem__, ids), dtype=np.int64)
-            arrays = self._rows = (RowSpace(ids, lengths), int(lengths.sum()), {})
-        return arrays
-
-    def document(self, doc_id: str) -> Document:
-        """Return the stored document."""
-        return self._corpus.get(doc_id)
+        return ScoringView(space, self._total_terms, postings)
 
     def fetch_documents(self, doc_ids: Sequence[str]) -> List[Document]:
         """The stored documents of ``doc_ids``, in that order.
@@ -292,32 +213,13 @@ class InvertedIndex:
         """
         return [self._corpus.get(doc_id) for doc_id in doc_ids]
 
-    def documents(self) -> List[Document]:
-        """All indexed documents in insertion order."""
-        return list(self._corpus)
-
-    def vocabulary(self) -> List[str]:
-        """All analyzed terms, sorted for determinism."""
-        return sorted(self._postings)
-
     @property
     def stats(self) -> IndexStats:
-        """Fresh collection statistics snapshot."""
-        return IndexStats(
-            num_documents=len(self._doc_lengths),
-            total_terms=sum(self._doc_lengths.values()),
-            vocabulary_size=len(self._postings),
-        )
+        """Collection statistics."""
+        return IndexStats(len(self._space), self._total_terms, len(self._postings))
 
     def __len__(self) -> int:
-        return len(self._doc_lengths)
+        return len(self._space)
 
     def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._doc_lengths
-
-    def term_frequency(self, term: str, doc_id: str) -> int:
-        """Frequency of analyzed ``term`` inside ``doc_id`` (0 if absent)."""
-        for posting in self._postings.get(term, ()):
-            if posting.doc_id == doc_id:
-                return posting.term_frequency
-        return 0
+        return doc_id in self._corpus

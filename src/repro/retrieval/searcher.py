@@ -63,8 +63,8 @@ class RetrievalResult:
 
 
 class Searcher:
-    """Execute ranked retrieval against an :class:`InvertedIndex` (or
-    any index with the same read protocol and a ``row_space()``)."""
+    """Execute ranked retrieval against an :class:`InvertedIndex` or any
+    index with its read protocol (see :mod:`repro.retrieval.index`)."""
 
     def __init__(self, index: InvertedIndex, scorer: Optional[Scorer] = None) -> None:
         self.index = index

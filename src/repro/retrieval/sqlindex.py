@@ -5,10 +5,11 @@ from raw text on every process start.  :class:`SqliteIndex` is the
 production-shaped replacement — the project's stand-in for a Lucene
 index directory:
 
-* **One WAL-mode database** holds documents, postings, per-document
-  lengths and (optionally) dense embedding vectors, stamped with a
-  schema version and the analyzer configuration, so a reopened index
-  tokenizes queries identically and never re-analyzes a stored document.
+* **One WAL-mode database** holds documents, per-document lengths,
+  each term's (doc_id, tf) postings and (optionally) dense embedding
+  vectors, stamped with a schema version and the analyzer
+  configuration, so a reopened index tokenizes queries identically and
+  never re-analyzes a stored document.
 * **Lazy open** — opening is O(1); the first search loads the *read
   view*: the documents as a :class:`~repro.retrieval.index.RowSpace`
   (doc ids in sorted order, their lengths), their total length and, for
@@ -65,13 +66,14 @@ index directory:
   never raw addition across incompatible scales; all rankings break
   ties by doc_id.
 
-The class exposes the same read protocol the scorers consume
-(``scoring_view`` / ``row_space`` / ``stats`` / ``len`` / ``in`` /
-``tokenizer``), so :class:`~repro.retrieval.bm25.BM25Scorer` and friends
-run against it unchanged; :class:`SqliteSearcher` wraps
+The class provides the read protocol of
+:mod:`repro.retrieval.index`, so :class:`~repro.retrieval.bm25.BM25Scorer`
+and friends run against it unchanged; :class:`SqliteSearcher` wraps
 :class:`~repro.retrieval.searcher.Searcher` with the snapshot
 transaction, and reads a search's winners with one statement
-(:meth:`SqliteIndex.fetch_documents`).
+(:meth:`SqliteIndex.fetch_documents`).  Its one read outside that
+protocol, :meth:`SqliteIndex.doc_ids` (what :meth:`sync` reads), is one
+SQL statement.
 """
 
 from __future__ import annotations
@@ -82,6 +84,7 @@ import itertools
 import json
 import sqlite3
 import threading
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -114,15 +117,18 @@ from .dense import (
     dense_scores,
 )
 from .document import Document
-from .index import IndexStats, Posting, RowSpace, ScoringView, TermRows
+from .index import IndexStats, RowSpace, ScoringView, TermRows
 from .searcher import RetrievalResult, Searcher
 
 #: Bumped whenever the on-disk layout changes; an index written by a
 #: different version refuses to open instead of misreading rows.
 #: Version 2 added the ``generation`` stamp every write bumps (a build
-#: that did not bump it would leave other handles' views stale); a
-#: version-1 file is upgraded in place on open.
-SCHEMA_VERSION = 2
+#: that did not bump it would leave other handles' views stale).
+#: Version 3 dropped what no read uses: each document's insertion
+#: ``seq`` and its index, each posting's within-document ``positions``
+#: and each vector's ``dimensions``.  A version-1 or version-2 file is
+#: upgraded in place on open (:data:`_UPGRADE`).
+SCHEMA_VERSION = 3
 
 #: Database filename inside an index directory.
 DB_NAME = "index.db"
@@ -144,24 +150,36 @@ CREATE TABLE documents (
     text         TEXT NOT NULL,
     metadata     TEXT NOT NULL,
     content_hash TEXT NOT NULL,
-    doc_length   INTEGER NOT NULL,
-    seq          INTEGER NOT NULL
+    doc_length   INTEGER NOT NULL
 );
-CREATE INDEX documents_by_seq ON documents (seq);
 CREATE TABLE postings (
-    term      TEXT NOT NULL,
-    doc_id    TEXT NOT NULL,
-    tf        INTEGER NOT NULL,
-    positions TEXT NOT NULL,
+    term   TEXT NOT NULL,
+    doc_id TEXT NOT NULL,
+    tf     INTEGER NOT NULL,
     PRIMARY KEY (term, doc_id)
 ) WITHOUT ROWID;
 CREATE INDEX postings_by_doc ON postings (doc_id);
 CREATE TABLE vectors (
-    doc_id     TEXT PRIMARY KEY,
-    dimensions INTEGER NOT NULL,
-    vector     BLOB NOT NULL
+    doc_id TEXT PRIMARY KEY,
+    vector BLOB NOT NULL
 );
 """
+
+#: The versions a file is upgraded from on open.
+_UPGRADE_FROM = ("1", "2")
+
+#: What turns a version-1 or version-2 file into this version, in one
+#: write transaction.  Version 1 lacked only the generation stamp, and
+#: both kept the three columns and the index version 3 dropped.  DROP
+#: COLUMN needs SQLite 3.35 or later.
+_UPGRADE = (
+    "INSERT OR IGNORE INTO meta (key, value) VALUES ('generation', '0')",
+    "DELETE FROM meta WHERE key = 'store_positions'",
+    "DROP INDEX documents_by_seq",
+    "ALTER TABLE documents DROP COLUMN seq",
+    "ALTER TABLE postings DROP COLUMN positions",
+    "ALTER TABLE vectors DROP COLUMN dimensions",
+)
 
 #: Vectors a cold load reads per block: the load holds one block of
 #: this many rows, never the whole documents x dimensions matrix.
@@ -450,9 +468,6 @@ class SqliteIndex:
         meta = {
             "schema_version": str(SCHEMA_VERSION),
             "tokenizer": json.dumps(_tokenizer_config(self.tokenizer)),
-            # Positions are always stored; the key tells builds that
-            # still read it to store them too.
-            "store_positions": "1",
             "embedder_dimensions": (
                 str(self.embedder.dimensions) if self.embedder is not None else ""
             ),
@@ -468,19 +483,8 @@ class SqliteIndex:
 
     def _validate_schema(self, conn: sqlite3.Connection) -> None:
         meta = dict(conn.execute("SELECT key, value FROM meta"))
-        if meta.get("schema_version") == "1":
-            # Version 1 lacks only the generation stamp.  Re-checked
-            # under the write lock, so concurrent openers upgrade once.
-            with _transaction(conn):
-                conn.execute(
-                    "INSERT OR IGNORE INTO meta (key, value) VALUES ('generation', '0')"
-                )
-                conn.execute(
-                    "UPDATE meta SET value = ? "
-                    "WHERE key = 'schema_version' AND value = '1'",
-                    (str(SCHEMA_VERSION),),
-                )
-                meta = dict(conn.execute("SELECT key, value FROM meta"))
+        if meta.get("schema_version") in _UPGRADE_FROM:
+            meta = self._upgrade(conn)
         version = meta.get("schema_version")
         if version != str(SCHEMA_VERSION):
             raise RetrievalError(
@@ -513,6 +517,30 @@ class SqliteIndex:
                 )
             else:
                 self._check_embedder_analyzer(self.embedder)
+
+    def _upgrade(self, conn: sqlite3.Connection) -> Dict[str, str]:
+        """Upgrade a version-1 or version-2 file in place and return its
+        meta.  The version is read again under the write lock, so
+        concurrent openers upgrade once; a failed upgrade rolls back
+        whole and leaves the file as it was."""
+        try:
+            with _transaction(conn):
+                (version,) = conn.execute(
+                    "SELECT value FROM meta WHERE key = 'schema_version'"
+                ).fetchone()
+                if version in _UPGRADE_FROM:
+                    for statement in _UPGRADE:
+                        conn.execute(statement)
+                    conn.execute(
+                        "UPDATE meta SET value = ? WHERE key = 'schema_version'",
+                        (str(SCHEMA_VERSION),),
+                    )
+                return dict(conn.execute("SELECT key, value FROM meta"))
+        except sqlite3.Error as error:
+            raise RetrievalError(
+                f"cannot upgrade index {self.path} to schema version "
+                f"{SCHEMA_VERSION}: {error}"
+            ) from error
 
     def _check_embedder_analyzer(self, embedder: HashedEmbedder) -> None:
         """Refuse an embedder that analyzes text unlike the index: its
@@ -879,6 +907,14 @@ class SqliteIndex:
                         outcome["removed"] += 1
         return outcome
 
+    def doc_ids(self) -> List[str]:
+        """All indexed document ids, in doc_id order, read by one SQL
+        statement: no read view is loaded."""
+        conn = self._conn()
+        with self._guard():
+            rows = conn.execute("SELECT doc_id FROM documents ORDER BY doc_id").fetchall()
+        return [row[0] for row in rows]
+
     def _delete_rows(self, conn: sqlite3.Connection, doc_id: str) -> None:
         conn.execute("DELETE FROM postings WHERE doc_id = ?", (doc_id,))
         conn.execute("DELETE FROM vectors WHERE doc_id = ?", (doc_id,))
@@ -894,16 +930,11 @@ class SqliteIndex:
         terms = self.tokenizer.tokenize(doc.text + " " + doc.title)
         with self._lock:  # re-entrant: every caller already writes under it
             self.counters["doc_tokenizations"] += 1
-        occurrences: Dict[str, List[int]] = {}
-        for position, term in enumerate(terms):
-            occurrences.setdefault(term, []).append(position)
-        seq = conn.execute(
-            "SELECT COALESCE(MAX(seq), 0) + 1 FROM documents"
-        ).fetchone()[0]
+        postings = list(Counter(terms).items())
         conn.execute(
             "INSERT INTO documents "
-            "(doc_id, title, text, metadata, content_hash, doc_length, seq) "
-            "VALUES (?, ?, ?, ?, ?, ?, ?)",
+            "(doc_id, title, text, metadata, content_hash, doc_length) "
+            "VALUES (?, ?, ?, ?, ?, ?)",
             (
                 doc.doc_id,
                 doc.title,
@@ -911,33 +942,20 @@ class SqliteIndex:
                 json.dumps(dict(doc.metadata), sort_keys=True, ensure_ascii=False),
                 digest,
                 len(terms),
-                seq,
             ),
         )
         conn.executemany(
-            "INSERT INTO postings (term, doc_id, tf, positions) VALUES (?, ?, ?, ?)",
-            (
-                (
-                    term,
-                    doc.doc_id,
-                    len(positions),
-                    _positions_text(positions),
-                )
-                for term, positions in occurrences.items()
-            ),
+            "INSERT INTO postings (term, doc_id, tf) VALUES (?, ?, ?)",
+            ((term, doc.doc_id, tf) for term, tf in postings),
         )
         blob: Optional[bytes] = None
         if self.embedder is not None:
             blob = self.embedder.embed_terms(terms).tobytes()
-            conn.execute(
-                "INSERT INTO vectors (doc_id, dimensions, vector) VALUES (?, ?, ?)",
-                (doc.doc_id, self.embedder.dimensions, blob),
-            )
+            conn.execute("INSERT INTO vectors (doc_id, vector) VALUES (?, ?)", (doc.doc_id, blob))
         if delta is not None:
-            postings = [(term, len(positions)) for term, positions in occurrences.items()]
             delta[doc.doc_id] = _Doc(len(terms), blob, postings)
 
-    # -- the scorer-facing read protocol -----------------------------------
+    # -- the read protocol (see repro.retrieval.index) ----------------------
 
     def scoring_view(self, terms: Iterable[str]) -> ScoringView:
         """Rows, statistics and the postings of ``terms`` as arrays, all
@@ -956,58 +974,9 @@ class SqliteIndex:
                 postings[term] = (view.slot_rows[slots], tf)
         return ScoringView(view.space, view.total_terms, postings, view.term_retired)
 
-    def postings(self, term: str) -> List[Posting]:
-        """Postings for an analyzed term, ordered by doc_id (empty when
-        absent)."""
-        conn = self._conn()
-        with self._guard():
-            rows = conn.execute(
-                "SELECT doc_id, tf, positions FROM postings "
-                "WHERE term = ? ORDER BY doc_id",
-                (term,),
-            ).fetchall()
-        return [
-            Posting(
-                doc_id=doc_id,
-                term_frequency=tf,
-                positions=tuple(json.loads(positions)),
-            )
-            for doc_id, tf, positions in rows
-        ]
-
-    def document_frequency(self, term: str) -> int:
-        """Number of documents containing the analyzed term."""
-        conn = self._conn()
-        with self._guard():
-            return conn.execute(
-                "SELECT COUNT(*) FROM postings WHERE term = ?", (term,)
-            ).fetchone()[0]
-
-    def term_frequency(self, term: str, doc_id: str) -> int:
-        """Frequency of ``term`` inside ``doc_id`` (0 if absent)."""
-        conn = self._conn()
-        with self._guard():
-            row = conn.execute(
-                "SELECT tf FROM postings WHERE term = ? AND doc_id = ?",
-                (term, doc_id),
-            ).fetchone()
-        return row[0] if row is not None else 0
-
     def row_space(self) -> RowSpace:
         """The documents as rows, at the current (or pinned) generation."""
         return self._pinned().space
-
-    def doc_length(self, doc_id: str) -> int:
-        """Analyzed token count of a document."""
-        space = self._pinned().space
-        row = space.row_of(doc_id)
-        if row is None:
-            raise UnknownDocumentError(f"no document with id {doc_id!r}")
-        return int(space.lengths[row])
-
-    def document(self, doc_id: str) -> Document:
-        """Return the stored document."""
-        return self.fetch_documents([doc_id])[0]
 
     def fetch_documents(self, doc_ids: Sequence[str]) -> List[Document]:
         """The stored documents of ``doc_ids``, in that order, read in one
@@ -1036,31 +1005,6 @@ class SqliteIndex:
             return [found[doc_id] for doc_id in doc_ids]
         except KeyError as error:
             raise UnknownDocumentError(f"no document with id {error.args[0]!r}") from None
-
-    def documents(self) -> List[Document]:
-        """All indexed documents in first-indexed order."""
-        conn = self._conn()
-        with self._guard():
-            rows = conn.execute(
-                "SELECT doc_id, title, text, metadata FROM documents ORDER BY seq"
-            ).fetchall()
-        return [_row_to_document(row) for row in rows]
-
-    def doc_ids(self) -> List[str]:
-        """All indexed document ids in first-indexed order."""
-        conn = self._conn()
-        with self._guard():
-            rows = conn.execute("SELECT doc_id FROM documents ORDER BY seq").fetchall()
-        return [row[0] for row in rows]
-
-    def vocabulary(self) -> List[str]:
-        """All analyzed terms, sorted."""
-        conn = self._conn()
-        with self._guard():
-            rows = conn.execute(
-                "SELECT DISTINCT term FROM postings ORDER BY term"
-            ).fetchall()
-        return [row[0] for row in rows]
 
     @property
     def stats(self) -> IndexStats:
@@ -1223,11 +1167,6 @@ def _transaction(conn: sqlite3.Connection) -> Iterator[None]:
     except BaseException:
         conn.execute("ROLLBACK")
         raise
-
-
-def _positions_text(positions: List[int]) -> str:
-    """``json.dumps(positions)``, byte for byte, for a list of ints."""
-    return "[" + ", ".join(map(str, positions)) + "]"
 
 
 def _stored_digest(conn: sqlite3.Connection, doc_id: str) -> Optional[str]:

@@ -1,14 +1,22 @@
-"""Layering guard: the engine is handed a model and never builds one.
+"""Layering guards.
 
-Nothing under ``src/repro/core/`` may import the modules that construct
-or serve concrete models — remote endpoints, provider pools, their
-transport and the simulated model.  Those belong to the callers that
-build a model (``repro.llm.factory``, the app layer) and pass it in.
+The engine is handed a model and never builds one: nothing under
+``src/repro/core/`` may import the modules that construct or serve
+concrete models — remote endpoints, provider pools, their transport
+and the simulated model.  Those belong to the callers that build a
+model (``repro.llm.factory``, the app layer) and pass it in.
+
+The lint loads neither the engine nor NumPy: ``repro`` resolves its
+exports on first access.
 """
 
 from __future__ import annotations
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -75,3 +83,29 @@ def test_guard_resolves_every_import_form(source):
 def test_guard_allows_the_model_contract_and_cache():
     source = "from ..llm.base import LanguageModel\nfrom ..llm.cache import CachingLLM"
     assert _forbidden(_imports(source, "repro.core.engine")) == []
+
+
+#: Run in a fresh interpreter: what importing the lint loads, then what
+#: ``from repro import *`` binds.
+_IMPORT_PROBE = """
+import json, sys
+import repro.analysis.cli
+loaded = sorted(name for name in ("numpy", "repro.core") if name in sys.modules)
+namespace = {}
+exec("from repro import *", namespace)
+import repro
+unbound = [name for name in repro.__all__ if namespace.get(name, namespace) is not getattr(repro, name)]
+print(json.dumps({"loaded": loaded, "unbound": unbound, "exports": len(repro.__all__)}))
+"""
+
+
+def test_the_lint_loads_neither_the_engine_nor_numpy():
+    probe = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert json.loads(probe.stdout) == {"loaded": [], "unbound": [], "exports": 20}

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.retrieval import BM25Scorer, Corpus, Document, InvertedIndex, Searcher
+from tests.test_retrieval_bm25 import _analyzed
 
 words = st.text(alphabet=string.ascii_lowercase, min_size=2, max_size=8)
 doc_texts = st.lists(words, min_size=1, max_size=30).map(" ".join)
@@ -23,37 +24,49 @@ def corpora(draw):
 @settings(max_examples=40, deadline=None)
 def test_index_consistency(corpus):
     index = InvertedIndex.build(corpus)
+    analyzed = _analyzed(index.tokenizer, corpus)
     assert len(index) == len(corpus)
     stats = index.stats
-    assert stats.total_terms == sum(
-        index.doc_length(doc.doc_id) for doc in corpus
-    )
+    space = index.row_space()
+    assert space.ids == sorted(analyzed)
+    assert space.lengths.tolist() == [len(analyzed[doc_id]) for doc_id in space.ids]
+    assert stats.total_terms == int(space.lengths.sum())
+    vocabulary = sorted(set().union(*analyzed.values()))
+    assert stats.vocabulary_size == len(vocabulary)
     # df of every term equals its postings length and is within bounds
-    for term in index.vocabulary():
-        df = index.document_frequency(term)
+    view = index.scoring_view(vocabulary)
+    for term in vocabulary:
+        df = view.frequency(term)
         assert 1 <= df <= len(corpus)
-        assert df == len(index.postings(term))
+        assert df == len(view.postings[term][0]) == sum(term in t for t in analyzed.values())
 
 
 @given(corpora())
 @settings(max_examples=40, deadline=None)
 def test_postings_tf_matches_positions(corpus):
+    """Each posting's tf is the number of positions at which the
+    document's analyzed text holds the term."""
     index = InvertedIndex.build(corpus)
-    for term in index.vocabulary():
-        for posting in index.postings(term):
-            assert posting.term_frequency == len(posting.positions)
-            assert list(posting.positions) == sorted(posting.positions)
+    analyzed = _analyzed(index.tokenizer, corpus)
+    vocabulary = sorted(set().union(*analyzed.values()))
+    view = index.scoring_view(vocabulary)
+    for term in vocabulary:
+        rows, tf = view.postings[term]
+        for row, frequency in zip(rows.tolist(), tf.tolist()):
+            terms = analyzed[view.space.ids[row]]
+            assert frequency == len([p for p, t in enumerate(terms) if t == term]) > 0
 
 
 @given(corpora(), st.lists(words, min_size=1, max_size=4))
 @settings(max_examples=40, deadline=None)
 def test_bm25_scores_nonnegative(corpus, query_words):
     index = InvertedIndex.build(corpus)
+    analyzed = _analyzed(index.tokenizer, corpus)
     scores = BM25Scorer().score_query(index, query_words)
     assert all(value >= 0 for value in scores.values())
     # only documents containing at least one query term are scored
     for doc_id in scores:
-        assert any(index.term_frequency(w, doc_id) > 0 for w in query_words)
+        assert any(w in analyzed[doc_id] for w in query_words)
 
 
 @given(corpora(), st.lists(words, min_size=1, max_size=4), st.integers(1, 10))
@@ -91,39 +104,3 @@ def test_adding_matching_term_does_not_hurt(corpus):
     after = BM25Scorer().score_query(index_after, query_terms)
     assert not before
     assert set(after) == {doc.doc_id for doc in corpus}
-
-
-@given(corpora(), st.data())
-@settings(max_examples=40, deadline=None)
-def test_remove_document_inverts_add(corpus, data):
-    """Index-then-remove leaves statistics identical to never-adding."""
-    index = InvertedIndex.build(corpus)
-    victim = data.draw(st.sampled_from(corpus.doc_ids()))
-    index.remove_document(victim)
-    rebuilt = InvertedIndex.build(d for d in corpus if d.doc_id != victim)
-    assert index.stats == rebuilt.stats
-    assert index.vocabulary() == rebuilt.vocabulary()
-    for term in rebuilt.vocabulary():
-        assert index.document_frequency(term) == rebuilt.document_frequency(term)
-        assert sorted(index.postings(term), key=lambda p: p.doc_id) == sorted(
-            rebuilt.postings(term), key=lambda p: p.doc_id
-        )
-
-
-@given(corpora(), doc_texts, st.data())
-@settings(max_examples=40, deadline=None)
-def test_update_document_equals_fresh_build(corpus, new_text, data):
-    """Updating in place is indistinguishable from indexing fresh."""
-    index = InvertedIndex.build(corpus)
-    victim = data.draw(st.sampled_from(corpus.doc_ids()))
-    index.update_document(Document(doc_id=victim, text=new_text))
-    fresh = InvertedIndex.build(
-        Document(doc_id=d.doc_id, text=new_text) if d.doc_id == victim else d
-        for d in corpus
-    )
-    assert index.stats == fresh.stats
-    assert index.vocabulary() == fresh.vocabulary()
-    for term in fresh.vocabulary():
-        assert sorted(index.postings(term), key=lambda p: p.doc_id) == sorted(
-            fresh.postings(term), key=lambda p: p.doc_id
-        )

@@ -2,7 +2,6 @@
 
 import hashlib
 import itertools
-import json
 import string
 import unicodedata
 
@@ -10,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.retrieval.dense import _hashed_slot
-from repro.retrieval.sqlindex import _positions_text
 from repro.textproc import (
     STOPWORDS,
     Tokenizer,
@@ -96,8 +94,8 @@ def test_tokenizer_subset_of_unfiltered(words):
 
 
 # ---------------------------------------------------------------------------
-# The analysis pass: the terms, folds, positions text and hash slots the
-# indexes store must equal the straightforward computations they replace.
+# The analysis pass: the terms, folds and hash slots the indexes store
+# must equal the straightforward computations they replace.
 
 #: Pieces that exercise every analysis step: ASCII words and stopwords,
 #: apostrophe runs, accented letters, combining marks, ligatures and
@@ -154,11 +152,6 @@ def test_tokenize_equals_the_word_spans_chain_under_every_flag(text):
 @settings(max_examples=300)
 def test_strip_accents_is_the_nfkd_fold(text):
     assert strip_accents(text) == _nfkd_fold(text)
-
-
-@given(st.lists(st.integers(min_value=0, max_value=10**9), min_size=1, max_size=50))
-def test_positions_text_is_json(positions):
-    assert _positions_text(positions) == json.dumps(positions)
 
 
 @given(analysis_texts, st.integers(min_value=1, max_value=4096))

@@ -30,14 +30,16 @@ from repro.retrieval.bm25 import RowScores
 from repro.retrieval.index import RowSpace
 
 
+DOCS = [
+    Document(doc_id="a", text="apple banana apple"),
+    Document(doc_id="b", text="banana cherry banana cherry banana"),
+    Document(doc_id="c", text="cherry date elderberry fig grape"),
+]
+
+
 @pytest.fixture(scope="module")
 def index():
-    docs = [
-        Document(doc_id="a", text="apple banana apple"),
-        Document(doc_id="b", text="banana cherry banana cherry banana"),
-        Document(doc_id="c", text="cherry date elderberry fig grape"),
-    ]
-    return InvertedIndex.build(docs)
+    return InvertedIndex.build(DOCS)
 
 
 def test_bm25_param_validation():
@@ -49,7 +51,7 @@ def test_bm25_param_validation():
 
 def test_bm25_idf_nonnegative(index):
     scorer = BM25Scorer()
-    for term in index.vocabulary():
+    for term in set().union(*_analyzed(index.tokenizer, DOCS).values()):
         assert scorer.idf(index, term) >= 0.0
     assert scorer.idf(index, "absent") == 0.0
 
@@ -145,38 +147,52 @@ def test_top_k_equals_the_full_stable_sort(values, k, data):
 
 
 # ---------------------------------------------------------------------------
-# Scorers read (doc_id, tf) pairs; the loop over full postings is the oracle
+# Scorers read (doc_id, tf) pairs; loops over the analyzed text are the oracle
 
 
-def _reference_bm25(index, terms, k1=0.9, b=0.4):
+def _analyzed(tokenizer, documents):
+    """doc_id -> each document's analyzed terms, as an index tokenizes
+    them: the oracles count df, tf and lengths from the text, never from
+    the index under test."""
+    return {doc.doc_id: tokenizer.tokenize(doc.text + " " + doc.title) for doc in documents}
+
+
+def _documents(corpus):
+    """The documents of ``corpus`` (doc_id -> text)."""
+    return [Document(doc_id=doc_id, text=text) for doc_id, text in corpus.items()]
+
+
+def _reference_bm25(analyzed, terms, k1=0.9, b=0.4):
     scores = {}
-    n = len(index)
-    avgdl = index.stats.average_doc_length or 1.0
+    n = len(analyzed)
+    avgdl = (sum(map(len, analyzed.values())) / n if n else 0.0) or 1.0
     for term in terms:
-        df = index.document_frequency(term)
+        df = sum(term in doc_terms for doc_terms in analyzed.values())
         if df == 0:
             continue
         idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
-        for posting in index.postings(term):
-            tf = posting.term_frequency
-            dl = index.doc_length(posting.doc_id)
-            denom = tf + k1 * (1.0 - b + b * dl / avgdl)
-            scores[posting.doc_id] = scores.get(posting.doc_id, 0.0) + idf * tf * (k1 + 1.0) / denom
+        for doc_id, doc_terms in analyzed.items():
+            tf = doc_terms.count(term)
+            if tf:
+                denom = tf + k1 * (1.0 - b + b * len(doc_terms) / avgdl)
+                scores[doc_id] = scores.get(doc_id, 0.0) + idf * tf * (k1 + 1.0) / denom
     return scores
 
 
-def _reference_tfidf(index, terms):
+def _reference_tfidf(analyzed, terms):
     scores = {}
     for term in terms:
-        df = index.document_frequency(term)
+        df = sum(term in doc_terms for doc_terms in analyzed.values())
         if df == 0:
             continue
-        idf = math.log(1.0 + len(index) / df)
-        for posting in index.postings(term):
-            weight = (1.0 + math.log(posting.term_frequency)) * idf
-            scores[posting.doc_id] = scores.get(posting.doc_id, 0.0) + weight
+        idf = math.log(1.0 + len(analyzed) / df)
+        for doc_id, doc_terms in analyzed.items():
+            tf = doc_terms.count(term)
+            if tf:
+                weight = (1.0 + math.log(tf)) * idf
+                scores[doc_id] = scores.get(doc_id, 0.0) + weight
     for doc_id in list(scores):
-        length = index.doc_length(doc_id)
+        length = len(analyzed[doc_id])
         scores[doc_id] /= math.sqrt(length) if length > 0 else 1.0
     return scores
 
@@ -184,11 +200,11 @@ def _reference_tfidf(index, terms):
 def test_tfidf_takes_the_log_of_tf_with_math_log():
     """``np.log`` and ``math.log`` can differ in the last bit (they do for
     tf = 9170 with NumPy 2 on x86-64); the array path must use math.log."""
-    index = InvertedIndex.build(
-        [Document(doc_id="a", text="alpha " * 9170), Document(doc_id="b", text="bravo")]
-    )
+    docs = [Document(doc_id="a", text="alpha " * 9170), Document(doc_id="b", text="bravo")]
+    index = InvertedIndex.build(docs)
     scores = TfIdfScorer().score_query(index, ["alpha"])
-    assert scores["a"].hex() == _reference_tfidf(index, ["alpha"])["a"].hex()
+    reference = _reference_tfidf(_analyzed(index.tokenizer, docs), ["alpha"])
+    assert scores["a"].hex() == reference["a"].hex()
 
 
 def _reference_dense(index, dense_index, terms):
@@ -233,11 +249,18 @@ def test_scorers_equal_the_postings_loop(tiny_corpus, tmp_path, backend):
     else:
         target = open_index(tmp_path / "ix")
         target.add_many(tiny_corpus)
+    analyzed = _analyzed(target.tokenizer, tiny_corpus)
     try:
         for query in ("quick fox", "lazy dogs and cats", "quick quick brown", "absent"):
             terms = target.tokenizer.tokenize(query)
-            assert BM25Scorer().score_query(target, terms) == _reference_bm25(target, terms)
-            assert TfIdfScorer().score_query(target, terms) == _reference_tfidf(target, terms)
+            bm25 = BM25Scorer().score_query(target, terms)
+            tfidf = TfIdfScorer().score_query(target, terms)
+            assert {d: s.hex() for d, s in bm25.items()} == {
+                d: s.hex() for d, s in _reference_bm25(analyzed, terms).items()
+            }
+            assert {d: s.hex() for d, s in tfidf.items()} == {
+                d: s.hex() for d, s in _reference_tfidf(analyzed, terms).items()
+            }
     finally:
         if backend == "sqlite":
             target.close()
@@ -248,13 +271,14 @@ def test_scorers_equal_the_postings_loop(tiny_corpus, tmp_path, backend):
 
 
 class _DictScorer:
-    """A custom scorer returning a plain ``{doc_id: score}`` dict."""
+    """A custom scorer returning a plain ``{doc_id: score}`` dict: the
+    TF-IDF oracle over ``corpus`` (doc_id -> text) as it is at the call."""
 
-    def __init__(self, reference):
-        self.reference = reference
+    def __init__(self, corpus):
+        self.corpus = corpus
 
     def score_query(self, index, query_terms):
-        return self.reference(index, query_terms)
+        return _reference_tfidf(_analyzed(index.tokenizer, _documents(self.corpus)), query_terms)
 
 
 # "the" and "and" are stopwords: documents with no terms (no positive
@@ -290,11 +314,13 @@ def _oracle(scores, k):
     return [(doc_id, rank, score.hex()) for rank, (doc_id, score) in enumerate(ranked, start=1)]
 
 
-def _assert_rankings_match(index, dense_index, searchers, query, k, alpha):
-    """``searchers``: name -> Searcher; every one must equal its oracle."""
+def _assert_rankings_match(corpus, index, dense_index, searchers, query, k, alpha):
+    """``searchers``: name -> Searcher over ``index``, which holds
+    ``corpus`` (doc_id -> text); every one must equal its oracle."""
     terms = index.tokenizer.tokenize(query)
-    bm25 = _reference_bm25(index, terms)
-    tfidf = _reference_tfidf(index, terms)
+    analyzed = _analyzed(index.tokenizer, _documents(corpus))
+    bm25 = _reference_bm25(analyzed, terms)
+    tfidf = _reference_tfidf(analyzed, terms)
     dense = _reference_dense(index, dense_index, terms)
     oracles = {
         "bm25": bm25,
@@ -310,8 +336,8 @@ def _assert_rankings_match(index, dense_index, searchers, query, k, alpha):
         assert _ranking(searcher, query, k) == _oracle(oracles[name], k), name
 
 
-def _custom_searchers(cls, index, dense, alpha):
-    custom = _DictScorer(_reference_tfidf)
+def _custom_searchers(cls, corpus, index, dense, alpha):
+    custom = _DictScorer(corpus)
     return {
         "tfidf": cls(index, scorer=TfIdfScorer()),
         "custom": cls(index, scorer=custom),
@@ -323,38 +349,40 @@ def _custom_searchers(cls, index, dense, alpha):
 @given(corpora, steps, alphas)
 @settings(max_examples=60, deadline=None)
 def test_in_memory_rankings_equal_the_dict_oracle(corpus, steps, alpha):
-    """Adds, updates and removes interleave with searches, so a row space
-    kept past a change would rank a stale document set."""
-    index = InvertedIndex.build(Document(doc_id=d, text=t) for d, t in corpus.items())
-    dense_index = DenseIndex.build([Document(doc_id=d, text=t) for d, t in corpus.items()])
-    dense = DenseScorer(dense_index)
-    searchers = {
-        "bm25": Searcher(index),
-        "dense": Searcher(index, scorer=dense),
-        "minmax": Searcher(index, scorer=HybridScorer(BM25Scorer(), dense, alpha=alpha)),
-        "rrf": Searcher(
-            index,
-            scorer=ReciprocalRankFusionScorer(
-                [BM25Scorer(), dense], weights=[alpha, 1.0 - alpha]
-            ),
-        ),
-        **_custom_searchers(Searcher, index, dense, alpha),
-    }
+    """Puts and removes change the corpus between searches; each search
+    runs over an in-memory and a dense index built anew for the corpus
+    as it stands."""
+    corpus = dict(corpus)
     for step in steps + [("check", "alpha bravo alpha", 3), ("check", "echo delta", 10)]:
         if step[0] == "put":
-            doc = Document(doc_id=step[1], text=step[2])
-            (index.update_document if step[1] in index else index.add_document)(doc)
-        elif step[0] == "remove" and step[1] in index and len(index) > 1:
-            index.remove_document(step[1])
+            corpus[step[1]] = step[2]
+        elif step[0] == "remove" and step[1] in corpus and len(corpus) > 1:
+            del corpus[step[1]]
         elif step[0] == "check":
-            _assert_rankings_match(index, dense_index, searchers, step[1], step[2], alpha)
+            index = InvertedIndex.build(_documents(corpus))
+            dense_index = DenseIndex.build(_documents(corpus))
+            dense = DenseScorer(dense_index)
+            searchers = {
+                "bm25": Searcher(index),
+                "dense": Searcher(index, scorer=dense),
+                "minmax": Searcher(index, scorer=HybridScorer(BM25Scorer(), dense, alpha=alpha)),
+                "rrf": Searcher(
+                    index,
+                    scorer=ReciprocalRankFusionScorer(
+                        [BM25Scorer(), dense], weights=[alpha, 1.0 - alpha]
+                    ),
+                ),
+                **_custom_searchers(Searcher, corpus, index, dense, alpha),
+            }
+            _assert_rankings_match(corpus, index, dense_index, searchers, step[1], step[2], alpha)
 
 
 @given(corpora, steps, alphas)
 @settings(max_examples=40, deadline=None)
 def test_persistent_rankings_equal_the_dict_oracle(corpus, steps, alpha):
+    corpus = dict(corpus)
     with tempfile.TemporaryDirectory() as tmp, open_index(Path(tmp) / "ix", dense=True) as ix:
-        ix.add_many(Document(doc_id=d, text=t) for d, t in corpus.items())
+        ix.add_many(_documents(corpus))
         dense = DenseScorer(ix.dense_view())
         searchers = {
             mode if mode != "hybrid" else fusion: SqliteSearcher(
@@ -364,11 +392,15 @@ def test_persistent_rankings_equal_the_dict_oracle(corpus, steps, alpha):
                 ("bm25", "minmax"), ("dense", "minmax"), ("hybrid", "minmax"), ("hybrid", "rrf"),
             ]
         }
-        searchers.update(_custom_searchers(SqliteSearcher, ix, dense, alpha))
+        searchers.update(_custom_searchers(SqliteSearcher, corpus, ix, dense, alpha))
         for step in steps + [("check", "alpha bravo alpha", 3), ("check", "echo delta", 10)]:
             if step[0] == "put":
                 ix.add(Document(doc_id=step[1], text=step[2]))
+                corpus[step[1]] = step[2]
             elif step[0] == "remove" and step[1] in ix and len(ix) > 1:
                 ix.remove(step[1])
+                del corpus[step[1]]
             elif step[0] == "check":
-                _assert_rankings_match(ix, ix.dense_view(), searchers, step[1], step[2], alpha)
+                _assert_rankings_match(
+                    corpus, ix, ix.dense_view(), searchers, step[1], step[2], alpha
+                )

@@ -50,43 +50,47 @@ def test_corpus_json_roundtrip(tiny_corpus):
     json.loads(tiny_corpus.to_json())  # valid JSON
 
 
+def _postings(index, term):
+    """``term``'s postings in ``index``'s scoring view, doc_id -> tf."""
+    rows, tf = index.scoring_view([term]).postings[term]
+    return dict(zip([index.row_space().ids[row] for row in rows.tolist()], tf.tolist()))
+
+
 def test_index_document_frequency(tiny_index):
-    assert tiny_index.document_frequency("quick") == 3
-    assert tiny_index.document_frequency("fox") == 3  # foxes stems to fox
-    assert tiny_index.document_frequency("absent") == 0
+    view = tiny_index.scoring_view(["quick", "fox", "absent"])
+    assert view.frequency("quick") == 3
+    assert view.frequency("fox") == 3  # foxes stems to fox
+    assert view.frequency("absent") == 0
 
 
 def test_index_term_frequency(tiny_index):
-    assert tiny_index.term_frequency("quick", "d4") == 3
-    assert tiny_index.term_frequency("quick", "d3") == 0
-
-
-def test_index_positions(tiny_index):
-    postings = tiny_index.postings("quick")
-    by_doc = {p.doc_id: p for p in postings}
-    assert by_doc["d4"].positions == (0, 1, 2)
+    assert _postings(tiny_index, "quick") == {"d1": 1, "d2": 1, "d4": 3}
+    assert "d3" not in _postings(tiny_index, "quick")
 
 
 def test_index_doc_length(tiny_index):
     # "the quick brown fox jumps over the lazy dog" minus stopwords
-    assert tiny_index.doc_length("d1") == 6
-    with pytest.raises(UnknownDocumentError):
-        tiny_index.doc_length("nope")
+    space = tiny_index.row_space()
+    assert space.ids == ["d1", "d2", "d3", "d4"]
+    assert space.lengths.dtype == np.int64
+    assert space.lengths[space.row_of("d1")] == 6
+    assert space.row_of("nope") is None
 
 
 def test_index_title_indexed():
     index = InvertedIndex.build(
         [Document(doc_id="d", text="body words", title="tiger")]
     )
-    assert index.document_frequency("tiger") == 1
+    assert index.scoring_view(["tiger"]).frequency("tiger") == 1
 
 
-def test_index_stats(tiny_index):
+def test_index_stats(tiny_index, tiny_corpus):
     stats = tiny_index.stats
+    analyzed = [tiny_index.tokenizer.tokenize(d.text + " " + d.title) for d in tiny_corpus]
     assert stats.num_documents == 4
-    assert stats.total_terms > 0
+    assert stats.total_terms == sum(map(len, analyzed)) > 0
     assert stats.average_doc_length == stats.total_terms / 4
-    assert stats.vocabulary_size == len(tiny_index.vocabulary())
+    assert stats.vocabulary_size == len(set().union(*analyzed))
 
 
 def test_empty_index_stats():
@@ -95,62 +99,20 @@ def test_empty_index_stats():
     assert len(index) == 0
 
 
-def test_index_contains_and_documents(tiny_index):
+def test_index_contains_and_documents(tiny_index, tiny_corpus):
     assert "d1" in tiny_index
     assert "zz" not in tiny_index
-    assert [d.doc_id for d in tiny_index.documents()] == ["d1", "d2", "d3", "d4"]
+    ids = ["d3", "d1", "d4", "d2", "d1"]
+    assert tiny_index.fetch_documents(ids) == [tiny_corpus.get(d) for d in ids]
+    with pytest.raises(UnknownDocumentError):
+        tiny_index.fetch_documents(["d1", "zz"])
 
 
 def test_index_custom_tokenizer(tiny_corpus):
     index = InvertedIndex.build(tiny_corpus, tokenizer=Tokenizer(stem=False))
-    assert index.document_frequency("foxes") == 1
-    assert index.document_frequency("fox") == 2
-
-
-def test_remove_document_restores_pre_add_state(tiny_corpus):
-    index = InvertedIndex.build(tiny_corpus)
-    removed = index.remove_document("d4")
-    assert removed.doc_id == "d4"
-    rebuilt = InvertedIndex.build(d for d in tiny_corpus if d.doc_id != "d4")
-    assert index.stats == rebuilt.stats
-    assert index.vocabulary() == rebuilt.vocabulary()
-    assert "d4" not in index
-    # The title-only term disappeared with its sole document.
-    assert index.document_frequency("everywher") == 0
-
-
-def test_remove_document_unknown_raises(tiny_index):
-    index = InvertedIndex.build(tiny_index.documents())
-    with pytest.raises(UnknownDocumentError):
-        index.remove_document("missing")
-
-
-def test_remove_then_readd_roundtrips(tiny_corpus):
-    index = InvertedIndex.build(tiny_corpus)
-    baseline = index.stats
-    doc = index.remove_document("d2")
-    index.add_document(doc)
-    assert index.stats == baseline
-    assert index.document("d2") == doc
-
-
-def test_update_document_replaces_content(tiny_corpus):
-    index = InvertedIndex.build(tiny_corpus)
-    from repro.retrieval import Document
-
-    index.update_document(Document(doc_id="d3", text="zebra crossings"))
-    assert index.document_frequency("zebra") == 1
-    # No stale postings from the old content survive.
-    assert all(p.doc_id != "d3" for p in index.postings("cat"))
-    assert index.document("d3").text == "zebra crossings"
-
-
-def test_update_document_unknown_raises(tiny_corpus):
-    from repro.retrieval import Document
-
-    index = InvertedIndex.build(tiny_corpus)
-    with pytest.raises(UnknownDocumentError):
-        index.update_document(Document(doc_id="missing", text="x"))
+    view = index.scoring_view(["foxes", "fox"])
+    assert view.frequency("foxes") == 1
+    assert view.frequency("fox") == 2
 
 
 def test_corpus_remove(tiny_corpus):

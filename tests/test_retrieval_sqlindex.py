@@ -1,6 +1,7 @@
 """Persistent SQLite index: incremental indexing, warm restarts,
 concurrency, corruption, and hybrid scoring over it."""
 
+import json
 import sqlite3
 import sys
 import threading
@@ -19,6 +20,7 @@ from repro.retrieval import (
     DB_NAME,
     BM25Scorer,
     Document,
+    HashedEmbedder,
     InvertedIndex,
     Searcher,
     SqliteIndex,
@@ -31,6 +33,7 @@ from repro.retrieval import (
 from repro.retrieval import sqlindex
 from repro.retrieval.sqlindex import SCHEMA_VERSION, content_hash
 from repro.textproc import Tokenizer
+from tests.test_retrieval_bm25 import _analyzed
 
 
 @pytest.fixture()
@@ -49,24 +52,38 @@ def index(tmp_path, docs):
 # Protocol parity with the in-memory index
 
 
+def _length(ix, doc_id):
+    """``doc_id``'s analyzed length in ``ix``'s row space."""
+    space = ix.row_space()
+    return int(space.lengths[space.row_of(doc_id)])
+
+
+def _text(ix, doc_id):
+    return ix.fetch_documents([doc_id])[0].text
+
+
+def _frequency(ix, term):
+    return ix.scoring_view([term]).frequency(term)
+
+
 def test_read_protocol_matches_inverted_index(index, docs):
     mem = InvertedIndex.build(docs)
     assert len(index) == len(mem)
-    assert sorted(index.vocabulary()) == sorted(mem.vocabulary())
     for doc in docs:
-        assert doc.doc_id in index
-        assert index.doc_length(doc.doc_id) == mem.doc_length(doc.doc_id)
-        assert index.document(doc.doc_id) == mem.document(doc.doc_id)
+        assert doc.doc_id in index and doc.doc_id in mem
+    assert "missing" not in index and "missing" not in mem
+    space, mem_space = index.row_space(), mem.row_space()
+    assert space.ids == mem_space.ids
+    assert space.lengths.dtype == mem_space.lengths.dtype
+    assert np.array_equal(space.lengths, mem_space.lengths)
     ids = [doc.doc_id for doc in reversed(docs)]
     assert index.fetch_documents(ids) == mem.fetch_documents(ids) == docs[::-1]
-    for term in mem.vocabulary():
-        assert index.document_frequency(term) == mem.document_frequency(term)
-        assert sorted(index.postings(term), key=lambda p: p.doc_id) == sorted(
-            mem.postings(term), key=lambda p: p.doc_id
-        )
+    terms = sorted(set().union(*_analyzed(index.tokenizer, docs).values())) + ["absent"]
+    view, mem_view = index.scoring_view(terms), mem.scoring_view(terms)
+    assert view.total_terms == mem_view.total_terms
+    for term in terms:
+        assert _postings_of(view, term) == _postings_of(mem_view, term)
     assert index.stats == mem.stats
-    assert index.term_frequency("quick", "d4") == mem.term_frequency("quick", "d4")
-    assert index.term_frequency("quick", "d3") == 0
 
 
 def test_bm25_rankings_match_inverted_index(index, docs):
@@ -93,29 +110,40 @@ def _postings_of(view, term):
 
 def test_scoring_view_holds_postings_without_positions(index, docs):
     mem = InvertedIndex.build(docs)
-    terms = mem.vocabulary() + ["absent"]
+    analyzed = _analyzed(index.tokenizer, docs)
+    terms = sorted(set().union(*analyzed.values())) + ["absent"]
     for target in (index, mem):
         view = target.scoring_view(terms)
         assert view.space.ids == sorted(doc.doc_id for doc in docs)
         assert (len(view.space), view.total_terms) == (
-            mem.stats.num_documents, mem.stats.total_terms
+            len(docs), sum(map(len, analyzed.values()))
         )
         assert target.stats == mem.stats
         for term in terms:
-            expected = [(p.doc_id, p.term_frequency) for p in index.postings(term)]
+            expected = sorted((d, t.count(term)) for d, t in analyzed.items() if term in t)
             assert _postings_of(view, term) == expected
+    with index.snapshot() as conn:
+        columns = [row[1] for row in conn.execute("PRAGMA table_info(postings)")]
+    assert columns == ["term", "doc_id", "tf"]
 
 
-def test_documents_in_first_indexed_order(index, docs):
-    assert [d.doc_id for d in index.documents()] == [d.doc_id for d in docs]
-    assert index.doc_ids() == [d.doc_id for d in docs]
+def test_doc_ids_come_in_doc_id_order(tmp_path, docs):
+    """``doc_ids`` lists the ids in doc_id order whatever order they
+    were written in, with one statement that loads no read view."""
+    with open_index(tmp_path / "ix") as ix:
+        ix.add_many(docs[::-1])
+        ix.update(Document(docs[0].doc_id, "rewritten"))
+        with _statements_on(ix._conn()) as statements:
+            assert ix.doc_ids() == sorted(d.doc_id for d in docs)
+        assert len(statements) == 1
+        assert ix._view is None
 
 
 def test_missing_document_raises(index):
     with pytest.raises(UnknownDocumentError):
-        index.document("missing")
-    with pytest.raises(UnknownDocumentError):
-        index.doc_length("missing")
+        index.fetch_documents(["missing"])
+    assert "missing" not in index
+    assert index.row_space().row_of("missing") is None
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +156,7 @@ def test_add_reports_outcomes(tmp_path, docs):
         assert ix.add(docs[0]) == "unchanged"
         changed = Document(doc_id=docs[0].doc_id, text="entirely new text")
         assert ix.add(changed) == "updated"
-        assert ix.document(docs[0].doc_id).text == "entirely new text"
+        assert _text(ix, docs[0].doc_id) == "entirely new text"
 
 
 def test_unchanged_readd_is_a_noop(index, docs):
@@ -142,9 +170,10 @@ def test_update_replaces_postings_atomically(index):
     changed = Document(doc_id="d1", text="zebra stripes")
     assert index.update(changed) == "updated"
     # The old content's postings are fully withdrawn.
-    assert all(p.doc_id != "d1" for p in index.postings("lazi"))
-    assert index.document_frequency("zebra") == 1
-    assert index.doc_length("d1") == 2
+    view = index.scoring_view(["lazi", "zebra"])
+    assert _postings_of(view, "lazi") == []
+    assert _postings_of(view, "zebra") == [("d1", 1)]
+    assert _length(index, "d1") == 2
 
 
 def test_update_requires_existing_document(index):
@@ -158,7 +187,12 @@ def test_remove_withdraws_every_contribution(tmp_path, docs):
         ix.remove("d4")
         rebuilt = InvertedIndex.build([d for d in docs if d.doc_id != "d4"])
         assert ix.stats == rebuilt.stats
-        assert sorted(ix.vocabulary()) == sorted(rebuilt.vocabulary())
+        terms = sorted(set().union(*_analyzed(ix.tokenizer, docs).values()))
+        view, expected = ix.scoring_view(terms), rebuilt.scoring_view(terms)
+        for term in terms:
+            assert _postings_of(view, term) == _postings_of(expected, term)
+        # The title-only term went with its sole document.
+        assert view.frequency("everywher") == 0
         assert "d4" not in ix
         with pytest.raises(UnknownDocumentError):
             ix.remove("d4")
@@ -179,13 +213,13 @@ def test_add_many_repeating_a_doc_id_acts_as_successive_adds(tmp_path):
         second = Document(doc_id="d", text="bravo")
         outcome = ix.add_many([first, first, second])
         assert outcome == {"added": 1, "updated": 1, "unchanged": 1}
-        assert ix.document("d").text == "bravo"
+        assert _text(ix, "d") == "bravo"
         assert (len(ix), ix.stats.vocabulary_size) == (1, 1)
         # A later copy is checked against the copy before it, not
         # against what was stored before the batch.
         outcome = ix.add_many([first, second])
         assert outcome == {"added": 0, "updated": 2, "unchanged": 0}
-        assert ix.document("d").text == "bravo"
+        assert _text(ix, "d") == "bravo"
 
 
 def test_re_adding_an_unchanged_document_takes_no_write_lock(tmp_path, docs, monkeypatch):
@@ -256,7 +290,7 @@ def test_add_after_a_concurrent_add_rereads_the_document(raced, monkeypatch, tex
     ix, root = raced
     _race_next_write(monkeypatch, root, lambda other: other.add(Document("d5", "quick fox")))
     assert ix.add(Document("d5", text)) == outcome
-    assert ix.document("d5").text == text
+    assert _text(ix, "d5") == text
     _assert_equals_fresh(ix, root)
 
 
@@ -266,7 +300,7 @@ def test_add_many_after_a_concurrent_add_rereads_the_document(raced, monkeypatch
     _race_next_write(monkeypatch, root, lambda other: other.add(Document("d5", "quick fox")))
     counts = ix.add_many([Document("d5", text), Document("d6", "brown dogs")])
     assert counts == {"added": 1, "updated": 0, "unchanged": 0, outcome: 1}
-    assert ix.document("d5").text == text
+    assert _text(ix, "d5") == text
     _assert_equals_fresh(ix, root)
 
 
@@ -340,7 +374,7 @@ def test_reopen_adopts_stored_tokenizer(tmp_path):
     with open_index(tmp_path / "ix") as ix:
         assert ix.tokenizer.stem is False
         assert ix.tokenizer.remove_stopwords is False
-        assert ix.document_frequency("running") == 1  # not stemmed
+        assert _frequency(ix, "running") == 1  # not stemmed
 
 
 def test_reopen_with_conflicting_tokenizer_rejected(tmp_path):
@@ -363,23 +397,6 @@ def test_schema_version_mismatch_rejected(tmp_path):
     conn.close()
     with pytest.raises(RetrievalError, match="schema version"):
         open_index(tmp_path / "ix")
-
-
-def test_positions_are_stored_whatever_the_meta_key_says(tmp_path):
-    with open_index(tmp_path / "ix") as ix:
-        ix.add(Document(doc_id="a", text="quick quick fox"))
-        path = ix.path
-    conn = sqlite3.connect(str(path))
-    written = dict(conn.execute("SELECT key, value FROM meta"))["store_positions"]
-    # A file an older build made without positions.
-    conn.execute("UPDATE meta SET value = '0' WHERE key = 'store_positions'")
-    conn.commit()
-    conn.close()
-    with open_index(tmp_path / "ix") as ix:
-        ix.add(Document(doc_id="b", text="fox quick"))
-        positions = {p.doc_id: p.positions for p in ix.postings("quick")}
-    assert written == "1"
-    assert positions == {"a": (0, 1), "b": (1,)}
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +422,7 @@ def test_truncated_database_raises_retrieval_error(tmp_path, docs):
     path.write_bytes(blob[:120])
     with pytest.raises(RetrievalError):
         with open_index(tmp_path / "ix") as ix:
-            ix.postings("quick")
+            ix.scoring_view(["quick"])
 
 
 def test_every_read_of_a_damaged_file_raises_retrieval_error(tmp_path, docs):
@@ -416,22 +433,18 @@ def test_every_read_of_a_damaged_file_raises_retrieval_error(tmp_path, docs):
         ix.add_many(docs)
         path = ix.path
     document_reads = [
-        lambda ix: ix.document("d1"),
         lambda ix: ix.fetch_documents(["d1"]),
-        lambda ix: ix.documents(),
         lambda ix: ix.doc_ids(),
         lambda ix: len(ix),
         lambda ix: "d1" in ix,
-        lambda ix: ix.doc_length("d1"),
+        lambda ix: ix.row_space(),
         lambda ix: ix.stats,
         lambda ix: SqliteSearcher(ix).search("quick", k=2),
     ]
     postings_reads = [
-        lambda ix: ix.vocabulary(),
-        lambda ix: ix.document_frequency("quick"),
-        lambda ix: ix.term_frequency("quick", "d4"),
         lambda ix: ix.scoring_view(["quick"]),
-        lambda ix: ix.postings("quick"),
+        lambda ix: ix.stats,
+        lambda ix: SqliteSearcher(ix).search("quick", k=2),
     ]
     for table, reads in (("documents", document_reads), ("postings", postings_reads)):
         conn = sqlite3.connect(str(path))
@@ -456,7 +469,7 @@ def test_closed_index_rejects_use(tmp_path, docs):
     ix.add(docs[0])
     ix.close()
     with pytest.raises(RetrievalError, match="closed"):
-        ix.postings("quick")
+        ix.scoring_view(["quick"])
 
 
 def test_empty_index_search_raises(tmp_path):
@@ -598,12 +611,15 @@ def test_snapshot_isolates_a_search_from_commits(tmp_path, docs):
         writer = open_index(tmp_path / "ix")
         try:
             with ix.snapshot():
-                before = ix.document_frequency("quick")
+                before = _frequency(ix, "quick")
                 writer.add(Document(doc_id="d9", text="quick quick"))
-                assert ix.document_frequency("quick") == before
+                assert _frequency(ix, "quick") == before
+                with pytest.raises(UnknownDocumentError):
+                    ix.fetch_documents(["d9"])
             # A fresh snapshot observes the external commit.
             with ix.snapshot():
-                assert ix.document_frequency("quick") == before + 1
+                assert _frequency(ix, "quick") == before + 1
+                assert _text(ix, "d9") == "quick quick"
         finally:
             writer.close()
 
@@ -619,7 +635,7 @@ def test_cross_handle_cache_invalidation(tmp_path, docs):
         finally:
             other.close()
         assert len(ix) == 5
-        assert ix.doc_length("d5") == 2  # "a" is a stopword: fifth, document
+        assert _length(ix, "d5") == 2  # "a" is a stopword: fifth, document
 
 
 # ---------------------------------------------------------------------------
@@ -642,10 +658,10 @@ def test_old_snapshot_never_serves_its_view_to_newer_reads(tmp_path, docs):
 
         def reader():
             with ix.snapshot():
-                ix.document_frequency("quick")  # the read transaction is open
+                ix.fetch_documents(["d1"])  # the read transaction is open
                 pinned.set()
                 written.wait(timeout=10)
-                seen.append((len(ix), "d5" in ix, ix.doc_length("d1")))
+                seen.append((len(ix), "d5" in ix, _length(ix, "d1")))
 
         thread = threading.Thread(target=reader)
         thread.start()
@@ -654,7 +670,7 @@ def test_old_snapshot_never_serves_its_view_to_newer_reads(tmp_path, docs):
         written.set()
         thread.join(timeout=10)
         assert not thread.is_alive()
-        d1_length = InvertedIndex.build(docs).doc_length("d1")
+        d1_length = _length(InvertedIndex.build(docs), "d1")
         assert seen == [(4, False, d1_length)]
         assert searcher.search("quick", k=5).doc_ids()[0] == "d5"
         assert len(ix) == 5
@@ -667,7 +683,7 @@ def test_membership_sees_another_handles_commit(tmp_path, docs):
         with open_index(tmp_path / "ix") as other:
             other.add(Document(doc_id="d5", text="a fifth document"))
         assert "d5" in ix
-        assert ix.doc_length("d5") == 2
+        assert _length(ix, "d5") == 2
         revised = Document(doc_id="d5", text="a fifth document, revised")
         assert ix.update(revised) == "updated"
 
@@ -679,7 +695,7 @@ def test_nested_snapshot_joins_the_outer_one(tmp_path, docs):
         expected = _ranking(searcher.search("quick fox", k=4))
         with open_index(tmp_path / "ix") as writer:
             with ix.snapshot():
-                ix.document_frequency("quick")
+                ix.fetch_documents(["d1"])  # the read transaction is open
                 writer.add(Document(doc_id="d9", text="quick quick fox fox"))
                 inner = _ranking(searcher.search("quick fox", k=4))
         assert inner == expected  # the outer snapshot's version
@@ -739,10 +755,9 @@ def test_loaded_terms_fold_forward_with_own_writes(tmp_path, docs):
             result = searcher.search(query, k=5)
             with open_index(tmp_path / "ix") as fresh:
                 cold = SqliteSearcher(fresh, scorer=BM25Scorer()).search(query, k=5)
-                expected = {
-                    term: [(p.doc_id, p.term_frequency) for p in fresh.postings(term)]
-                    for term in fresh.tokenizer.tokenize(query)
-                }
+                terms = fresh.tokenizer.tokenize(query)
+                view = fresh.scoring_view(terms)
+                expected = {term: _postings_of(view, term) for term in terms}
             assert _ranking(result) == _ranking(cold)
             assert _loaded_postings(ix) == expected
         assert ix.counters["term_loads"] == loads
@@ -1086,26 +1101,154 @@ def test_a_second_fold_of_one_view_copies_instead_of_appending():
     assert buffers["t"].extends(again["t"][0])  # the newest copy is kept
 
 
-def test_v1_file_upgrades_on_open_and_ranks_as_before(tmp_path, docs):
-    with open_index(tmp_path / "ix", dense=True) as ix:
-        ix.add_many(docs)
-        scorer = make_retrieval_scorer(ix, mode="hybrid", fusion="rrf")
-        before = _ranking(SqliteSearcher(ix, scorer=scorer).search("quick fox", k=4))
-        path = ix.path
-    conn = sqlite3.connect(str(path))
-    conn.execute("DELETE FROM meta WHERE key = 'generation'")
-    conn.execute("UPDATE meta SET value = '1' WHERE key = 'schema_version'")
+#: The layout of schema versions 1 and 2 (version 2 added only the
+#: ``generation`` meta key): version 3 dropped ``documents.seq`` and its
+#: index, ``postings.positions`` and ``vectors.dimensions``.
+_V2_SCHEMA = """
+CREATE TABLE meta (
+    key   TEXT PRIMARY KEY,
+    value TEXT NOT NULL
+);
+CREATE TABLE documents (
+    doc_id       TEXT PRIMARY KEY,
+    title        TEXT NOT NULL,
+    text         TEXT NOT NULL,
+    metadata     TEXT NOT NULL,
+    content_hash TEXT NOT NULL,
+    doc_length   INTEGER NOT NULL,
+    seq          INTEGER NOT NULL
+);
+CREATE INDEX documents_by_seq ON documents (seq);
+CREATE TABLE postings (
+    term      TEXT NOT NULL,
+    doc_id    TEXT NOT NULL,
+    tf        INTEGER NOT NULL,
+    positions TEXT NOT NULL,
+    PRIMARY KEY (term, doc_id)
+) WITHOUT ROWID;
+CREATE INDEX postings_by_doc ON postings (doc_id);
+CREATE TABLE vectors (
+    doc_id     TEXT PRIMARY KEY,
+    dimensions INTEGER NOT NULL,
+    vector     BLOB NOT NULL
+);
+"""
+
+
+def _write_old_index(root, docs, version):
+    """A dense index over ``docs`` as a version-1 or version-2 build
+    wrote it: every column and meta key of that layout, filled."""
+    tokenizer = Tokenizer()
+    embedder = HashedEmbedder(tokenizer=tokenizer)
+    meta = {
+        "schema_version": str(version),
+        "tokenizer": json.dumps(sqlindex._tokenizer_config(tokenizer)),
+        "store_positions": "1",
+        "embedder_dimensions": str(embedder.dimensions),
+    }
+    if version == 2:
+        meta["generation"] = "0"
+    root.mkdir()
+    conn = sqlite3.connect(str(root / DB_NAME))
+    conn.executescript(_V2_SCHEMA)
+    conn.executemany("INSERT INTO meta VALUES (?, ?)", meta.items())
+    for seq, doc in enumerate(docs, start=1):
+        terms = tokenizer.tokenize(doc.text + " " + doc.title)
+        positions = {}
+        for position, term in enumerate(terms):
+            positions.setdefault(term, []).append(position)
+        conn.execute(
+            "INSERT INTO documents VALUES (?, ?, ?, ?, ?, ?, ?)",
+            (
+                doc.doc_id, doc.title, doc.text,
+                json.dumps(dict(doc.metadata), sort_keys=True, ensure_ascii=False),
+                content_hash(doc), len(terms), seq,
+            ),
+        )
+        conn.executemany(
+            "INSERT INTO postings VALUES (?, ?, ?, ?)",
+            [(term, doc.doc_id, len(at), json.dumps(at)) for term, at in positions.items()],
+        )
+        vector = embedder.embed_terms(terms).tobytes()
+        conn.execute(
+            "INSERT INTO vectors VALUES (?, ?, ?)", (doc.doc_id, embedder.dimensions, vector)
+        )
     conn.commit()
     conn.close()
-    with open_index(tmp_path / "ix") as ix:
-        scorer = make_retrieval_scorer(ix, mode="hybrid", fusion="rrf")
-        after = _ranking(SqliteSearcher(ix, scorer=scorer).search("quick fox", k=4))
-        ix.remove("d3")
-    conn = sqlite3.connect(str(path))
-    meta = dict(conn.execute("SELECT key, value FROM meta"))
+
+
+def _layout(root):
+    """(meta, each table's columns, the index names) of the file at ``root``."""
+    conn = sqlite3.connect(str(root / DB_NAME))
+    try:
+        meta = dict(conn.execute("SELECT key, value FROM meta"))
+        columns = {
+            table: [row[1] for row in conn.execute(f"PRAGMA table_info({table})")]
+            for table in ("documents", "postings", "vectors")
+        }
+        indexes = {
+            row[0] for row in conn.execute("SELECT name FROM sqlite_master WHERE type = 'index'")
+        }
+    finally:
+        conn.close()
+    return meta, columns, indexes
+
+
+def _assert_upgrades_and_ranks_as_a_fresh_index(tmp_path, docs, version):
+    """A dense file an older build wrote opens as version 3, holding
+    none of the dropped columns, and ranks in every mode as a version-3
+    index built over the same documents, by ``float.hex``, before and
+    after writes."""
+    old, new = tmp_path / "old", tmp_path / "new"
+    _write_old_index(old, docs, version)
+    query = "quick brown fox dog"
+    with open_index(old) as ix, open_index(new, dense=True) as fresh:
+        fresh.add_many(docs)
+        assert _rankings_in_every_mode(ix, query) == _rankings_in_every_mode(fresh, query)
+        for target in (ix, fresh):
+            target.remove("d3")
+            target.update(Document("d1", "quick quick dog"))
+            target.add(Document("d5", "brown fox fox"))
+        assert _rankings_in_every_mode(ix, query) == _rankings_in_every_mode(fresh, query)
+        assert (ix.stats, ix.doc_ids()) == (fresh.stats, fresh.doc_ids())
+    meta, columns, indexes = _layout(old)
+    # A version-1 file had no stamp: it starts at 0, as version 2's did.
+    assert (meta["schema_version"], meta["generation"]) == (str(SCHEMA_VERSION), "3")
+    assert "store_positions" not in meta
+    assert columns == {
+        "documents": ["doc_id", "title", "text", "metadata", "content_hash", "doc_length"],
+        "postings": ["term", "doc_id", "tf"],
+        "vectors": ["doc_id", "vector"],
+    }
+    assert "documents_by_seq" not in indexes
+    assert _layout(old)[1:] == _layout(new)[1:]
+    with open_index(old) as reopened:  # a version-3 file opens as it is
+        assert reopened.doc_ids() == ["d1", "d2", "d4", "d5"]
+
+
+def test_v1_file_upgrades_on_open_and_ranks_as_before(tmp_path, docs):
+    _assert_upgrades_and_ranks_as_a_fresh_index(tmp_path, docs, 1)
+
+
+def test_v2_file_upgrades_on_open_and_ranks_as_before(tmp_path, docs):
+    _assert_upgrades_and_ranks_as_a_fresh_index(tmp_path, docs, 2)
+
+
+def test_a_failed_upgrade_raises_and_leaves_the_file_at_v2(tmp_path, docs):
+    """An upgrade runs in one write transaction: when a statement fails
+    (here the index it drops is already gone), opening raises
+    RetrievalError and the file keeps its version-2 layout whole."""
+    root = tmp_path / "ix"
+    _write_old_index(root, docs, 2)
+    conn = sqlite3.connect(str(root / DB_NAME))
+    conn.execute("DROP INDEX documents_by_seq")
+    conn.commit()
     conn.close()
-    assert after == before
-    assert (meta["schema_version"], meta["generation"]) == (str(SCHEMA_VERSION), "1")
+    before = _layout(root)
+    with pytest.raises(RetrievalError, match="upgrade"):
+        open_index(root)
+    assert _layout(root) == before
+    assert before[0]["schema_version"] == "2" and "seq" in before[1]["documents"]
 
 
 # ---------------------------------------------------------------------------
@@ -1326,11 +1469,11 @@ def test_a_search_enters_one_snapshot(tmp_path, monkeypatch, mode):
         assert (ix.counters["view_loads"], ix.counters["view_folds"]) == (1, 1)
 
 
-def test_search_all_reads_every_winner_as_document_does(tmp_path):
+def test_search_all_reads_every_winner_as_stored(tmp_path):
     """More documents than one fetch statement binds: ``search_all``
-    returns each winner's id, rank, score and document exactly as
-    ranking alone and one ``document()`` call per winner give them, in
-    rank order; a fetch of an id the index does not hold raises."""
+    returns each winner's id, rank and score exactly as ranking alone
+    gives them, in rank order, with the document as it was added; a
+    fetch of an id the index does not hold raises."""
     count = sqlindex._FETCH_CHUNK + 60
     docs = [
         Document(f"d{i:04d}", f"common word{i % 7} text {i}", f"t{i % 3}", {"i": str(i)})
@@ -1344,14 +1487,15 @@ def test_search_all_reads_every_winner_as_document_does(tmp_path):
         assert sum(_FETCH in sql for sql in statements) == 2
         terms = ix.tokenizer.tokenize("common word3")
         ranked = top_k(BM25Scorer().score_query(ix, terms), count)
+        by_id = {doc.doc_id: doc for doc in docs}
         assert [(s.doc_id, s.rank, s.score.hex(), s.document) for s in sources] == [
-            (doc_id, rank, score.hex(), ix.document(doc_id))
+            (doc_id, rank, score.hex(), by_id[doc_id])
             for rank, (doc_id, score) in enumerate(ranked, start=1)
         ]
         assert len(sources) == count
         assert sorted((s.document for s in sources), key=lambda d: d.doc_id) == docs
         some = [docs[5].doc_id, docs[-1].doc_id, docs[5].doc_id, docs[0].doc_id]
-        assert ix.fetch_documents(some) == [ix.document(doc_id) for doc_id in some]
+        assert ix.fetch_documents(some) == [by_id[doc_id] for doc_id in some]
         assert ix.fetch_documents([]) == []
         for missing in (["missing"], [d.doc_id for d in docs] + ["missing"]):
             with pytest.raises(UnknownDocumentError):
