@@ -116,10 +116,10 @@ def test_e11_dense_and_hybrid(corpus_and_relevant, index):
     assert quality["hybrid"] >= quality["dense"]
 
 
-def test_e11_dense_query_throughput(benchmark, corpus_and_relevant):
-    from repro.retrieval import DenseIndex
+def test_e11_dense_query_throughput(benchmark, corpus_and_relevant, index):
+    from repro.retrieval import DenseIndex, DenseScorer
 
     corpus, _ = corpus_and_relevant
-    dense_index = DenseIndex.build(list(corpus))
-    results = benchmark(lambda: dense_index.search(QUERY, k=20))
-    assert len(results) == 20
+    searcher = Searcher(index, scorer=DenseScorer(DenseIndex.build(list(corpus))))
+    result = benchmark(lambda: searcher.search(QUERY, k=20))
+    assert len(result) == 20

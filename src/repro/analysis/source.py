@@ -72,8 +72,8 @@ def build_import_map(
     import request`` maps ``request -> urllib.request``; ``from random
     import sample as s`` maps ``s -> random.sample``.  With ``module``
     (the importing module's dotted name) relative imports resolve too:
-    ``from .coalesce import SingleFlight`` inside ``repro.llm.cache``
-    maps ``SingleFlight -> repro.llm.coalesce.SingleFlight``.
+    ``from .coalesce import FlightMap`` inside ``repro.llm.cache``
+    maps ``FlightMap -> repro.llm.coalesce.FlightMap``.
     """
     imports: Dict[str, str] = {}
     for node in ast.walk(tree):

@@ -4,7 +4,7 @@ and the deterministic simulated model (Llama-2-7B-chat substitute).
 
 from .base import GenerationResult, LanguageModel, TokenUsage
 from .cache import CacheStats, CachingLLM
-from .coalesce import Latch, SingleFlight, SingleFlightStats
+from .coalesce import FlightMap, FlightStats, Latch
 from .remote import RemoteLLM, UsageStats, parse_model_spec
 from .router import (
     BreakerState,
@@ -42,9 +42,9 @@ __all__ = [
     "TokenUsage",
     "CacheStats",
     "CachingLLM",
+    "FlightMap",
+    "FlightStats",
     "Latch",
-    "SingleFlight",
-    "SingleFlightStats",
     "RemoteLLM",
     "UsageStats",
     "parse_model_spec",

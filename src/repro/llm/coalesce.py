@@ -1,33 +1,27 @@
-"""Single-flight coalescing for concurrent identical prompts.
+"""One map for settled results and calls in flight.
 
 At fleet scale many tenants explore the same corpus concurrently and
-issue *identical* perturbation prompts.  The two cache tiers only help
-once a result has landed: between a miss and its write-through, every
-other requester of the same prompt also misses and pays for its own
-real model call — the classic thundering herd.  :class:`SingleFlight`
-closes that gap with a per-key in-flight registry: the first requester
-of a key becomes the **leader** and dispatches the real call; every
-concurrent requester of the same key becomes a **follower** and simply
-awaits the leader's flight.  One call serves them all.
+issue *identical* perturbation prompts.  A cache that only records
+completed work lets every requester that arrives between a miss and its
+result pay for its own real model call: the classic thundering herd.
+:class:`FlightMap` closes that gap by keeping both states in one map
+under one lock: a key holds either its settled result, which is a hit,
+or the :class:`Latch` of the call computing it, which later requesters
+follow.  An absent key is led: the first requester installs a latch
+and owns the computation, and one call serves everyone who asks for
+the key meanwhile.
 
-Keys are the same content hashes the persistent store uses
-(:func:`repro.llm.store.store_key` over model name, prompt, and
-``cache_params``), so two prompts coalesce exactly when the disk tier
-would consider them the same entry — differently-configured models
-never serve each other's flights.
+Settlement
+----------
+A flight settles exactly once, with either a result or an error.
 
-Failure semantics
------------------
-A flight settles exactly once, with either a result or an error.  The
-leader removes the registry entry *before* settling, so
-
-* an error propagates to every waiter of that flight, but the registry
-  is never poisoned: the next requester of the key finds no entry and
-  starts a fresh flight (retries are possible immediately);
-* a successful leader writes through to the cache tiers before
-  resolving, so a requester arriving after the registry entry is gone
-  is guaranteed to find the cache entry instead — between cache and
-  registry there is no window in which a second real call can start.
+* Success swaps the latch for the result under the map's lock, then
+  wakes the followers.  A requester arriving before the swap follows
+  the latch; one arriving after it finds the result.  There is no
+  window in which a second call can start.
+* Failure drops the key, then rejects every follower with the error.
+  Nothing is cached, so the map is never poisoned: the next requester
+  of the key leads a fresh call.
 
 Followers wait with :meth:`Latch.wait`, which blocks their thread on an
 event until the leader settles the flight.
@@ -37,17 +31,17 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, Hashable, Iterable, Mapping, Optional, Tuple
 
 
 @dataclass
-class SingleFlightStats:
-    """Counters for one :class:`SingleFlight` registry.
+class FlightStats:
+    """Counters for one :class:`FlightMap`.
 
-    ``flights`` counts leaders (real dispatches initiated);
-    ``coalesced`` the followers that joined an existing flight instead
-    of dispatching (the dedup hits — each one is a real model call that
-    did not happen); ``failures`` the flights that settled with an
+    ``flights`` counts the flights whose leader called the model (real
+    dispatches); ``coalesced`` the followers that joined a flight
+    instead of leading one (the dedup hits: each one is a real call
+    that did not happen); ``failures`` the flights that settled with an
     error (each failure reached all of its followers).
     """
 
@@ -102,71 +96,111 @@ class Latch:
         return self._result
 
 
-class SingleFlight:
-    """Per-key registry of in-flight computations.
+class FlightMap:
+    """Each key maps to its settled result or to the latch of its flight.
 
-    :meth:`join` either installs a fresh :class:`Latch` for ``key`` and
-    declares the caller leader, or hands back the existing latch to
-    follow.  The leader must eventually call exactly one of
-    :meth:`resolve` / :meth:`reject`, both of which drop the registry
-    entry before settling the latch (see the module docstring for why
-    that ordering is the heart of the exactly-once guarantee).
+    :meth:`claim` sorts keys into hits, leads and follows.  The caller
+    must settle every lead with exactly one of :meth:`settle` or
+    :meth:`fail`, or its followers wait forever.  Results are never
+    ``None``.
+
+    ``max_entries`` caps the settled entries (FIFO by settle order;
+    ``None`` = unbounded).  Flights in progress are not counted and
+    never evicted.
     """
 
-    def __init__(self) -> None:
-        self.stats = SingleFlightStats()
-        # The registry is shared mutable state across every request
-        # thread of a serving process; all entries and counters are
-        # touched only under this lock (the lock-discipline checker
-        # enforces it).  Latch settlement happens outside.
+    def __init__(self, max_entries: Optional[int] = None) -> None:
+        self.stats = FlightStats()
+        self._max_entries = max_entries
+        # Shared by every request thread of a serving process: entries,
+        # the settled count and the counters change only under this
+        # lock; latches settle outside it.
         self._lock = threading.Lock()
-        self._flights: Dict[str, Latch] = {}
+        self._entries: Dict[Hashable, Any] = {}
+        self._settled = 0
+
+    def __len__(self) -> int:
+        """Settled entries (flights in progress are not counted)."""
+        return self._settled
 
     def inflight(self) -> int:
         """Number of keys currently being computed."""
         with self._lock:
-            return len(self._flights)
+            return len(self._entries) - self._settled
 
-    def join(self, key: str) -> Tuple[bool, Latch]:
-        """Return ``(leader, latch)`` for ``key``.
+    def claim(
+        self, keys: Iterable[Hashable]
+    ) -> Tuple[Dict[Hashable, Any], Dict[Hashable, Latch], Dict[Hashable, Latch]]:
+        """Return ``(hits, leads, follows)`` over the distinct ``keys``.
 
-        The leader owns the real call and must settle the latch;
-        followers just :meth:`Latch.wait`.
+        ``hits`` maps settled keys to their results.  ``leads`` maps
+        each absent key to the latch now installed for it: the caller
+        computes those.  ``follows`` maps keys another caller is
+        computing to that caller's latch.
+        """
+        distinct = dict.fromkeys(keys)
+        hits: Dict[Hashable, Any] = {}
+        leads: Dict[Hashable, Latch] = {}
+        follows: Dict[Hashable, Latch] = {}
+        with self._lock:
+            for key in distinct:
+                entry = self._entries.get(key)
+                if entry is None:
+                    leads[key] = self._entries[key] = Latch()
+                elif type(entry) is Latch:
+                    follows[key] = entry
+                else:
+                    hits[key] = entry
+            self.stats.coalesced += len(follows)
+        return hits, leads, follows
+
+    def settle(
+        self,
+        leads: Mapping[Hashable, Latch],
+        results: Mapping[Hashable, Any],
+        called: bool = False,
+    ) -> None:
+        """Swap each lead's latch for its result, then wake its followers.
+
+        ``called`` marks results the model computed: each counts as a
+        flight.  Results read from elsewhere (the disk tier) do not.
         """
         with self._lock:
-            latch = self._flights.get(key)
-            if latch is not None:
-                self.stats.coalesced += 1
-                return False, latch
-            latch = Latch()
-            self._flights[key] = latch
-            self.stats.flights += 1
-            return True, latch
+            for key, result in results.items():
+                # Re-inserted, not overwritten: FIFO order is settle order.
+                del self._entries[key]
+                if self._settled == self._max_entries:
+                    oldest = next(
+                        k for k, v in self._entries.items() if type(v) is not Latch
+                    )
+                    del self._entries[oldest]
+                else:
+                    self._settled += 1
+                self._entries[key] = result
+            if called:
+                self.stats.flights += len(results)
+        for key, result in results.items():
+            leads[key].resolve(result)
 
-    def resolve(self, key: str, latch: Latch, result: Any) -> None:
-        """Retire the flight and deliver ``result`` to its followers.
+    def fail(self, leads: Mapping[Hashable, Latch], error: BaseException) -> None:
+        """Drop every lead still in flight, then reject its followers.
 
-        The caller must have written the result through to the cache
-        tiers first; dropping the registry entry is what re-opens the
-        key, and the cache is the only thing that keeps a requester
-        arriving in that instant from dispatching a duplicate call.
-        """
-        self._forget(key, latch)
-        latch.resolve(result)
-
-    def reject(self, key: str, latch: Latch, error: BaseException) -> None:
-        """Retire the flight and deliver ``error`` to its followers.
-
-        Nothing was cached, so the next requester of the key starts a
-        fresh flight — a failed computation never poisons the registry.
+        Leads already settled keep their results; the next claim of a
+        dropped key leads a fresh flight.
         """
         with self._lock:
-            if self._flights.get(key) is latch:
-                del self._flights[key]
-            self.stats.failures += 1
-        latch.reject(error)
+            for key, latch in leads.items():
+                if self._entries.get(key) is latch:
+                    del self._entries[key]
+                    self.stats.flights += 1
+                    self.stats.failures += 1
+        for latch in leads.values():
+            latch.reject(error)
 
-    def _forget(self, key: str, latch: Latch) -> None:
+    def drop_settled(self) -> None:
+        """Drop every settled entry; flights in progress keep their latches."""
         with self._lock:
-            if self._flights.get(key) is latch:
-                del self._flights[key]
+            self._entries = {
+                key: entry for key, entry in self._entries.items() if type(entry) is Latch
+            }
+            self._settled = 0

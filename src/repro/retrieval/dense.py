@@ -32,9 +32,9 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import ConfigError, EmptyIndexError
+from ..errors import ConfigError
 from ..textproc import Tokenizer
-from .bm25 import RowScores, Scorer, on_rows, top_k
+from .bm25 import RowScores, Scorer, on_rows
 from .document import Document
 from .index import InvertedIndex
 
@@ -173,12 +173,6 @@ class DenseIndex:
     def __len__(self) -> int:
         return len(self._doc_ids)
 
-    def search(self, query: str, k: int = 10) -> List[Tuple[str, float]]:
-        """Top-k ``(doc_id, cosine)`` pairs, best first, ties by doc id."""
-        if len(self) == 0:
-            raise EmptyIndexError("cannot search an empty dense index")
-        return top_k(self.scores(query), k)
-
     def similarities(self, query_terms: Sequence[str]) -> Tuple[List[str], np.ndarray]:
         """Cosine similarity of every indexed document to the analyzed
         ``query_terms``, aligned with the returned doc ids (rows in
@@ -186,11 +180,6 @@ class DenseIndex:
         rows = np.arange(len(self._doc_ids))
         query = self.embedder.embed_terms(query_terms)
         return self._doc_ids, dense_scores(query, self._dimensions, rows, len(rows))
-
-    def scores(self, query: str) -> Dict[str, float]:
-        """Cosine similarity for every indexed document."""
-        ids, similarities = self.similarities(self.embedder.tokenizer.tokenize(query))
-        return dict(zip(ids, similarities.tolist()))
 
 
 class DenseScorer:

@@ -91,13 +91,6 @@ class Corpus:
         except KeyError:
             raise UnknownDocumentError(f"no document with id {doc_id!r}") from None
 
-    def remove(self, doc_id: str) -> Document:
-        """Remove and return the document with ``doc_id``, or raise."""
-        try:
-            return self._docs.pop(doc_id)
-        except KeyError:
-            raise UnknownDocumentError(f"no document with id {doc_id!r}") from None
-
     def __contains__(self, doc_id: str) -> bool:
         return doc_id in self._docs
 

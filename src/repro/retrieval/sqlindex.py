@@ -1065,8 +1065,8 @@ class SqliteIndex:
 
 class _DenseView:
     """The :class:`~repro.retrieval.dense.DenseIndex` read protocol
-    (``similarities``, ``scores``) over a :class:`SqliteIndex`'s vectors,
-    read through the per-dimension postings of its view."""
+    (``similarities``) over a :class:`SqliteIndex`'s vectors, read
+    through the per-dimension postings of its view."""
 
     def __init__(self, index: SqliteIndex) -> None:
         self.index = index
@@ -1080,11 +1080,6 @@ class _DenseView:
         query = self.embedder.embed_terms(query_terms)
         scores = dense_scores(query, view.dimensions, view.slot_rows, len(view.space))
         return view.space.ids, scores
-
-    def scores(self, query: str) -> Dict[str, float]:
-        """Cosine similarity for every stored vector."""
-        ids, similarities = self.similarities(self.embedder.tokenizer.tokenize(query))
-        return dict(zip(ids, similarities.tolist()))
 
 
 def make_retrieval_scorer(

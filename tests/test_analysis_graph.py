@@ -39,13 +39,13 @@ def test_import_map_resolves_aliases_and_relatives():
     tree = ast.parse(
         "import random as rnd\n"
         "from time import sleep as zzz\n"
-        "from .coalesce import SingleFlight\n"
+        "from .coalesce import FlightMap\n"
         "from ..core import context\n"
     )
     imports = build_import_map(tree, module="repro.llm.cache")
     assert imports["rnd"] == "random"
     assert imports["zzz"] == "time.sleep"
-    assert imports["SingleFlight"] == "repro.llm.coalesce.SingleFlight"
+    assert imports["FlightMap"] == "repro.llm.coalesce.FlightMap"
     assert imports["context"] == "repro.core.context"
 
 

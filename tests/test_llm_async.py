@@ -2,8 +2,7 @@
 in-flight bound, and which concrete models run on an event loop.
 
 Async tests run through ``asyncio.run`` inside plain sync test
-functions, so they need no pytest plugin; CI additionally installs
-pytest-asyncio for downstream suites that prefer native async tests.
+functions, so they need no pytest plugin.
 """
 
 import asyncio

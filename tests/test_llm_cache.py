@@ -225,47 +225,56 @@ def test_disk_tier_write_through_and_promotion(tmp_path):
 
 
 def test_concurrent_disk_hits_promote_once(tmp_path):
-    """Two simultaneous disk hits on one key install one memory entry.
+    """Two simultaneous readers of one stored key decode it once.
 
-    Regression: both readers used to decode *and* both promote —
-    double-counting ``disk_hits`` and re-inserting over the winner.
-    The rendezvous store forces the historical interleaving: both
-    threads finish decoding before either promotes.
+    The first reader leads the key's flight and parks inside
+    ``store.get``; the second arrives meanwhile, follows that flight and
+    never reads the disk.  Regression: both readers used to decode
+    *and* both promote, double-counting ``disk_hits``.
     """
     import threading
+    import time
 
     from repro.llm import PromptStore
 
-    class RendezvousStore(PromptStore):
+    class ParkingStore(PromptStore):
         def __init__(self, root):
             super().__init__(root)
-            self.rendezvous = threading.Barrier(2, timeout=10.0)
+            self.release = threading.Event()
+            self.reads = 0
 
         def get(self, model_name, prompt, params=None):
-            result = super().get(model_name, prompt, params)
-            if result is not None:
-                self.rendezvous.wait()
-            return result
+            self.reads += 1
+            assert self.release.wait(10.0), "test never released the reader"
+            return super().get(model_name, prompt, params)
 
-    store = RendezvousStore(tmp_path)
-    seeder = CachingLLM(CountingModel(), store=store)
-    expected = seeder.generate("hot prompt").answer
-
+    expected = CachingLLM(CountingModel(), store=PromptStore(tmp_path)).generate("hot prompt")
+    store = ParkingStore(tmp_path)
     cold = CachingLLM(CountingModel(), store=store)
     results = [None, None]
 
     def read(i):
         results[i] = cold.generate("hot prompt")
 
+    def wait_for(predicate):
+        deadline = time.monotonic() + 10.0
+        while not predicate():
+            assert time.monotonic() < deadline, "condition never became true"
+            time.sleep(0.002)
+
     threads = [threading.Thread(target=read, args=(i,)) for i in range(2)]
-    for t in threads:
-        t.start()
+    threads[0].start()
+    wait_for(lambda: store.reads == 1)  # the leader is inside store.get
+    threads[1].start()
+    wait_for(lambda: cold.flights.stats.coalesced == 1)  # the second follows
+    store.release.set()
     for t in threads:
         t.join(timeout=10.0)
-    assert [r.answer for r in results] == [expected, expected]
+    assert [r.answer for r in results] == [expected.answer, expected.answer]
+    assert store.reads == 1
     assert cold.inner.calls == 0
     assert cold.stats.disk_hits == 1  # one promotion, not two
-    assert cold.stats.hits == 2  # the loser is charged as a memory hit
+    assert cold.stats.hits == 2  # the follower is charged as a hit
     assert len(cold) == 1
 
 
@@ -347,6 +356,33 @@ def test_scripted_cache_params_track_recorded_answers():
     before = llm.cache_params
     llm.record(["a"], "two")
     assert llm.cache_params != before  # stale identity would serve stale answers
+
+
+@pytest.mark.parametrize("with_store", [False, True], ids=["memory", "store"])
+def test_recorded_answer_replaces_one_already_served(tmp_path, with_store):
+    """``ScriptedLLM.record`` changes ``cache_params`` without changing
+    ``name``; the next call is a new identity and gets the new answer.
+    Regression: the memory tier was keyed by the prompt alone and kept
+    serving the old answer while a fresh cache over the same store
+    served the new one."""
+    from repro.llm import PromptStore, ScriptedLLM
+
+    source = "Ann won the final."
+    prompt = PromptBuilder().build("Who won the final?", [source])
+    llm = ScriptedLLM(script={(source,): "nobody"})
+    store = PromptStore(tmp_path) if with_store else None
+    cached = CachingLLM(llm, store=store)
+    assert cached.generate(prompt).answer == "nobody"
+    name = llm.name
+    llm.record([source], "Ann")
+    assert llm.name == name
+    assert cached.generate(prompt).answer == "Ann"
+    assert cached.generate_batch([prompt])[0].answer == "Ann"
+    assert llm.calls == 2
+    assert cached.stats.misses == 2 and cached.stats.hits == 1
+    if with_store:
+        assert CachingLLM(llm, store=store).generate(prompt).answer == "Ann"
+        assert llm.calls == 2  # the disk tier answers under the same identity
 
 
 def test_transformers_cache_params_include_generation_settings():

@@ -1,15 +1,17 @@
 """Single-flight coalescing: thundering herds pay exactly one call.
 
-Covers the :mod:`repro.llm.coalesce` primitives (Latch, SingleFlight)
+Covers the :mod:`repro.llm.coalesce` primitives (Latch, FlightMap)
 and their integration into :class:`~repro.llm.cache.CachingLLM`: N
 concurrent misses on one key — with or without a disk store, with or
 without an execution backend behind the cache — produce exactly one
 inner call and identical results for every caller; a failing flight
-reaches every waiter and never poisons the registry.
+reaches every waiter and never poisons the map.
 """
 
 from __future__ import annotations
 
+import random
+import sys
 import threading
 import time
 
@@ -19,7 +21,7 @@ from repro.errors import BatchContractError, GenerationError
 from repro.exec import ThreadedBackend
 from repro.llm.base import GenerationResult
 from repro.llm.cache import CachingLLM
-from repro.llm.coalesce import Latch, SingleFlight
+from repro.llm.coalesce import FlightMap, Latch
 from repro.llm.store import PromptStore
 
 HERD = 16
@@ -177,6 +179,48 @@ def test_thundering_herd_through_backend_runs_one_call():
     assert {r.answer for r in results} == {"answer:same prompt"}
 
 
+def test_overlapping_batches_call_each_prompt_once_under_fast_switching():
+    """More threads than cores, overlapping batches, a thread switch
+    every few bytecodes: every distinct prompt reaches the model once,
+    and no counter of the map or the cache loses an update."""
+    inner = GatedLLM()
+    cached = CachingLLM(inner)
+    prompts = [f"p{i}" for i in range(30)]
+    workers, rounds, width = 12, 40, 5
+    start = threading.Barrier(workers, timeout=10.0)
+    errors = []
+
+    def worker(seed):
+        rng = random.Random(seed)
+        try:
+            start.wait()  # every worker's first batch meets a cold map
+            for _ in range(rounds):
+                batch = rng.sample(prompts, width)
+                answers = [r.answer for r in cached.generate_batch(batch)]
+                assert answers == [f"answer:{p}" for p in batch]
+        except BaseException as error:  # noqa: BLE001 - recorded for asserts
+            errors.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert inner.calls == len(prompts)
+    assert cached.stats.misses == cached.flights.stats.flights == len(prompts)
+    assert cached.stats.hits + cached.stats.misses == workers * rounds * width
+    assert cached.stats.batched_prompts == workers * rounds * width
+    assert cached.flights.inflight() == 0
+    assert len(cached) == len(prompts)
+
+
 # ---------------------------------------------------------------------------
 # Failure propagation
 
@@ -259,7 +303,7 @@ def test_misaligned_batch_rejects_its_flights():
 
 
 # ---------------------------------------------------------------------------
-# Latch / SingleFlight primitives
+# Latch / FlightMap primitives
 
 
 def test_latch_settles_exactly_once():
@@ -279,27 +323,48 @@ def test_latch_reject_raises_for_every_waiter():
             latch.wait()
 
 
-def test_single_flight_join_leader_then_followers():
-    flights = SingleFlight()
-    leader, latch = flights.join("k")
-    assert leader
+def test_flight_map_claim_leads_then_follows():
+    flights = FlightMap()
+    hits, leads, follows = flights.claim(["k", "k"])
+    assert not hits and not follows and list(leads) == ["k"]
+    latch = leads["k"]
     for _ in range(3):
-        again, same = flights.join("k")
-        assert not again
-        assert same is latch
+        hits, again, follows = flights.claim(["k"])
+        assert not hits and not again
+        assert follows["k"] is latch
     assert flights.inflight() == 1
-    flights.resolve("k", latch, "value")
+    flights.settle(leads, {"k": "value"}, called=True)
     assert flights.inflight() == 0
     assert flights.stats.flights == 1
     assert flights.stats.coalesced == 3
     assert latch.wait() == "value"
+    # The latch was swapped for its result: the next claim is a hit.
+    assert flights.claim(["k"]) == ({"k": "value"}, {}, {})
+    assert len(flights) == 1
 
 
-def test_single_flight_reject_clears_key_for_retry():
-    flights = SingleFlight()
-    _, latch = flights.join("k")
-    flights.reject("k", latch, RuntimeError("boom"))
+def test_flight_map_fail_clears_key_for_retry():
+    flights = FlightMap()
+    _, leads, _ = flights.claim(["k"])
+    _, _, follows = flights.claim(["k"])
+    flights.fail(leads, RuntimeError("boom"))
     assert flights.inflight() == 0
-    leader, fresh = flights.join("k")
-    assert leader and fresh is not latch
+    with pytest.raises(RuntimeError):
+        follows["k"].wait()
+    _, fresh, _ = flights.claim(["k"])
+    assert fresh["k"] is not leads["k"]
     assert flights.stats.failures == 1
+    assert len(flights) == 0
+
+
+def test_flight_map_evicts_settled_entries_only():
+    flights = FlightMap(max_entries=1)
+    _, slow, _ = flights.claim(["slow"])
+    _, leads, _ = flights.claim(["a", "b"])
+    flights.settle(leads, {"a": 1, "b": 2})
+    assert len(flights) == 1 and flights.inflight() == 1
+    assert flights.claim(["a", "b"])[0] == {"b": 2}  # "a" went first
+    flights.drop_settled()
+    assert len(flights) == 0 and flights.inflight() == 2  # "slow" and "a"
+    flights.settle(slow, {"slow": 3})
+    assert flights.claim(["slow"])[0] == {"slow": 3}

@@ -71,23 +71,28 @@ def test_embedder_validation():
         HashedEmbedder(dimensions=0)
 
 
+def _similarities(dense, query):
+    """``{doc_id: cosine}`` for every vector ``dense`` holds."""
+    ids, scores = dense.similarities(dense.embedder.tokenizer.tokenize(query))
+    return dict(zip(ids, scores.tolist()))
+
+
 def test_dense_search_ranks_on_topic(dense_index):
-    results = dense_index.search("brown fox running", k=4)
-    top_ids = [doc_id for doc_id, _ in results[:2]]
-    assert set(top_ids) == {"fox", "fox2"}
-    scores = [score for _, score in results]
-    assert scores == sorted(scores, reverse=True)
+    searcher = Searcher(InvertedIndex.build(DOCS), scorer=DenseScorer(dense_index))
+    result = searcher.search("brown fox running", k=4)
+    assert set(result.doc_ids()[:2]) == {"fox", "fox2"}
+    assert result.scores() == sorted(result.scores(), reverse=True)
 
 
 def test_dense_search_validation(dense_index):
     with pytest.raises(ConfigError):
-        dense_index.search("q", k=0)
+        Searcher(InvertedIndex.build(DOCS), scorer=DenseScorer(dense_index)).search("q", k=0)
     with pytest.raises(EmptyIndexError):
-        DenseIndex().search("q")
+        Searcher(InvertedIndex.build([]), scorer=DenseScorer(DenseIndex())).search("q")
 
 
 def test_dense_scores_all_docs(dense_index):
-    scores = dense_index.scores("rocket orbit")
+    scores = _similarities(dense_index, "rocket orbit")
     assert set(scores) == {doc.doc_id for doc in DOCS}
     assert scores["space"] == max(scores.values())
 
@@ -132,7 +137,7 @@ def _reference_scores(embedder, documents, query):
 
 def _assert_scores_are_the_reference(dense, documents, queries):
     for query in queries:
-        scores = {doc_id: score.hex() for doc_id, score in dense.scores(query).items()}
+        scores = {doc_id: score.hex() for doc_id, score in _similarities(dense, query).items()}
         assert scores == _reference_scores(dense.embedder, documents, query), query
 
 

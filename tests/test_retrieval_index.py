@@ -115,15 +115,6 @@ def test_index_custom_tokenizer(tiny_corpus):
     assert view.frequency("fox") == 2
 
 
-def test_corpus_remove(tiny_corpus):
-    corpus = Corpus(list(tiny_corpus))
-    doc = corpus.remove("d1")
-    assert doc.doc_id == "d1"
-    assert "d1" not in corpus
-    with pytest.raises(UnknownDocumentError):
-        corpus.remove("d1")
-
-
 def test_row_space_finds_rows_with_or_without_its_map():
     ids = ["a", "b", "bb", "c"]
     space = RowSpace(ids, np.zeros(len(ids), dtype=np.int64))

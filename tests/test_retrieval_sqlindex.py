@@ -959,7 +959,7 @@ def test_every_snapshot_reads_the_view_of_its_own_generation(tmp_path, docs):
                             assert (
                                 stats.num_documents, stats.total_terms, stats.vocabulary_size
                             ) == (count, total, terms)
-                            assert len(ix.dense_view().scores("quick")) == count
+                            assert len(ix.dense_view().similarities(["quick"])[0]) == count
                             view = ix.scoring_view(watched)
                             for term in watched:
                                 assert _postings_of(view, term) == conn.execute(
@@ -1256,12 +1256,16 @@ def test_a_failed_upgrade_raises_and_leaves_the_file_at_v2(tmp_path, docs):
 
 
 def test_dense_vectors_persist(tmp_path, docs):
+    def scores(ix):
+        ids, similarities = ix.dense_view().similarities(["quick", "brown", "fox"])
+        return dict(zip(ids, similarities.tolist()))
+
     with open_index(tmp_path / "ix", dense=True) as ix:
         ix.add_many(docs)
-        cold = ix.dense_view().scores("quick brown fox")
+        cold = scores(ix)
     with open_index(tmp_path / "ix") as warm:
         assert warm.embedder is not None  # reconstructed from stored meta
-        assert warm.dense_view().scores("quick brown fox") == cold
+        assert scores(warm) == cold
 
 
 @pytest.mark.parametrize("block", [1, 3, 512])
