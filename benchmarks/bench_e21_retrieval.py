@@ -17,8 +17,10 @@ vectors in one WAL database, loaded lazily on open.  Shapes asserted:
 3. **The write path is reported** — per tier, the median latency of a
    single-document update and of an add of a new document, each with
    the first hybrid search after it (the search that folds the write
-   into the read view), next to a plain search.  An update keeps its
-   document's row; an add inserts a row.  Recorded, not asserted.
+   into the read view), next to a plain search and a first read: a
+   search whose winners no earlier search returned, so its view keeps
+   none of their documents yet.  An update keeps its document's row; an
+   add inserts a row.  Recorded, not asserted.
 4. **Fusion beats its parts honestly** — on the planted-relevant
    synthetic corpus, min-max and reciprocal-rank hybrid fusion match
    or beat BM25-only precision, and on the demo worlds both fusion
@@ -180,11 +182,20 @@ def test_e21_incremental_sync_is_change_driven(tier_indexes):
     print_rows("E21 incremental sync", RESULTS[-1:])
 
 
+def _first_read_query(round_):
+    """A query of three corpus words no other round's query holds."""
+    return " ".join(f"word{3 * round_ + offset:04d}" for offset in range(3))
+
+
 def test_e21_write_path_latency(tmp_path):
     """Per tier: median latency of an update and of an add of a new
     document, each with the first hybrid search after it, against a
-    plain search.  Each tier writes into a dense index of its own, so
-    the other checks keep reading the index they built."""
+    plain search and a first read.  The plain search returns the
+    winners it returned before; the first read times a query no earlier
+    round used at k=20, after one search of it at k=1 has loaded its
+    terms, so all but its top winner are documents no search returned.
+    Each tier writes into a dense index of its own, so the other checks
+    keep reading the index they built."""
     rng = random.Random(0)
     rows = []
     for size in TIERS:
@@ -193,7 +204,8 @@ def test_e21_write_path_latency(tmp_path):
             index.add_many(docs)
             searcher = SqliteSearcher(index, scorer=make_retrieval_scorer(index, mode="hybrid"))
             searcher.search(QUERY, k=20)  # the cold load
-            timings = {key: [] for key in ("update", "after_update", "add", "after_add", "plain")}
+            keys = ("update", "after_update", "add", "after_add", "plain", "first_read")
+            timings = {key: [] for key in keys}
             for round_ in range(WRITE_ROUNDS):
                 target = docs[rng.randrange(size)]
                 edited = dataclasses.replace(target, text=f"{target.text} edit{round_}")
@@ -203,6 +215,9 @@ def test_e21_write_path_latency(tmp_path):
                 timings["add"].append(timed(index.add, added)[1])
                 timings["after_add"].append(timed(searcher.search, QUERY, k=20)[1])
                 timings["plain"].append(timed(searcher.search, QUERY, k=20)[1])
+                fresh = _first_read_query(round_)
+                searcher.search(fresh, k=1)  # loads its terms
+                timings["first_read"].append(timed(searcher.search, fresh, k=20)[1])
             # Every write, update or add, folded in; no cold reload.
             assert index.counters["view_folds"] == 2 * WRITE_ROUNDS
         medians = {key: round(statistics.median(t) * 1000, 3) for key, t in timings.items()}
@@ -214,6 +229,7 @@ def test_e21_write_path_latency(tmp_path):
                 "add_ms": medians["add"],
                 "search_after_add_ms": medians["after_add"],
                 "search_ms": medians["plain"],
+                "search_first_read_ms": medians["first_read"],
             }
         )
     RESULTS.extend(rows)

@@ -18,7 +18,8 @@ unscripted.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .base import GenerationResult, TokenUsage
 from .prompts import parse_prompt
@@ -47,33 +48,37 @@ class ScriptedLLM:
         default: str = "unscripted",
         answer_fn: Optional[AnswerFn] = None,
     ) -> None:
-        self.script = dict(script or {})
+        self._script = dict(script or {})
+        self._digest = _digest(self._script)
         self.default = default
         self.answer_fn = answer_fn
         self.calls = 0
 
     @property
+    def script(self) -> Mapping[Tuple[str, ...], str]:
+        """The script, read-only: :meth:`record` is its only writer, so
+        the digest :attr:`cache_params` reports stays current."""
+        return MappingProxyType(self._script)
+
+    @property
     def name(self) -> str:
         """Identifier for reports and cache keys."""
-        return f"scripted-llm/{len(self.script)}-entries"
+        return f"scripted-llm/{len(self._script)}-entries"
 
     @property
     def cache_params(self) -> Dict[str, object]:
         """Persistent-cache identity: a digest of the script contents.
 
         Two scripts of equal length answer differently, and ``name``
-        only carries the length.  ``answer_fn`` is arbitrary code and
-        contributes only its qualified name — replays that rely on an
-        ``answer_fn`` closure should not share one store directory
-        across differing closures.
+        only carries the length.  The digest is computed when the model
+        is built and again by each :meth:`record`, not per read: the
+        prompt cache reads this once per call.  ``answer_fn`` is
+        arbitrary code and contributes only its qualified name — replays
+        that rely on an ``answer_fn`` closure should not share one store
+        directory across differing closures.
         """
-        digest = hashlib.sha256()
-        for key in sorted(self.script):
-            digest.update("\x1f".join(key).encode("utf-8"))
-            digest.update(b"\x1e")
-            digest.update(self.script[key].encode("utf-8"))
         params: Dict[str, object] = {
-            "script": digest.hexdigest()[:16],
+            "script": self._digest,
             "default": self.default,
         }
         if self.answer_fn is not None:
@@ -91,7 +96,7 @@ class ScriptedLLM:
         if self.answer_fn is not None:
             answer = self.answer_fn(parsed.question, key)
         if answer is None:
-            answer = self.script.get(key, self.default)
+            answer = self._script.get(key, self.default)
         return GenerationResult(
             answer=answer,
             prompt=prompt,
@@ -115,4 +120,15 @@ class ScriptedLLM:
 
     def record(self, source_texts: Sequence[str], answer: str) -> None:
         """Add one (context -> answer) pair to the script."""
-        self.script[tuple(source_texts)] = answer
+        self._script[tuple(source_texts)] = answer
+        self._digest = _digest(self._script)
+
+
+def _digest(script: Dict[Tuple[str, ...], str]) -> str:
+    """A digest of ``script``'s entries, in key order."""
+    digest = hashlib.sha256()
+    for key in sorted(script):
+        digest.update("\x1f".join(key).encode("utf-8"))
+        digest.update(b"\x1e")
+        digest.update(script[key].encode("utf-8"))
+    return digest.hexdigest()[:16]

@@ -9,9 +9,10 @@ scores that serve as one of the two relevance methods ``S``.
 Scoring runs over arrays in the index's doc_id row order; only the
 ``k`` winners become :class:`RetrievedSource` objects, and ties still
 break by doc_id.  The winners' documents come from the index in one
-read (:meth:`~repro.retrieval.index.InvertedIndex.fetch_documents`; one
-SQL statement on a :class:`~repro.retrieval.sqlindex.SqliteIndex`),
-not one read per result.
+call (:meth:`~repro.retrieval.index.InvertedIndex.fetch_documents`), not
+one read per result; a :class:`~repro.retrieval.sqlindex.SqliteIndex`
+returns those its read view keeps and reads the rest with one SQL
+statement.
 """
 
 from __future__ import annotations

@@ -18,7 +18,9 @@ index directory:
   query reads only its own few dimensions.  The vectors stream in a
   block at a time; no dense matrix of them is built.  A term's postings
   join the view as arrays the first time a search reads the term
-  (``counters["term_loads"]``).  A warm restart therefore serves
+  (``counters["term_loads"]``), and a document joins it, under its
+  slot, the first time a search returns it
+  (``counters["document_loads"]``).  A warm restart therefore serves
   byte-identical results with *zero* re-tokenization of unchanged
   documents (``counters["doc_tokenizations"]`` proves it).  Scoring
   never reads the vocabulary size: :attr:`SqliteIndex.stats` counts it
@@ -47,7 +49,7 @@ index directory:
   the written documents' contents and nothing about the rest of the
   index, such as a vocabulary change.  A gap in that chain (another
   connection wrote) or a bulk :meth:`add_many` means a cold load, with
-  no terms loaded.
+  no terms or documents loaded.
 * **Checked under the write lock** — a write reads the stored digest
   inside its write transaction, so a document another handle or
   process wrote or removed a moment before is updated, left unchanged
@@ -70,10 +72,11 @@ The class provides the read protocol of
 :mod:`repro.retrieval.index`, so :class:`~repro.retrieval.bm25.BM25Scorer`
 and friends run against it unchanged; :class:`SqliteSearcher` wraps
 :class:`~repro.retrieval.searcher.Searcher` with the snapshot
-transaction, and reads a search's winners with one statement
-(:meth:`SqliteIndex.fetch_documents`).  Its one read outside that
-protocol, :meth:`SqliteIndex.doc_ids` (what :meth:`sync` reads), is one
-SQL statement.
+transaction.  A search returns the winners its view keeps and reads
+the others with one statement (:meth:`SqliteIndex.fetch_documents`),
+so a warm search reads only the generation stamp from SQLite.  Its one
+read outside that protocol, :meth:`SqliteIndex.doc_ids` (what
+:meth:`sync` reads), is one SQL statement.
 """
 
 from __future__ import annotations
@@ -253,13 +256,14 @@ class _Buffer:
 @dataclass(frozen=True)
 class _View:
     """What reads take from memory, as of one database generation.  Only
-    ``terms`` grows, each term filled once and never replaced.  A key's
-    arrays may be a prefix of a buffer that newer views extend, but a
-    fold only appends past the end of every older view's arrays and
-    never writes below it, so a reader pinned to the view may outlive
-    its installation.  Entries at retired slots (``slot_rows`` equal to
-    ``len(space)``) belong to no document: scoring drops what they add,
-    and ``term_retired`` keeps them out of every document frequency."""
+    ``terms`` and ``documents`` grow, each key filled once and never
+    replaced.  A key's arrays may be a prefix of a buffer that newer
+    views extend, but a fold only appends past the end of every older
+    view's arrays and never writes below it, so a reader pinned to the
+    view may outlive its installation.  Entries at retired slots
+    (``slot_rows`` equal to ``len(space)``) belong to no document:
+    scoring drops what they add, and ``term_retired`` keeps them out of
+    every document frequency."""
 
     generation: int
     #: The documents as rows, in doc_id order, with their lengths.
@@ -280,6 +284,10 @@ class _View:
     #: Loaded term -> how many of its entries sit at retired slots; a
     #: term not here has none.  Never changed once the view is built.
     term_retired: Dict[str, int] = field(default_factory=dict)
+    #: Slot -> its stored document, for each one a read has returned.  A
+    #: slot's stored content never changes, so every view folded from
+    #: one load shares this map; a compaction renumbers it.
+    documents: Dict[int, Document] = field(default_factory=dict)
 
 
 class _Doc(NamedTuple):
@@ -396,6 +404,7 @@ class SqliteIndex:
             "view_loads": 0,
             "view_folds": 0,
             "term_loads": 0,
+            "document_loads": 0,
         }
         self.tokenizer = tokenizer
         self.embedder = embedder
@@ -681,6 +690,7 @@ class SqliteIndex:
                 slot_rows,
                 terms,
                 term_retired,
+                view.documents,
             )
             if (len(slot_rows) - len(space)) * _LIVE_PER_RETIRED > len(space):
                 # Slots are renumbered to rows: the terms at each live slot
@@ -979,8 +989,15 @@ class SqliteIndex:
         return self._pinned().space
 
     def fetch_documents(self, doc_ids: Sequence[str]) -> List[Document]:
-        """The stored documents of ``doc_ids``, in that order, read in one
-        snapshot by one statement per :data:`_FETCH_CHUNK` ids.
+        """The stored documents of ``doc_ids``, in that order, at the open
+        snapshot's generation (or the current one).
+
+        The pinned view gives each id's slot and returns the documents
+        it keeps under theirs.  Only the others are read, in the
+        snapshot, by one statement per :data:`_FETCH_CHUNK` ids, and
+        kept under their slots (``counters["document_loads"]``).  Stored
+        content always takes a fresh slot, so a kept document is what
+        the snapshot would read.
 
         Raises
         ------
@@ -990,7 +1007,25 @@ class SqliteIndex:
         if self._local.generation is None:
             with self.snapshot():
                 return self.fetch_documents(doc_ids)
+        view = self._pinned()
+        kept = view.documents
+        slots = []
+        for doc_id in doc_ids:
+            row = view.space.row_of(doc_id)
+            if row is None:
+                raise UnknownDocumentError(f"no document with id {doc_id!r}")
+            slots.append(view.row_slots.item(row))
+        unread = {doc_id: slot for doc_id, slot in zip(doc_ids, slots) if slot not in kept}
+        if unread:
+            self._keep_documents(view, unread)
+        return [kept[slot] for slot in slots]
+
+    def _keep_documents(self, view: _View, unread: Dict[str, int]) -> None:
+        """Read the documents of ``unread`` (doc_id -> slot) in this
+        thread's snapshot, pinned at ``view``'s generation, and keep each
+        in ``view`` under its slot."""
         conn = self._conn()
+        doc_ids = list(unread)
         found: Dict[str, Document] = {}
         with self._guard():
             for start in range(0, len(doc_ids), _FETCH_CHUNK):
@@ -1002,9 +1037,12 @@ class SqliteIndex:
                 ).fetchall()
                 found.update((row[0], _row_to_document(row)) for row in rows)
         try:
-            return [found[doc_id] for doc_id in doc_ids]
+            read = {slot: found[doc_id] for doc_id, slot in unread.items()}
         except KeyError as error:
             raise UnknownDocumentError(f"no document with id {error.args[0]!r}") from None
+        with self._lock:  # a compaction may be copying view.documents
+            self.counters["document_loads"] += len(read)
+            view.documents.update(read)
 
     @property
     def stats(self) -> IndexStats:
@@ -1265,7 +1303,9 @@ def _moved_rows(
 def _compacted(view: _View) -> _View:
     """``view`` with each document's slot renumbered to its row, as a
     cold load numbers them, and each loaded key's entries at retired
-    slots dropped: a compaction in memory, which loads nothing."""
+    slots dropped: a compaction in memory, which loads nothing.  The
+    kept documents of live slots move to their rows, in a map of the
+    compacted view's own."""
     retired = len(view.space)
 
     def live(entries: _SlotMap) -> _SlotMap:
@@ -1276,8 +1316,20 @@ def _compacted(view: _View) -> _View:
             compacted[key] = (rows[kept], values[kept])
         return compacted
 
+    documents = {
+        row: view.documents[slot]
+        for row, slot in enumerate(view.row_slots.tolist())
+        if slot in view.documents
+    }
     rows = np.arange(retired, dtype=np.intp)
     dimensions = None if view.dimensions is None else live(view.dimensions)
     return _View(
-        view.generation, view.space, view.total_terms, dimensions, rows, rows, live(view.terms)
+        view.generation,
+        view.space,
+        view.total_terms,
+        dimensions,
+        rows,
+        rows,
+        live(view.terms),
+        documents=documents,
     )

@@ -50,6 +50,24 @@ def test_record():
     assert llm.generate(BUILDER.build("q?", ["alpha"])).answer == "recorded"
 
 
+def test_record_keeps_cache_params_current_and_the_script_read_only():
+    """The digest is computed at construction and again by ``record``, so
+    after a record ``cache_params`` equals a fresh model's over the same
+    script; ``record`` is the script's only writer."""
+    llm = ScriptedLLM({("a",): "one"}, default="none")
+    before = llm.cache_params
+    llm.record(["b", "c"], "two")
+    llm.record(["a"], "uno")
+    fresh = ScriptedLLM({("a",): "uno", ("b", "c"): "two"}, default="none")
+    assert llm.cache_params == fresh.cache_params != before
+    assert llm.script == fresh.script == {("a",): "uno", ("b", "c"): "two"}
+    with pytest.raises(TypeError):
+        llm.script[("d",)] = "four"
+    with pytest.raises(AttributeError):
+        llm.script = {}
+    assert llm.cache_params == fresh.cache_params
+
+
 def test_scripted_llm_drives_counterfactual_search():
     """An exactly-specified answer function: the answer flips only when
     both d0 and d2 are absent — the minimal top-down removal must be

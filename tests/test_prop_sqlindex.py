@@ -4,12 +4,14 @@ Hypothesis drives one handle through adds, updates, unchanged re-adds,
 removes and bulk adds, searching between some of them, so its read view
 is patched forward by runs of writes of every length, loaded terms
 included.  A second handle writes now and then, so some folds meet a
-gap and the next view loads cold, with no terms.  After every step a
-handle opened cold on the same file must agree with it exactly: the
-same rankings in all four retrieval modes (scores compared by
-``float.hex``) and statistics, and the same view: the same row space
-(ids, rows, lengths), each document's per-dimension vector entries down
-to their bytes, and every loaded term equal to its postings in the cold
+gap and the next view loads cold, with no terms or documents.  After
+every step a handle opened cold on the same file must agree with it
+exactly: the same rankings in all four retrieval modes (scores
+compared by ``float.hex``, each source with its title, text and
+metadata, so a stale or mis-slotted kept document fails) and
+statistics, and the same view: the same row space (ids, rows,
+lengths), each document's per-dimension vector entries down to their
+bytes, and every loaded term equal to its postings in the cold
 handle's scoring view.
 """
 
@@ -31,7 +33,10 @@ MODES = [("bm25", "minmax"), ("dense", "minmax"), ("hybrid", "minmax"), ("hybrid
 
 doc_ids = st.sampled_from([f"d{i:02d}" for i in range(10)])
 texts = st.lists(st.sampled_from(WORDS), min_size=1, max_size=8).map(" ".join)
-puts = st.tuples(st.just("put"), doc_ids, texts)
+titles = st.sampled_from(["", "golf", "title"])
+metadata = st.dictionaries(st.sampled_from(["a", "b"]), st.sampled_from(["1", "2"]), max_size=2)
+documents = st.builds(Document, doc_ids, texts, titles, metadata)
+puts = st.tuples(st.just("put"), documents)
 removes = st.tuples(st.just("remove"), doc_ids)
 ops = st.one_of(
     puts,
@@ -41,34 +46,37 @@ ops = st.one_of(
     st.tuples(st.just("readd"), doc_ids),
     st.tuples(st.just("add_many"), st.lists(st.tuples(doc_ids, texts), max_size=4)),
     st.tuples(st.just("search"), st.sampled_from(QUERIES)),
-    st.tuples(st.just("other"), doc_ids, texts),
+    st.tuples(st.just("other"), documents),
 )
 #: Each step is a run of operations; the comparison runs after each.
 steps = st.lists(st.lists(ops, min_size=1, max_size=6), min_size=1, max_size=8)
 
 
 def _apply(ix, root, contents, op):
+    """Run ``op`` on ``ix``; ``contents`` maps each doc_id to its document."""
     kind = op[0]
     if kind == "put":
-        doc = Document(doc_id=op[1], text=op[2])
-        (ix.update if op[1] in contents else ix.add)(doc)
-        contents[op[1]] = op[2]
+        doc = op[1]
+        (ix.update if doc.doc_id in contents else ix.add)(doc)
+        contents[doc.doc_id] = doc
     elif kind == "readd" and op[1] in contents:
-        assert ix.add(Document(doc_id=op[1], text=contents[op[1]])) == "unchanged"
+        assert ix.add(contents[op[1]]) == "unchanged"
     elif kind == "remove" and op[1] in contents:
         ix.remove(op[1])
         del contents[op[1]]
     elif kind == "add_many":
-        ix.add_many(Document(doc_id=doc_id, text=text) for doc_id, text in op[1])
-        contents.update(op[1])
+        added = [Document(doc_id=doc_id, text=text) for doc_id, text in op[1]]
+        ix.add_many(added)
+        contents.update((doc.doc_id, doc) for doc in added)
     elif kind == "search" and contents:
         _rankings(ix, modes=MODES[2:3], queries=[op[1]])
     elif kind == "other":
         with open_index(root) as other:
-            outcome = other.add(Document(doc_id=op[1], text=op[2]))
-        contents[op[1]] = op[2]
-        if outcome != "unchanged":  # a gap: this handle's terms are dropped
-            assert ix._pinned().terms == {}
+            outcome = other.add(op[1])
+        contents[op[1].doc_id] = op[1]
+        if outcome != "unchanged":  # a gap: this handle's terms and documents are dropped
+            view = ix._pinned()
+            assert (view.terms, view.documents) == ({}, {})
 
 
 def _rankings(ix, modes=MODES, queries=QUERIES):
@@ -78,7 +86,12 @@ def _rankings(ix, modes=MODES, queries=QUERIES):
         searcher = SqliteSearcher(ix, scorer=scorer)
         for query in queries:
             result = searcher.search(query, k=20)
-            rankings.append([(s.document.doc_id, s.score.hex()) for s in result.sources])
+            rankings.append(
+                [
+                    (s.doc_id, s.score.hex(), s.document.title, s.document.text, s.document.metadata)
+                    for s in result.sources
+                ]
+            )
     return rankings
 
 
@@ -147,7 +160,7 @@ def test_a_long_lived_index_with_retired_slots_equals_a_fresh_one(runs):
     holding retired slots."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp) / "ix"
-        contents = {doc.doc_id: doc.text for doc in PADDING}
+        contents = {doc.doc_id: doc for doc in PADDING}
         with open_index(root, dense=True) as ix:
             ix.add_many(PADDING)
             for run in runs:

@@ -2,6 +2,7 @@
 concurrency, corruption, and hybrid scoring over it."""
 
 import json
+import re
 import sqlite3
 import sys
 import threading
@@ -1410,11 +1411,15 @@ def test_search_counter_increments(index):
 
 
 # ---------------------------------------------------------------------------
-# A search reads its winners' documents with one statement
+# A search reads only the winners its view does not keep, with one statement
 
 
 #: What the statement reading a search's winners says.
 _FETCH = "FROM documents WHERE doc_id IN"
+
+#: All a warm search runs: its snapshot's BEGIN, the read of the
+#: generation stamp that pins it, and COMMIT.
+_WARM = ["BEGIN", "SELECT value FROM meta WHERE key = 'generation'", "COMMIT"]
 
 
 @contextmanager
@@ -1429,22 +1434,48 @@ def _statements_on(conn):
 
 
 def test_a_search_costs_the_same_statements_whatever_k(tmp_path):
-    """After a warm-up search of the same query has loaded its terms, a
-    search runs as many statements at k=1 as at k=20, one of them the
-    read of its winners."""
+    """After a warm-up search of the same query has loaded its terms and
+    kept its winners, a search at k=1 and at k=20 runs only its
+    snapshot's statements: no term and no document is read again."""
     docs = [Document(f"d{i:02d}", f"shared term filler {i}") for i in range(30)]
     with open_index(tmp_path / "ix", dense=True) as ix:
         ix.add_many(docs)
         searcher = SqliteSearcher(ix, scorer=make_retrieval_scorer(ix, mode="hybrid"))
         searcher.search("shared term", k=20)
-        counts, fetches = {}, {}
         for k in (1, 20):
             with _statements_on(ix._conn()) as statements:
                 assert len(searcher.search("shared term", k=k)) == k
-            counts[k] = len(statements)
-            fetches[k] = sum(_FETCH in sql for sql in statements)
-        assert counts[1] == counts[20]
-        assert fetches == {1: 1, 20: 1}
+            assert statements == _WARM
+        assert ix.counters["document_loads"] == 20
+
+
+def _bound_ids(sql):
+    """The doc ids a traced fetch statement binds (SQLite expands them)."""
+    return set(re.findall(r"'([^']*)'", sql.split(" IN ", 1)[1]))
+
+
+def test_a_search_reads_only_the_winners_its_view_does_not_keep(tmp_path):
+    """A k=20 search after a k=5 warm-up of the same query runs one fetch
+    statement, which binds exactly the 15 winners the warm-up did not
+    return, and returns all 20 as stored."""
+    docs = [
+        Document(f"d{i:02d}", f"shared term filler {i}", f"t{i}", {"i": str(i)})
+        for i in range(30)
+    ]
+    with open_index(tmp_path / "ix", dense=True) as ix:
+        ix.add_many(docs)
+        searcher = SqliteSearcher(ix, scorer=make_retrieval_scorer(ix, mode="hybrid"))
+        first = searcher.search("shared term", k=5).doc_ids()
+        with _statements_on(ix._conn()) as statements:
+            result = searcher.search("shared term", k=20)
+        fetches = [sql for sql in statements if _FETCH in sql]
+        assert len(fetches) == 1
+        assert _bound_ids(fetches[0]) == set(result.doc_ids()) - set(first)
+        assert len(_bound_ids(fetches[0])) == 15
+        assert result.doc_ids()[:5] == first
+        by_id = {doc.doc_id: doc for doc in docs}
+        assert result.documents() == [by_id[doc_id] for doc_id in result.doc_ids()]
+        assert ix.counters["document_loads"] == 20
 
 
 @pytest.mark.parametrize("mode", ["bm25", "hybrid"])
@@ -1476,8 +1507,9 @@ def test_a_search_enters_one_snapshot(tmp_path, monkeypatch, mode):
 def test_search_all_reads_every_winner_as_stored(tmp_path):
     """More documents than one fetch statement binds: ``search_all``
     returns each winner's id, rank and score exactly as ranking alone
-    gives them, in rank order, with the document as it was added; a
-    fetch of an id the index does not hold raises."""
+    gives them, in rank order, with the document as it was added, and a
+    second ``search_all`` returns the same documents as kept, reading
+    none; a fetch of an id the index does not hold raises."""
     count = sqlindex._FETCH_CHUNK + 60
     docs = [
         Document(f"d{i:04d}", f"common word{i % 7} text {i}", f"t{i % 3}", {"i": str(i)})
@@ -1498,9 +1530,77 @@ def test_search_all_reads_every_winner_as_stored(tmp_path):
         ]
         assert len(sources) == count
         assert sorted((s.document for s in sources), key=lambda d: d.doc_id) == docs
+        with _statements_on(ix._conn()) as statements:
+            again = searcher.search_all("common word3").sources
+        assert not any(_FETCH in sql for sql in statements)
+        assert [s.document for s in again] == [s.document for s in sources]
+        assert ix.counters["document_loads"] == count
         some = [docs[5].doc_id, docs[-1].doc_id, docs[5].doc_id, docs[0].doc_id]
         assert ix.fetch_documents(some) == [by_id[doc_id] for doc_id in some]
         assert ix.fetch_documents([]) == []
         for missing in (["missing"], [d.doc_id for d in docs] + ["missing"]):
             with pytest.raises(UnknownDocumentError):
                 ix.fetch_documents(missing)
+
+
+def test_every_search_returns_its_winners_as_its_snapshot_stores_them(tmp_path):
+    """Stress: four readers search one query while the writer rewrites
+    its winners' text, title and metadata, folding each write in,
+    switching threads often.  Each rewrite takes a fresh slot, and
+    some folds compact.  Inside each reader's snapshot, every document
+    a search returns must equal the row its own connection reads: a
+    kept document served under a slot of another generation, or moved
+    to the wrong slot by a compaction, would not."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    query = "shared winner"
+    winners = [Document(f"w{i}", f"shared winner text {i}") for i in range(8)]
+    try:
+        with open_index(tmp_path / "ix", dense=True) as ix:
+            ix.add_many(winners + _padding(2))
+            searcher = SqliteSearcher(ix, scorer=make_retrieval_scorer(ix, mode="hybrid"))
+            errors, checked = [], []
+            stop = threading.Event()
+
+            def reader():
+                try:
+                    while not stop.is_set():
+                        with ix.snapshot() as conn:
+                            for source in searcher.search(query, k=5).sources:
+                                title, text, metadata = conn.execute(
+                                    "SELECT title, text, metadata FROM documents "
+                                    "WHERE doc_id = ?",
+                                    (source.doc_id,),
+                                ).fetchone()
+                                assert source.document == Document(
+                                    source.doc_id, text, title, json.loads(metadata)
+                                )
+                        checked.append(source.doc_id)
+                except Exception as error:  # pragma: no cover - failure path
+                    errors.append(error)
+
+            threads = [threading.Thread(target=reader) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            try:
+                for i in range(40):
+                    ix.update(
+                        Document(
+                            f"w{i % 8}",
+                            f"shared winner text {i % 8} rewrite {i}",
+                            f"title {i}",
+                            {"rewrite": str(i)},
+                        )
+                    )
+                    searcher.search(query, k=5)
+            finally:
+                stop.set()
+                for thread in threads:
+                    thread.join(timeout=10)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not errors
+            assert checked
+            assert ix.counters["view_folds"] > 0
+            assert ix.counters["document_loads"] > 5
+    finally:
+        sys.setswitchinterval(interval)
